@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled statevector kernels against the numpy fallback.
+"""Benchmark the numpy statevector kernels and one uCCDab energy.
 
-Runs each hot kernel over a sweep of register sizes and prints a timing
-table plus speedups. The full-pipeline row times one uCCDab energy
-evaluation end to end (circuit application + expectation), which is the
-inner loop of the optimizer.
+Runs each gate-level kernel over a sweep of register sizes and prints a
+timing table. The full-pipeline rows time one uCCDab energy evaluation at
+gate level (circuit application + expectation, what sampling and the HF
+check run) and one energy plus adjoint gradient on the spin sector (what
+the optimizer runs).
 
 Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
 """
@@ -13,12 +14,7 @@ import time
 
 import numpy as np
 
-from uccvqe.kernels import _py
-
-try:
-    from uccvqe.kernels import _core
-except ImportError:
-    _core = None
+from uccvqe import kernels
 
 
 def timeit(fn, *args, repeats=5):
@@ -69,6 +65,7 @@ def bench_pipeline(n_orbitals):
     from uccvqe.mapping import greedy_map
     from uccvqe.sim import Statevector, apply_circuit, expectation
     from uccvqe.symmetry import OrbitalSymmetry
+    from uccvqe.vqe import _objective
 
     rng = np.random.default_rng(1)
     n = n_orbitals
@@ -86,12 +83,15 @@ def bench_pipeline(n_orbitals):
     ham = build_qubit_hamiltonian(ints, sel, mapping)
     circ = build_ansatz_circuit(spec, mapping)
     binding = {p: 0.1 for p in spec.parameter_names()}
+    theta = np.full(spec.parameter_count, 0.1)
+    objective = _objective(ham, spec, mapping)
 
     def run():
         state = apply_circuit(Statevector.zero(2 * n), circ, binding)
         return expectation(state, ham)
 
-    return timeit(run, repeats=3), len(circ.gates), ham.term_count
+    return (timeit(run, repeats=3), timeit(objective, theta),
+            len(circ.gates), ham.term_count)
 
 
 def main():
@@ -99,11 +99,8 @@ def main():
     parser.add_argument("--max-qubits", type=int, default=20)
     args = parser.parse_args()
 
-    if _core is None:
-        print("compiled kernels unavailable; build with `python setup.py build_ext --inplace`")
-
     rng = np.random.default_rng(7)
-    print(f"{'n':>3} {'kernel':<12} {'python (ms)':>12} {'compiled (ms)':>14} {'speedup':>8}")
+    print(f"{'n':>3} {'kernel':<12} {'numpy (ms)':>12}")
     for n in range(8, args.max_qubits + 1, 4):
         state = random_state(n)
         words = [
@@ -112,21 +109,15 @@ def main():
         rows = [("gate sweep", bench_gates, (n, state))]
         rows.append(("expectation", bench_expectation, (n, state, words)))
         for label, fn, fargs in rows:
-            t_py = fn(_py, *fargs) * 1e3
-            if _core is not None:
-                t_c = fn(_core, *fargs) * 1e3
-                print(f"{n:>3} {label:<12} {t_py:>12.3f} {t_c:>14.3f} {t_py / t_c:>8.2f}x")
-            else:
-                print(f"{n:>3} {label:<12} {t_py:>12.3f} {'-':>14} {'-':>8}")
+            print(f"{n:>3} {label:<12} {fn(kernels, *fargs) * 1e3:>12.3f}")
 
-    import os
-
-    print("\nfull uCCDab energy evaluation (selected backend:"
-          f" {os.environ.get('UCCVQE_PURE_PYTHON') and 'python' or 'auto'})")
-    print(f"{'orbitals':>8} {'qubits':>7} {'gates':>6} {'terms':>6} {'time (ms)':>10}")
+    print("\nfull uCCDab energy evaluation")
+    print(f"{'orbitals':>8} {'qubits':>7} {'gates':>6} {'terms':>6} "
+          f"{'gate level (ms)':>16} {'sector E+grad (ms)':>19}")
     for n_orb in (4, 6, 8):
-        t, n_gates, n_terms = bench_pipeline(n_orb)
-        print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>6} {n_terms:>6} {t * 1e3:>10.2f}")
+        t_gates, t_sector, n_gates, n_terms = bench_pipeline(n_orb)
+        print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>6} {n_terms:>6} "
+              f"{t_gates * 1e3:>16.2f} {t_sector * 1e3:>19.2f}")
 
 
 if __name__ == "__main__":

@@ -294,12 +294,21 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
     pipe = Pipeline(cfg)
     if list(pipe.mapping.perm) != report["mapping_perm"]:
         raise CliError("reconstructed mapping differs from the report; config mismatch")
-    hist_files = sorted(Path(hist_dir).glob("group_*.hist"))
-    if len(hist_files) != len(pipe.groups):
+    by_id: dict[int, Histogram] = {}
+    for path in sorted(Path(hist_dir).glob("group_*.hist")):
+        hist = Histogram.from_text(path.read_text())
+        if hist.group_id in by_id:
+            raise CliError(f"{path}: second histogram for group {hist.group_id}")
+        by_id[hist.group_id] = hist
+    wanted = [g.index for g in pipe.groups]
+    missing = sorted(set(wanted) - set(by_id))
+    unknown = sorted(set(by_id) - set(wanted))
+    if missing or unknown:
         raise CliError(
-            f"{len(hist_files)} histogram files for {len(pipe.groups)} groups"
+            f"{hist_dir}: histograms do not match the {len(wanted)} groups "
+            f"(missing ids {missing[:10]}, unknown ids {unknown[:10]})"
         )
-    histograms = [Histogram.from_text(p.read_text()) for p in hist_files]
+    histograms = [by_id[gid] for gid in wanted]
     sector = SpinSector(cfg.n_electrons // 2, cfg.n_electrons // 2)
     kinds = ("particle", "spin") if policy == "all" else (policy,)
     mit = run_policies(pipe.groups, histograms, sector, pipe.mapping,

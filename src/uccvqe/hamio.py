@@ -90,18 +90,22 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
             raise FcidumpError(f"{path}: non-numeric record {line!r}") from exc
         if max(i, j, k, l) > norb or min(i, j, k, l) < 0:
             raise FcidumpError(f"{path}: orbital index out of range in {line!r}")
-        if i == 0:
-            core = val
-        elif k == 0:
-            h[i - 1, j - 1] = val
-            h[j - 1, i - 1] = val
-        else:
+        pattern = "".join("0" if t == 0 else "x" for t in (i, j, k, l))
+        if pattern == "xxxx":
             p, q, r, s = i - 1, j - 1, k - 1, l - 1
             for a, b, c, d in (
                 (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
                 (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
             ):
                 g[a, b, c, d] = val
+        elif pattern == "xx00":
+            h[i - 1, j - 1] = val
+            h[j - 1, i - 1] = val
+        elif pattern == "0000":
+            core = val
+        elif pattern != "x000":  # x000 is an orbital energy, not part of H
+            raise FcidumpError(f"{path}: record {line!r} has index pattern {pattern}; "
+                               "expected ijkl, ij00, i000 or 0000")
     return MolecularIntegrals(norb, nelec, ms2, core, h, g, orbsym)
 
 
@@ -318,16 +322,20 @@ def qwc_group(h: QubitHamiltonian) -> list[MeasurementGroup]:
 
 
 # ---------------------------------------------------------------------------
-# dense reference
+# dense and sector references
 
-def _mask_table(h: QubitHamiltonian) -> list[tuple[int, int, complex]]:
+def _mask_table(terms: PauliSum) -> list[tuple[int, int, complex]]:
     from .sim import word_masks
 
     table = []
-    for w in h.terms.words():
-        xb, zb, ny = word_masks(h.n_qubits, w.x_mask, w.z_mask)
+    for w in terms.words():
+        xb, zb, ny = word_masks(terms.n, w.x_mask, w.z_mask)
         table.append((xb, zb, w.coefficient * (1j**ny)))
     return table
+
+
+def _parity_signs(idx: np.ndarray, z_bits: int) -> np.ndarray:
+    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z_bits)) & np.uint64(1)).astype(float)
 
 
 def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
@@ -339,25 +347,89 @@ def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     idx = np.arange(dim, dtype=np.uint64)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[idx.astype(np.int64), idx.astype(np.int64)] = h.offset
-    for xb, zb, coeff in _mask_table(h):
+    for xb, zb, coeff in _mask_table(h.terms):
         src = idx.astype(np.int64)
         dst = (idx ^ np.uint64(xb)).astype(np.int64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zb)) & np.uint64(1)).astype(float)
-        mat[dst, src] += coeff * signs
+        mat[dst, src] += coeff * _parity_signs(idx, zb)
     return mat
+
+
+def spin_sector_indices(mapping: QubitMapping, sector: SpinSector) -> np.ndarray:
+    """Ascending amplitude indices whose alpha/beta occupation under
+    ``mapping`` matches the sector."""
+    n = mapping.n_qubits
+    alpha_bits = sum(1 << (n - 1 - q) for q in mapping.alpha_qubits())
+    beta_bits = sum(1 << (n - 1 - q) for q in mapping.beta_qubits())
+    idx = np.arange(1 << n, dtype=np.uint64)
+    na = np.bitwise_count(idx & np.uint64(alpha_bits))
+    nb = np.bitwise_count(idx & np.uint64(beta_bits))
+    return idx[(na == sector.n_alpha) & (nb == sector.n_beta)].astype(np.int64)
 
 
 def sector_indices(h: QubitHamiltonian, sector: SpinSector) -> np.ndarray:
     """Amplitude indices whose alpha/beta occupation matches the sector."""
     if h.mapping is None:
         raise HamiltonianError("sector restriction needs a qubit mapping")
-    n = h.n_qubits
-    alpha_bits = sum(1 << (n - 1 - q) for q in h.mapping.alpha_qubits())
-    beta_bits = sum(1 << (n - 1 - q) for q in h.mapping.beta_qubits())
-    idx = np.arange(1 << n, dtype=np.uint64)
-    na = np.bitwise_count(idx & np.uint64(alpha_bits))
-    nb = np.bitwise_count(idx & np.uint64(beta_bits))
-    return idx[(na == sector.n_alpha) & (nb == sector.n_beta)].astype(np.int64)
+    return spin_sector_indices(h.mapping, sector)
+
+
+@dataclass(frozen=True)
+class SectorOperator:
+    """A Pauli sum restricted to the amplitudes listed in a sector basis.
+
+    Words sharing an x-mask map each basis state to the same partner, so
+    each distinct x-mask becomes one gather ``out[dst] += diag * v[src]``
+    over sector positions; pairs whose summed matrix element is zero, or
+    whose partner leaves the sector, are dropped. An excitation generator
+    (8 words on one x-mask for a double, 2 for a single) is one gather.
+    """
+
+    dim: int
+    gathers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        dtype = np.result_type(v, *(diag for _, _, diag in self.gathers))
+        out = np.zeros(self.dim, dtype=dtype)
+        for src, dst, diag in self.gathers:
+            out[dst] += diag * v[src]
+        return out
+
+    def matrix(self) -> np.ndarray:
+        dtype = np.result_type(float, *(diag for _, _, diag in self.gathers))
+        mat = np.zeros((self.dim, self.dim), dtype=dtype)
+        for src, dst, diag in self.gathers:
+            mat[dst, src] += diag
+        return mat
+
+
+def sector_operator(terms: PauliSum, basis: np.ndarray) -> SectorOperator:
+    """Restrict a Pauli sum to the ascending amplitude indices ``basis``.
+
+    Exact for any operator on vectors supported on the basis when only the
+    basis block is read, e.g. <psi|H|psi>; for operators that conserve the
+    sector (H, excitation generators) the product itself is exact.
+    """
+    states = np.asarray(basis, dtype=np.uint64)
+    by_x: dict[int, list[tuple[int, complex]]] = {}
+    for xb, zb, coeff in _mask_table(terms):
+        by_x.setdefault(xb, []).append((zb, coeff))
+    gathers = []
+    for xb, rows in by_x.items():
+        partner = states ^ np.uint64(xb)
+        dst = np.minimum(np.searchsorted(states, partner), len(states) - 1)
+        src = np.flatnonzero(states[dst] == partner)
+        dst = dst[src]
+        diag = np.zeros(len(src), dtype=complex)
+        for zb, coeff in rows:
+            diag += coeff * _parity_signs(states[src], zb)
+        live = diag != 0
+        if not live.any():
+            continue
+        diag = diag[live]
+        if not diag.imag.any():
+            diag = diag.real.copy()
+        gathers.append((src[live], dst[live], diag))
+    return SectorOperator(len(states), tuple(gathers))
 
 
 def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None) -> float:
@@ -371,19 +443,9 @@ def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None
         raise HamiltonianError(f"{n} qubits exceeds the {DENSE_QUBIT_LIMIT}-qubit dense cap")
     if sector is not None:
         keep = sector_indices(h, sector)
-        lookup = {int(s): i for i, s in enumerate(keep)}
-        dim = len(keep)
-        if dim == 0:
+        if len(keep) == 0:
             raise HamiltonianError("empty sector")
-        sub = np.zeros((dim, dim), dtype=complex)
-        for xb, zb, coeff in _mask_table(h):
-            for j, s in enumerate(keep):
-                target = int(s) ^ xb
-                i = lookup.get(target)
-                if i is not None:
-                    sign = -1.0 if ((int(s) & zb).bit_count() & 1) else 1.0
-                    sub[i, j] += coeff * sign
-        vals = np.linalg.eigvalsh(sub)
+        vals = np.linalg.eigvalsh(sector_operator(h.terms, keep).matrix())
         return float(vals[0] + h.offset)
     if n <= 10:
         vals = np.linalg.eigvalsh(dense_matrix(h))
@@ -392,7 +454,7 @@ def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None
 
     from . import kernels
 
-    table = _mask_table(h)
+    table = _mask_table(h.terms)
     op = LinearOperator(
         (1 << n, 1 << n),
         matvec=lambda v: kernels.apply_pauli_sum(np.ascontiguousarray(v, dtype=np.complex128), n, table),

@@ -1,45 +1,67 @@
-"""Backend selection for the statevector hot loops.
+"""Vectorized numpy statevector kernels for gate-level simulation.
 
-Imports the compiled Cython core when available, otherwise the vectorized
-numpy fallback. Set UCCVQE_PURE_PYTHON=1 to force the fallback (used by the
-benchmark and by tests that compare the two).
+Index convention: qubit 0 is the most significant bit of the amplitude
+index, so qubit q strides by 2**(n-1-q).
 """
 from __future__ import annotations
 
-import os
-
-from . import _py
-
-_python_forced = os.environ.get("UCCVQE_PURE_PYTHON", "") not in ("", "0")
-_impl = _py
-_backend = "python"
-
-if not _python_forced:
-    try:
-        from . import _core as _impl_compiled
-
-        _impl = _impl_compiled
-        _backend = "compiled"
-    except ImportError:
-        pass
+import numpy as np
 
 
 def backend() -> str:
-    """Either 'compiled' or 'python'."""
-    return _backend
+    """Name of the kernel implementation; numpy is the only one."""
+    return "python"
 
 
-def backends_available() -> tuple[str, ...]:
-    try:
-        from . import _core  # noqa: F401
+def apply_1q(state: np.ndarray, n: int, q: int, m00, m01, m10, m11) -> None:
+    """In-place single-qubit gate with matrix [[m00, m01], [m10, m11]]."""
+    view = state.reshape(1 << q, 2, -1)
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :]
+    view[:, 0, :] = m00 * a0 + m01 * a1
+    view[:, 1, :] = m10 * a0 + m11 * a1
 
-        return ("compiled", "python")
-    except ImportError:
-        return ("python",)
+
+def apply_phase(state: np.ndarray, n: int, q: int, p0, p1) -> None:
+    """In-place diagonal gate diag(p0, p1) on qubit q."""
+    view = state.reshape(1 << q, 2, -1)
+    view[:, 0, :] *= p0
+    view[:, 1, :] *= p1
 
 
-apply_1q = _impl.apply_1q
-apply_phase = _impl.apply_phase
-apply_cnot = _impl.apply_cnot
-pauli_expectation = _impl.pauli_expectation
-apply_pauli_sum = _impl.apply_pauli_sum
+def apply_cnot(state: np.ndarray, n: int, control: int, target: int) -> None:
+    """In-place CNOT."""
+    if control < target:
+        view = state.reshape(1 << control, 2, 1 << (target - control - 1), 2, -1)
+        tmp = view[:, 1, :, 0, :].copy()
+        view[:, 1, :, 0, :] = view[:, 1, :, 1, :]
+        view[:, 1, :, 1, :] = tmp
+    else:
+        view = state.reshape(1 << target, 2, 1 << (control - target - 1), 2, -1)
+        tmp = view[:, 0, :, 1, :].copy()
+        view[:, 0, :, 1, :] = view[:, 1, :, 1, :]
+        view[:, 1, :, 1, :] = tmp
+
+
+def pauli_expectation(state: np.ndarray, n: int, x_bits: int, z_bits: int) -> complex:
+    """<psi| P |psi> for the phaseless word P = prod X^x Z^z with Y = 'XZ'.
+
+    ``x_bits``/``z_bits`` are in amplitude-index bit convention. The caller
+    accounts for the i**(number of Y) factor.
+    """
+    idx = np.arange(state.size, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z_bits)) & np.uint64(1)).astype(np.float64)
+    flipped = (idx ^ np.uint64(x_bits)).astype(np.int64)
+    return complex(np.sum(np.conj(state[flipped]) * signs * state))
+
+
+def apply_pauli_sum(vec: np.ndarray, n: int, table: list[tuple[int, int, complex]]) -> np.ndarray:
+    """Matrix-vector product with a Pauli sum given as (x_bits, z_bits, coeff)
+    rows, coeff already including the i**nY factor."""
+    idx = np.arange(vec.size, dtype=np.uint64)
+    out = np.zeros_like(vec)
+    for x_bits, z_bits, coeff in table:
+        src = (idx ^ np.uint64(x_bits)).astype(np.int64)
+        signs = 1.0 - 2.0 * (np.bitwise_count(src.astype(np.uint64) & np.uint64(z_bits)) & np.uint64(1)).astype(np.float64)
+        out += coeff * signs * vec[src]
+    return out

@@ -3,11 +3,22 @@
 Parameters are optimized against the exact statevector energy; the sampled
 estimate is produced afterwards at the optimum, skipping any iterative
 quantum-classical loop. The optimizer is a BFGS quasi-Newton iteration with
-central finite-difference gradients and a backtracking line search, so
-accepted steps never raise the energy.
+a backtracking line search, so accepted steps never raise the energy.
+
+The optimizer never runs the gate-level circuit. The ansatz state is the
+product of exp(theta_k G_k) over the excitation generators in circuit build
+order (paired excitations first) applied to the Hartree-Fock determinant.
+Every G_k satisfies G^3 = -G, so exp(theta G) = 1 + sin(theta) G +
+(1 - cos(theta)) G^2 (Yordanov, Arvidsson-Shukur and Barnes, PRA 102,
+062612). The reference determinant and every G_k conserve the alpha and
+beta electron counts, so the state lives on that sector's amplitudes only,
+and <psi|H|psi> needs only H's sector block. Each evaluation returns the
+energy and its exact gradient from one reverse (adjoint) sweep (Jones and
+Gacon, arXiv:2009.02823). Sampling still runs the compiled circuit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -15,9 +26,11 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .circuit import build_ansatz_circuit
-from .hamio import QubitHamiltonian, qwc_group
+from .hamio import QubitHamiltonian, SectorOperator, qwc_group, sector_operator, spin_sector_indices
 from .mapping import QubitMapping
-from .sim import Histogram, Statevector, apply_circuit, energy_from_histograms, expectation, sample_group
+from .pauli import antihermitian_generator
+from .sim import Histogram, Statevector, apply_circuit, energy_from_histograms, sample_group
+from .symmetry import SpinSector
 
 
 class VqeError(ValueError):
@@ -26,7 +39,6 @@ class VqeError(ValueError):
 
 @dataclass
 class OptimizeConfig:
-    fd_step: float = 1e-5
     energy_tol: float = 1e-9
     grad_tol: float = 1e-6
     max_iterations: int = 500
@@ -41,16 +53,61 @@ class VqeResult:
     converged: bool
 
 
+def _exp_step(g: SectorOperator, theta: float, v: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """exp(theta G) v given gv = G v."""
+    return v + math.sin(theta) * gv + (1.0 - math.cos(theta)) * g.apply(gv)
+
+
+class SectorAnsatz:
+    """The ansatz as generator exponentials on the reference spin sector.
+
+    ``basis`` lists the sector's amplitude indices (ascending), ``reference``
+    is the Hartree-Fock determinant over them, and ``generators`` pairs each
+    parameter index with its restricted generator, in circuit build order.
+    """
+
+    def __init__(self, spec: AnsatzSpec, mapping: QubitMapping):
+        n, n_occ = mapping.n_qubits, spec.active_space.n_occupied
+        self.basis = spin_sector_indices(mapping, SpinSector(n_occ, n_occ))
+        hf = sum((1 << (n - 1 - mapping.alpha_qubit(k))) | (1 << (n - 1 - mapping.beta_qubit(k)))
+                 for k in range(n_occ))
+        self.reference = np.zeros(len(self.basis))
+        self.reference[np.searchsorted(self.basis, hf)] = 1.0
+        order = [k for k, e in enumerate(spec.excitations) if e.paired]
+        order += [k for k, e in enumerate(spec.excitations) if not e.paired]
+        self.generators = [
+            (k, sector_operator(antihermitian_generator(spec.excitations[k], mapping), self.basis))
+            for k in order
+        ]
+
+    def state(self, theta: Sequence[float]) -> np.ndarray:
+        psi = self.reference
+        for k, g in self.generators:
+            psi = _exp_step(g, theta[k], psi, g.apply(psi))
+        return psi
+
+    def energy_and_gradient(self, hop: SectorOperator, offset: float,
+                            theta: Sequence[float]) -> tuple[float, np.ndarray]:
+        """<psi|H|psi> + offset and its exact gradient: one forward sweep,
+        then one reverse sweep carrying psi and H psi back through every
+        exponential."""
+        psi = self.state(theta)
+        lam = hop.apply(psi)
+        energy = offset + float(np.vdot(psi, lam).real)
+        grad = np.zeros(len(theta))
+        for k, g in reversed(self.generators):
+            gpsi = g.apply(psi)
+            grad[k] = 2.0 * float(np.vdot(lam, gpsi).real)
+            psi = _exp_step(g, -theta[k], psi, gpsi)
+            lam = _exp_step(g, -theta[k], lam, g.apply(lam))
+        return energy, grad
+
+
 def _objective(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping):
-    circuit = build_ansatz_circuit(spec, mapping)
-    names = spec.parameter_names()
-    zero = Statevector.zero(mapping.n_qubits)
-
-    def energy(theta: np.ndarray) -> float:
-        binding = dict(zip(names, map(float, theta)))
-        return expectation(apply_circuit(zero, circuit, binding), h)
-
-    return energy
+    """theta -> (energy, gradient), both exact, on the reference sector."""
+    ansatz = SectorAnsatz(spec, mapping)
+    hop = sector_operator(h.terms, ansatz.basis)
+    return lambda theta: ansatz.energy_and_gradient(hop, h.offset, theta)
 
 
 def optimize(
@@ -60,37 +117,33 @@ def optimize(
     init: Optional[Sequence[float]] = None,
     config: Optional[OptimizeConfig] = None,
 ) -> VqeResult:
-    """Minimize the circuit energy from a Hartree-Fock start (all zeros)."""
+    """Minimize the ansatz energy from a Hartree-Fock start (all zeros)."""
     if not h.terms.is_hermitian():
         raise VqeError("Hamiltonian is not hermitian")
+    if not h.n_qubits == mapping.n_qubits == spec.active_space.n_qubits:
+        raise VqeError(
+            f"register sizes differ: Hamiltonian {h.n_qubits}, mapping {mapping.n_qubits}, "
+            f"ansatz {spec.active_space.n_qubits} qubits"
+        )
     cfg = config or OptimizeConfig()
     m = spec.parameter_count
     x = np.zeros(m) if init is None else np.asarray(init, dtype=float).copy()
     if x.shape != (m,):
         raise VqeError(f"expected {m} parameters, got {x.shape}")
 
-    energy = _objective(h, spec, mapping)
+    objective = _objective(h, spec, mapping)
     evals = 0
 
     def f(theta):
         nonlocal evals
         evals += 1
-        return energy(theta)
+        return objective(theta)
 
-    def grad(theta, f0):
-        g = np.zeros(m)
-        for k in range(m):
-            step = np.zeros(m)
-            step[k] = cfg.fd_step
-            g[k] = (f(theta + step) - f(theta - step)) / (2 * cfg.fd_step)
-        return g
-
-    f0 = f(x)
+    f0, g = f(x)
     trace = [(x.copy(), f0)]
     if m == 0:
         return VqeResult(x, f0, trace, evals, True)
 
-    g = grad(x, f0)
     binv = np.eye(m)
     converged = False
     for _ in range(cfg.max_iterations):
@@ -105,16 +158,14 @@ def optimize(
         step = 1.0
         f_new = None
         while step > 1e-14:
-            cand = x + step * d
-            fc = f(cand)
+            fc, gc = f(x + step * d)
             if fc <= f0 + 1e-4 * step * slope:
-                f_new = fc
+                f_new, g_new = fc, gc
                 break
             step *= 0.5
         if f_new is None:
             break  # line search failed: numerically at a minimum
         x_new = x + step * d
-        g_new = grad(x_new, f_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)

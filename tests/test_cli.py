@@ -117,6 +117,42 @@ class TestMitigateCommand:
             before["energies_hartree"]["sampled_spin"], abs=1e-12
         )
 
+    def _vqe_run(self, h2_path, tmp_path):
+        run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "800",
+             "--sample-seed", "5", "--out", str(tmp_path)])
+        return load_report(tmp_path / "report.json")
+
+    def _mitigate(self, tmp_path):
+        return run(["mitigate", "--report", str(tmp_path / "report.json"),
+                    "--histograms", str(tmp_path), "--policy", "all"])
+
+    def test_histograms_paired_by_group_id_not_file_name(self, h2_path, tmp_path):
+        # Names that sort out of id order, as group_1000 sorts before group_101.
+        before = self._vqe_run(h2_path, tmp_path)
+        files = sorted(tmp_path.glob("group_*.hist"))
+        texts = [p.read_text() for p in files]
+        for p in files:
+            p.unlink()
+        for k, text in enumerate(reversed(texts)):
+            (tmp_path / f"group_{k:03d}.hist").write_text(text)
+        assert self._mitigate(tmp_path) == 0
+        after = load_report(tmp_path / "report.json")
+        for key in ("sampled_raw", "sampled_particle", "sampled_spin"):
+            assert after["energies_hartree"][key] == before["energies_hartree"][key]
+
+    def test_duplicate_group_id_rejected(self, h2_path, tmp_path, capsys):
+        self._vqe_run(h2_path, tmp_path)
+        (tmp_path / "group_001.hist").write_text((tmp_path / "group_000.hist").read_text())
+        assert self._mitigate(tmp_path) == 1
+        assert "second histogram for group 0" in capsys.readouterr().err
+
+    def test_missing_group_id_rejected(self, h2_path, tmp_path, capsys):
+        self._vqe_run(h2_path, tmp_path)
+        text = (tmp_path / "group_002.hist").read_text()
+        (tmp_path / "group_002.hist").write_text(text.replace("GROUP 2", "GROUP 9", 1))
+        assert self._mitigate(tmp_path) == 1
+        assert "missing ids [2], unknown ids [9]" in capsys.readouterr().err
+
 
 class TestReportSchema:
     def test_unknown_top_level_field_rejected(self, h2_path, tmp_path):

@@ -73,6 +73,21 @@ class TestParse:
         with pytest.raises(FcidumpError, match="non-numeric"):
             parse_fcidump(write(tmp_path, " &FCI NORB=1,NELEC=2,\n &END\n abc 1 1 0 0\n"))
 
+    def test_orbital_energy_records_skipped(self, tmp_path, h2_path, h2_ints):
+        with open(h2_path) as fh:
+            text = fh.read()
+        ints = parse_fcidump(write(tmp_path, text + " -0.578 1 0 0 0\n 0.671 2 0 0 0\n"))
+        assert np.array_equal(ints.h, h2_ints.h)
+        assert np.array_equal(ints.g, h2_ints.g)
+        assert ints.core_energy == h2_ints.core_energy
+
+    @pytest.mark.parametrize("record", ["0.1 1 0 1 0", "0.1 0 1 0 0", "0.1 1 1 1 0",
+                                        "0.1 0 0 1 1", "0.1 1 0 0 1"])
+    def test_unknown_index_pattern_rejected(self, tmp_path, record):
+        path = write(tmp_path, f" &FCI NORB=2,NELEC=2,\n &END\n {record}\n", name="odd.fcidump")
+        with pytest.raises(FcidumpError, match=rf"odd\.fcidump: record '{record}'"):
+            parse_fcidump(path)
+
     def test_round_trip(self, tmp_path, h2_ints):
         path = str(tmp_path / "out.fcidump")
         write_fcidump(path, h2_ints)

@@ -1,0 +1,133 @@
+"""Agreement of the spin-sector fast path with the gate-level circuit.
+
+The optimizer evaluates energies and gradients from generator exponentials
+on the reference sector; sampling and the HF check run the compiled
+circuit. These tests pin the two to each other for every variant, random
+block mappings and random parameters.
+"""
+import numpy as np
+import pytest
+
+from uccvqe.ansatz import VARIANTS, ActiveSpace, enumerate_excitations
+from uccvqe.circuit import build_ansatz_circuit
+from uccvqe.hamio import (
+    ActiveSelection,
+    MolecularIntegrals,
+    QubitHamiltonian,
+    build_qubit_hamiltonian,
+    dense_matrix,
+    exact_ground_energy,
+    sector_indices,
+    sector_operator,
+)
+from uccvqe.mapping import QubitMapping
+from uccvqe.pauli import PauliSum, PauliWord
+from uccvqe.sim import Statevector, apply_circuit, expectation
+from uccvqe.symmetry import OrbitalSymmetry, SpinSector
+from uccvqe.vqe import SectorAnsatz, _objective
+
+SPACES = (ActiveSpace(2, 2), ActiveSpace(4, 4))
+FD_STEP = 1e-5
+
+
+def random_integrals(n: int, n_electrons: int, rng) -> MolecularIntegrals:
+    """Real integrals with the 8-fold symmetry of (pq|rs)."""
+    h = rng.normal(scale=0.5, size=(n, n))
+    h = (h + h.T) / 2 - np.diag(np.arange(n, 0, -1.0))
+    a = rng.normal(scale=0.2, size=(n, n, n, n))
+    g = (a + a.transpose(1, 0, 2, 3) + a.transpose(0, 1, 3, 2) + a.transpose(1, 0, 3, 2))
+    g = g + g.transpose(2, 3, 0, 1)
+    return MolecularIntegrals(n, n_electrons, 0, float(rng.normal()), h, g,
+                              OrbitalSymmetry.all_symmetric(n))
+
+
+def random_block_mapping(n: int, rng) -> QubitMapping:
+    return QubitMapping.from_spatial_order(tuple(int(p) for p in rng.permutation(n)))
+
+
+def random_pauli_hamiltonian(space: ActiveSpace, mapping: QubitMapping, rng) -> QubitHamiltonian:
+    """Hermitian Pauli sum that need not conserve the sector."""
+    n = space.n_qubits
+    words = [PauliWord.from_axes("".join(rng.choice(list("IXYZ"), size=n)), float(rng.normal()))
+             for _ in range(20)]
+    return QubitHamiltonian(n, PauliSum(n, [w for w in words if not w.is_identity()]),
+                            0.3, mapping, space)
+
+
+def cases():
+    for space in SPACES:
+        for variant in VARIANTS:
+            yield pytest.param(space, variant, id=f"cas{space.n_electrons}{space.n_orbitals}-{variant}")
+
+
+def setup_case(space: ActiveSpace, variant: str, seed: int):
+    rng = np.random.default_rng(seed)
+    spec = enumerate_excitations(variant, space)
+    mapping = random_block_mapping(space.n_orbitals, rng)
+    ints = random_integrals(space.n_orbitals, space.n_electrons, rng)
+    h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+    theta = rng.normal(scale=0.4, size=spec.parameter_count)
+    return rng, spec, mapping, h, theta
+
+
+def circuit_state(spec, mapping, theta) -> Statevector:
+    binding = dict(zip(spec.parameter_names(), map(float, theta)))
+    return apply_circuit(Statevector.zero(mapping.n_qubits),
+                         build_ansatz_circuit(spec, mapping), binding)
+
+
+@pytest.mark.parametrize("space,variant", cases())
+def test_sector_state_and_energy_match_circuit(space, variant):
+    for seed in range(2):
+        rng, spec, mapping, h, theta = setup_case(space, variant, seed)
+        gate_level = circuit_state(spec, mapping, theta)
+        ansatz = SectorAnsatz(spec, mapping)
+        embedded = np.zeros(1 << mapping.n_qubits, dtype=complex)
+        embedded[ansatz.basis] = ansatz.state(theta)
+        phase = np.vdot(embedded, gate_level.amplitudes)
+        assert abs(phase) == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(gate_level.amplitudes - phase * embedded)) < 1e-10
+        for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
+            energy, _ = _objective(ham, spec, mapping)(theta)
+            assert energy == pytest.approx(expectation(gate_level, ham), abs=1e-10)
+
+
+@pytest.mark.parametrize("space,variant", cases())
+def test_adjoint_gradient_matches_central_differences(space, variant):
+    for seed in range(2):
+        rng, spec, mapping, h, theta = setup_case(space, variant, seed)
+        for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
+            objective = _objective(ham, spec, mapping)
+            _, grad = objective(theta)
+            fd = np.zeros_like(theta)
+            for k in range(len(theta)):
+                step = np.zeros_like(theta)
+                step[k] = FD_STEP
+                fd[k] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * FD_STEP)
+            assert np.max(np.abs(grad - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("n_orbitals,n_electrons", [(2, 2), (3, 2), (4, 4), (5, 4)])
+def test_sector_ground_energy_matches_dense_block(n_orbitals, n_electrons):
+    rng = np.random.default_rng(n_orbitals)
+    ints = random_integrals(n_orbitals, n_electrons, rng)
+    mapping = random_block_mapping(n_orbitals, rng)
+    h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+    dense = dense_matrix(h)
+    for n_alpha in range(n_orbitals + 1):
+        sector = SpinSector(n_alpha, n_electrons // 2)
+        keep = sector_indices(h, sector)
+        block = dense[np.ix_(keep, keep)]
+        assert exact_ground_energy(h, sector) == pytest.approx(
+            np.linalg.eigvalsh(block)[0], abs=1e-10)
+
+
+def test_sector_operator_matches_dense_block_for_any_pauli_sum():
+    rng = np.random.default_rng(5)
+    space = ActiveSpace(4, 4)
+    mapping = random_block_mapping(4, rng)
+    h = random_pauli_hamiltonian(space, mapping, rng)
+    keep = sector_indices(h, SpinSector(2, 2))
+    dense = dense_matrix(h) - h.offset * np.eye(1 << 8)
+    assert np.allclose(sector_operator(h.terms, keep).matrix(), dense[np.ix_(keep, keep)],
+                       atol=1e-12)

@@ -53,6 +53,10 @@ class TestOptimize:
         with pytest.raises(VqeError):
             optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(2), init=[0.0, 0.0])
 
+    def test_register_mismatch_rejected(self, h2_hamiltonian, h2_spec):
+        with pytest.raises(VqeError, match="register sizes differ"):
+            optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(3))
+
     def test_non_hermitian_rejected(self, h2_spec):
         terms = PauliSum(4, [PauliWord.from_axes("XIII", 0.5j)])
         h = QubitHamiltonian(4, terms, 0.0, QubitMapping.identity(2), ActiveSpace(2, 2))

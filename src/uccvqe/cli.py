@@ -89,6 +89,12 @@ def validate_report(data: dict) -> dict:
     unknown = set(data) - _REPORT_KEYS
     if unknown:
         raise CliError(f"unknown report fields: {sorted(unknown)}")
+    config = data.get("config")
+    keys = set(config) if isinstance(config, dict) else set()
+    want = set(RunConfig("", 0, ()).to_dict())
+    if keys != want:
+        raise CliError(f"report config: missing keys {sorted(want - keys)}, "
+                       f"unknown keys {sorted(keys - want)}")
     energies = data.get("energies_hartree", {})
     bad = set(energies) - _ENERGY_KEYS
     if bad:
@@ -118,6 +124,7 @@ class Pipeline:
     hamiltonian: object = field(init=False)
     circuit: object = field(init=False)
     groups: list = field(init=False)
+    sector: SpinSector = field(init=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -141,6 +148,7 @@ class Pipeline:
         self.hamiltonian = build_qubit_hamiltonian(self.ints, self.selection, self.mapping)
         self.circuit = build_ansatz_circuit(self.spec, self.mapping)
         self.groups = qwc_group(self.hamiltonian)
+        self.sector = SpinSector(cfg.n_electrons // 2, cfg.n_electrons // 2)
 
     def hf_energy_check(self) -> float:
         """Mean-field consistency: circuit at zero parameters must sit at the
@@ -159,6 +167,22 @@ class Pipeline:
                 f"mean-field reference {reference:.10f}"
             )
         return measured
+
+    def post_select(self, report: dict, histograms: Sequence[Histogram], policy: str) -> None:
+        """Write the raw and post-selected energies of the policy ('all',
+        'none' or one kind) over one histogram per group into the report."""
+        kinds = {"all": ("particle", "spin"), "none": ()}.get(policy, (policy,))
+        if not kinds:
+            return
+        mit = run_policies(self.groups, histograms, self.sector, self.mapping,
+                           self.hamiltonian, kinds)
+        energies, errors = report["energies_hartree"], report["standard_errors_hartree"]
+        energies["sampled_raw"], errors["sampled_raw"] = mit.raw.energy, mit.raw.standard_error
+        report["retained_shots"]["z_basis_total"] = mit.total_z_shots
+        for kind, outcome in mit.outcomes.items():
+            energies[f"sampled_{kind}"] = outcome.energy
+            errors[f"sampled_{kind}"] = outcome.standard_error
+            report["retained_shots"][kind] = outcome.retained_shots
 
     def counts_report(self, command: str) -> dict:
         return {
@@ -211,9 +235,8 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     report["timings_seconds"]["optimize"] = time.perf_counter() - t_opt
 
     if pipe.mapping.n_qubits <= DENSE_QUBIT_LIMIT:
-        sector = SpinSector(pipe.selection.n_electrons // 2, pipe.selection.n_electrons // 2)
         report["energies_hartree"]["exact_ground"] = exact_ground_energy(
-            pipe.hamiltonian, sector
+            pipe.hamiltonian, pipe.sector
         )
 
     t_sample = time.perf_counter()
@@ -224,20 +247,7 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     report["energies_hartree"]["sampled_raw"] = sampled.energy
     report["standard_errors_hartree"]["sampled_raw"] = sampled.standard_error
     report["timings_seconds"]["sample"] = time.perf_counter() - t_sample
-
-    n_elec = pipe.selection.n_electrons
-    sector = SpinSector(n_elec // 2, n_elec // 2)
-    kinds = ("particle", "spin") if cfg.policy == "all" else (
-        () if cfg.policy == "none" else (cfg.policy,)
-    )
-    if kinds:
-        mit = run_policies(sampled.groups, sampled.histograms, sector,
-                           pipe.mapping, pipe.hamiltonian, kinds)
-        report["retained_shots"]["z_basis_total"] = mit.total_z_shots
-        for kind, outcome in mit.outcomes.items():
-            report["energies_hartree"][f"sampled_{kind}"] = outcome.energy
-            report["standard_errors_hartree"][f"sampled_{kind}"] = outcome.standard_error
-            report["retained_shots"][kind] = outcome.retained_shots
+    pipe.post_select(report, sampled.histograms, cfg.policy)
 
     out = _out_dir(cfg)
     for hist in sampled.histograms:
@@ -276,27 +286,17 @@ def cmd_sweep(cfg: RunConfig, shot_list: Sequence[int]) -> dict:
 def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
     """Re-run post-selection on the saved histograms of a previous vqe run."""
     report = load_report(report_path)
-    cfg_d = report["config"]
-    cfg = RunConfig(
-        fcidump=cfg_d["fcidump"],
-        n_electrons=cfg_d["n_electrons"],
-        orbitals=tuple(cfg_d["orbitals"]),
-        variant=cfg_d["variant"],
-        symmetry=cfg_d["symmetry"],
-        map_seed=cfg_d["map_seed"],
-        map_restarts=cfg_d["map_restarts"],
-        shots=cfg_d["shots"],
-        shot_mode=cfg_d["shot_mode"],
-        sample_seed=cfg_d["sample_seed"],
-        policy=policy,
-        out_dir=str(Path(report_path).parent),
-    )
+    cfg = RunConfig(**{**report["config"], "orbitals": tuple(report["config"]["orbitals"]),
+                       "policy": policy, "out_dir": str(Path(report_path).parent)})
     pipe = Pipeline(cfg)
     if list(pipe.mapping.perm) != report["mapping_perm"]:
         raise CliError("reconstructed mapping differs from the report; config mismatch")
     by_id: dict[int, Histogram] = {}
     for path in sorted(Path(hist_dir).glob("group_*.hist")):
-        hist = Histogram.from_text(path.read_text())
+        try:
+            hist = Histogram.from_text(path.read_text())
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from None
         if hist.group_id in by_id:
             raise CliError(f"{path}: second histogram for group {hist.group_id}")
         by_id[hist.group_id] = hist
@@ -308,18 +308,7 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
             f"{hist_dir}: histograms do not match the {len(wanted)} groups "
             f"(missing ids {missing[:10]}, unknown ids {unknown[:10]})"
         )
-    histograms = [by_id[gid] for gid in wanted]
-    sector = SpinSector(cfg.n_electrons // 2, cfg.n_electrons // 2)
-    kinds = ("particle", "spin") if policy == "all" else (policy,)
-    mit = run_policies(pipe.groups, histograms, sector, pipe.mapping,
-                       pipe.hamiltonian, kinds)
-    report["energies_hartree"]["sampled_raw"] = mit.raw.energy
-    report["standard_errors_hartree"]["sampled_raw"] = mit.raw.standard_error
-    report["retained_shots"]["z_basis_total"] = mit.total_z_shots
-    for kind, outcome in mit.outcomes.items():
-        report["energies_hartree"][f"sampled_{kind}"] = outcome.energy
-        report["standard_errors_hartree"][f"sampled_{kind}"] = outcome.standard_error
-        report["retained_shots"][kind] = outcome.retained_shots
+    pipe.post_select(report, [by_id[gid] for gid in wanted], policy)
     write_report(Path(report_path), report)
     return report
 

@@ -14,12 +14,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
 from .pauli import FermionTerm, PauliSum, PauliWord, jw_transform
 from .symmetry import OrbitalSymmetry, SpinSector
 
 HERMITICITY_TOL = 1e-10
+INTEGRAL_THRESHOLD = 1e-12
 DENSE_QUBIT_LIMIT = 14
 
 
@@ -227,7 +229,6 @@ def build_qubit_hamiltonian(
     ints: MolecularIntegrals,
     selection: ActiveSelection,
     mapping: Optional[QubitMapping] = None,
-    integral_threshold: float = 1e-12,
 ) -> QubitHamiltonian:
     """Jordan-Wigner image of the active-space electronic Hamiltonian.
 
@@ -247,24 +248,24 @@ def build_qubit_hamiltonian(
     beta = lambda p: mapping.qubit_of(n_act + p)
     spins = (alpha, beta)
 
-    total = PauliSum(n)
+    fermion_terms = []
     for p in range(n_act):
         for q in range(n_act):
-            if abs(h_eff[p, q]) <= integral_threshold:
+            if abs(h_eff[p, q]) <= INTEGRAL_THRESHOLD:
                 continue
             for spin in spins:
-                term = FermionTerm(((spin(p), True), (spin(q), False)), h_eff[p, q])
-                total = total + jw_transform(term, n)
-    nz = np.argwhere(np.abs(g_act) > integral_threshold)
+                fermion_terms.append(FermionTerm(((spin(p), True), (spin(q), False)), h_eff[p, q]))
+    nz = np.argwhere(np.abs(g_act) > INTEGRAL_THRESHOLD)
     for p, q, r, s in nz:
         coeff = 0.5 * g_act[p, q, r, s]
         for s1 in spins:
             for s2 in spins:
-                term = FermionTerm(
+                fermion_terms.append(FermionTerm(
                     ((s1(p), True), (s2(r), True), (s2(s), False), (s1(q), False)),
                     coeff,
-                )
-                total = total + jw_transform(term, n)
+                ))
+    # One PauliSum merges every image as it reads them and prunes once.
+    total = PauliSum(n, (w for t in fermion_terms for w in jw_transform(t, n).words()))
 
     for w in total.words():
         if abs(w.coefficient.imag) > HERMITICITY_TOL:
@@ -334,10 +335,6 @@ def _mask_table(terms: PauliSum) -> list[tuple[int, int, complex]]:
     return table
 
 
-def _parity_signs(idx: np.ndarray, z_bits: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z_bits)) & np.uint64(1)).astype(float)
-
-
 def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     """Full 2^n matrix including the offset (testing and small references)."""
     n = h.n_qubits
@@ -350,7 +347,7 @@ def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     for xb, zb, coeff in _mask_table(h.terms):
         src = idx.astype(np.int64)
         dst = (idx ^ np.uint64(xb)).astype(np.int64)
-        mat[dst, src] += coeff * _parity_signs(idx, zb)
+        mat[dst, src] += coeff * kernels.parity_signs(idx, zb)
     return mat
 
 
@@ -421,7 +418,7 @@ def sector_operator(terms: PauliSum, basis: np.ndarray) -> SectorOperator:
         dst = dst[src]
         diag = np.zeros(len(src), dtype=complex)
         for zb, coeff in rows:
-            diag += coeff * _parity_signs(states[src], zb)
+            diag += coeff * kernels.parity_signs(states[src], zb)
         live = diag != 0
         if not live.any():
             continue
@@ -451,8 +448,6 @@ def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None
         vals = np.linalg.eigvalsh(dense_matrix(h))
         return float(vals[0])
     from scipy.sparse.linalg import LinearOperator, eigsh
-
-    from . import kernels
 
     table = _mask_table(h.terms)
     op = LinearOperator(

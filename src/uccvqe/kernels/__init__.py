@@ -43,6 +43,12 @@ def apply_cnot(state: np.ndarray, n: int, control: int, target: int) -> None:
         view[:, 1, :, 1, :] = tmp
 
 
+def parity_signs(idx: np.ndarray, z_bits: int) -> np.ndarray:
+    """(-1)**popcount(idx & z_bits) as floats: the eigenvalue of a Z-type
+    word on each basis index (``idx`` is uint64)."""
+    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z_bits)) & np.uint64(1)).astype(np.float64)
+
+
 def pauli_expectation(state: np.ndarray, n: int, x_bits: int, z_bits: int) -> complex:
     """<psi| P |psi> for the phaseless word P = prod X^x Z^z with Y = 'XZ'.
 
@@ -50,9 +56,8 @@ def pauli_expectation(state: np.ndarray, n: int, x_bits: int, z_bits: int) -> co
     accounts for the i**(number of Y) factor.
     """
     idx = np.arange(state.size, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z_bits)) & np.uint64(1)).astype(np.float64)
     flipped = (idx ^ np.uint64(x_bits)).astype(np.int64)
-    return complex(np.sum(np.conj(state[flipped]) * signs * state))
+    return complex(np.sum(np.conj(state[flipped]) * parity_signs(idx, z_bits) * state))
 
 
 def apply_pauli_sum(vec: np.ndarray, n: int, table: list[tuple[int, int, complex]]) -> np.ndarray:
@@ -61,7 +66,6 @@ def apply_pauli_sum(vec: np.ndarray, n: int, table: list[tuple[int, int, complex
     idx = np.arange(vec.size, dtype=np.uint64)
     out = np.zeros_like(vec)
     for x_bits, z_bits, coeff in table:
-        src = (idx ^ np.uint64(x_bits)).astype(np.int64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(src.astype(np.uint64) & np.uint64(z_bits)) & np.uint64(1)).astype(np.float64)
-        out += coeff * signs * vec[src]
+        src = idx ^ np.uint64(x_bits)
+        out += coeff * parity_signs(src, z_bits) * vec[src.astype(np.int64)]
     return out

@@ -59,6 +59,19 @@ def postselect(hist: Histogram, policy: PostSelectionPolicy,
     return Histogram(kept, retained, hist.group_id, hist.seed)
 
 
+def _postselect_z_groups(groups: Sequence, histograms: Sequence[Histogram],
+                         policy: PostSelectionPolicy,
+                         mapping: Optional[QubitMapping]) -> list[Histogram]:
+    """The histograms with every Z-basis group post-selected once; rotated
+    groups pass through as given."""
+    if len(groups) != len(histograms):
+        raise MitigationError(f"{len(groups)} groups but {len(histograms)} histograms")
+    if not any(g.is_z_basis() for g in groups):
+        raise MitigationError("no computational-basis measurement group found")
+    return [postselect(hist, policy, mapping) if g.is_z_basis() else hist
+            for g, hist in zip(groups, histograms)]
+
+
 def mitigated_energy(
     groups: Sequence,
     histograms: Sequence[Histogram],
@@ -67,13 +80,7 @@ def mitigated_energy(
     h: QubitHamiltonian,
 ) -> tuple[float, float]:
     """Energy and standard error after post-selecting the Z-basis groups."""
-    z_groups = [i for i, g in enumerate(groups) if g.is_z_basis()]
-    if not z_groups:
-        raise MitigationError("no computational-basis measurement group found")
-    filtered = [
-        postselect(hist, policy, mapping) if i in set(z_groups) else hist
-        for i, hist in enumerate(histograms)
-    ]
+    filtered = _postselect_z_groups(groups, histograms, policy, mapping)
     return energy_from_histograms(groups, filtered, h.offset)
 
 
@@ -102,17 +109,15 @@ def run_policies(
     kinds: Sequence[str] = ("particle", "spin"),
 ) -> MitigationReport:
     """Apply each requested policy and collect retained-shot accounting."""
+    raw_e, raw_se = energy_from_histograms(groups, histograms, h.offset)
     z_idx = [i for i, g in enumerate(groups) if g.is_z_basis()]
     if not z_idx:
         raise MitigationError("no computational-basis measurement group found")
     total_z = sum(histograms[i].shots for i in z_idx)
-    raw_e, raw_se = energy_from_histograms(groups, histograms, h.offset)
     outcomes = {}
     for kind in kinds:
         policy = PostSelectionPolicy(kind, sector)
-        e, se = mitigated_energy(groups, histograms, policy, mapping, h)
-        retained = sum(
-            postselect(histograms[i], policy, mapping).shots for i in z_idx
-        )
-        outcomes[kind] = PolicyOutcome(e, se, retained)
+        filtered = _postselect_z_groups(groups, histograms, policy, mapping)
+        e, se = energy_from_histograms(groups, filtered, h.offset)
+        outcomes[kind] = PolicyOutcome(e, se, sum(filtered[i].shots for i in z_idx))
     return MitigationReport(total_z, PolicyOutcome(raw_e, raw_se, total_z), outcomes)

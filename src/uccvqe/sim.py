@@ -139,6 +139,10 @@ class Histogram:
         total = sum(self.counts.values())
         if total != self.shots:
             raise SimulationError(f"counts sum to {total}, expected {self.shots}")
+        width = len(next(iter(self.counts), ""))
+        for bits in self.counts:
+            if bits.strip("01") or len(bits) != width:
+                raise SimulationError(f"bitstring {bits!r} is not {width} characters of 0/1")
 
     def to_text(self) -> str:
         lines = [f"GROUP {self.group_id}", f"SHOTS {self.shots}", f"SEED {self.seed}"]
@@ -192,22 +196,22 @@ def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
     return Histogram(counts, shots, getattr(group, "index", 0), seed)
 
 
-def _word_value(bits: str, support: Sequence[int]) -> int:
-    ones = sum(bits[q] == "1" for q in support)
-    return -1 if ones % 2 else 1
-
-
 def group_shot_values(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bitstring contribution of a whole group and the matching counts."""
-    values = []
-    weights = []
-    for bits, count in sorted(histogram.counts.items()):
-        total = 0.0
-        for w in group.words:
-            total += w.coefficient.real * _word_value(bits, w.support)
-        values.append(total)
-        weights.append(count)
-    return np.asarray(values), np.asarray(weights, dtype=np.float64)
+    """Per-bitstring contribution of a whole group and the matching counts.
+
+    After the basis change every member word is diagonal, so its value on
+    an outcome is the parity of the outcome's bits on the word's support.
+    """
+    n = len(group.basis)
+    items = sorted(histogram.counts.items())
+    if any(len(bits) != n for bits, _ in items):
+        raise SimulationError(f"group {histogram.group_id}: bitstrings are not {n} bits long")
+    idx = np.array([int(bits, 2) for bits, _ in items], dtype=np.uint64)
+    values = np.zeros(len(items))
+    for w in group.words:
+        xb, zb, _ = word_masks(n, w.x_mask, w.z_mask)
+        values += w.coefficient.real * kernels.parity_signs(idx, xb | zb)
+    return values, np.array([count for _, count in items], dtype=np.float64)
 
 
 def energy_from_histograms(groups: Sequence, histograms: Sequence[Histogram],

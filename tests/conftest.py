@@ -70,6 +70,21 @@ def make_closed_shell_2o(seed: int) -> MolecularIntegrals:
     return MolecularIntegrals(2, 2, 0, 0.5 * r.normal(), h, g, OrbitalSymmetry.from_labels([1, 5]))
 
 
+def random_integrals(n: int, n_electrons: int, rng) -> MolecularIntegrals:
+    """Real integrals with the 8-fold symmetry of (pq|rs)."""
+    h = rng.normal(scale=0.5, size=(n, n))
+    h = (h + h.T) / 2 - np.diag(np.arange(n, 0, -1.0))
+    a = rng.normal(scale=0.2, size=(n, n, n, n))
+    g = (a + a.transpose(1, 0, 2, 3) + a.transpose(0, 1, 3, 2) + a.transpose(1, 0, 3, 2))
+    g = g + g.transpose(2, 3, 0, 1)
+    return MolecularIntegrals(n, n_electrons, 0, float(rng.normal()), h, g,
+                              OrbitalSymmetry.all_symmetric(n))
+
+
+def random_block_mapping(n: int, rng) -> QubitMapping:
+    return QubitMapping.from_spatial_order(tuple(int(p) for p in rng.permutation(n)))
+
+
 def closed_shell_reference(ints: MolecularIntegrals) -> float:
     """Ground energy of the paired two-determinant block (2x2 CI)."""
     e1 = ints.core_energy + 2 * ints.h[0, 0] + ints.g[0, 0, 0, 0]

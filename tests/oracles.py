@@ -72,6 +72,20 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[bool, f
     return dev < tol, dev
 
 
+def shot_values_by_string(group, histogram) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bitstring group totals read character by character: a word is
+    (-1)**(number of '1's on its support), summed in ``group.words`` order."""
+    values, weights = [], []
+    for bits, count in sorted(histogram.counts.items()):
+        total = 0.0
+        for w in group.words:
+            ones = sum(bits[q] == "1" for q in w.support)
+            total += w.coefficient.real * (-1 if ones % 2 else 1)
+        values.append(total)
+        weights.append(count)
+    return np.asarray(values), np.asarray(weights, dtype=np.float64)
+
+
 def exp_generator(generator: PauliSum, theta: float) -> np.ndarray:
     return expm(theta * sum_matrix(generator))
 

@@ -80,6 +80,25 @@ class TestVqe:
         rb = strip_timings(load_report(tmp_path / "b" / "report.json"))
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
+    def test_seeded_numbers_pinned(self, h2_path, tmp_path):
+        # Seeded runs are reproducible number for number, so exact equality.
+        run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "2000",
+             "--sample-seed", "7", "--out", str(tmp_path)])
+        report = load_report(tmp_path / "report.json")
+        assert report["energies_hartree"] == {
+            "hf": -1.1166800501161693,
+            "variational": -1.1372655543753205,
+            "exact_ground": -1.1372655543753205,
+            "sampled_raw": -1.1329489486853153,
+            "sampled_particle": -1.1329489486853153,
+            "sampled_spin": -1.1329489486853153,
+        }
+        assert report["standard_errors_hartree"] == {
+            key: 0.004458876837742775
+            for key in ("sampled_raw", "sampled_particle", "sampled_spin")
+        }
+        assert report["retained_shots"] == {"z_basis_total": 2000, "particle": 2000, "spin": 2000}
+
 
 class TestSweep:
     def test_table_rows(self, h2_path, tmp_path, capsys):
@@ -153,6 +172,28 @@ class TestMitigateCommand:
         assert self._mitigate(tmp_path) == 1
         assert "missing ids [2], unknown ids [9]" in capsys.readouterr().err
 
+    def test_non_binary_bitstring_rejected_with_file_name(self, h2_path, tmp_path, capsys):
+        # A scorer that only looks for '1' reads "0201" as "0001"; the file
+        # must be refused instead, naming the file.
+        self._vqe_run(h2_path, tmp_path)
+        path = tmp_path / "group_000.hist"
+        lines = path.read_text().splitlines()
+        bits, count = lines[3].split()
+        lines[3] = f"{bits[0]}2{bits[2:]} {count}"
+        path.write_text("\n".join(lines) + "\n")
+        assert self._mitigate(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"uccvqe: error: {path}: ")
+        assert "characters of 0/1" in err
+
+    def test_report_missing_config_key_is_a_clean_error(self, h2_path, tmp_path, capsys):
+        self._vqe_run(h2_path, tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        del data["config"]["shot_mode"]
+        (tmp_path / "report.json").write_text(json.dumps(data))
+        assert self._mitigate(tmp_path) == 1
+        assert "missing keys ['shot_mode']" in capsys.readouterr().err
+
 
 class TestReportSchema:
     def test_unknown_top_level_field_rejected(self, h2_path, tmp_path):
@@ -167,6 +208,16 @@ class TestReportSchema:
         data = json.loads((tmp_path / "report.json").read_text())
         data["energies_hartree"]["mystery"] = 0.0
         with pytest.raises(CliError, match="unknown energy fields"):
+            validate_report(data)
+
+    def test_config_keys_checked(self, h2_path, tmp_path):
+        run(["synth", "--fcidump", h2_path, "--electrons", "2", "--out", str(tmp_path)])
+        data = json.loads((tmp_path / "report.json").read_text())
+        data["config"]["extra"] = 1
+        with pytest.raises(CliError, match=r"missing keys \[\], unknown keys \['extra'\]"):
+            validate_report(data)
+        data["config"] = []
+        with pytest.raises(CliError, match="missing keys"):
             validate_report(data)
 
     def test_wrong_schema_version_rejected(self):

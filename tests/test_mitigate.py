@@ -174,3 +174,19 @@ class TestMitigatedEnergy:
         assert report.raw.retained_shots == report.total_z_shots
         assert report.outcomes["spin"].retained_shots <= report.outcomes["particle"].retained_shots
         assert report.outcomes["particle"].retained_shots <= report.total_z_shots
+
+    def test_run_policies_matches_postselect_under_contamination(self, h2_hamiltonian, h2_sampled):
+        _, ev = h2_sampled
+        mapping = QubitMapping.identity(2)
+        rng = np.random.default_rng(77)
+        dirty = [contaminate(hist, 0.2, 4, rng) if grp.is_z_basis() else hist
+                 for grp, hist in zip(ev.groups, ev.histograms)]
+        report = run_policies(ev.groups, dirty, SECTOR, mapping, h2_hamiltonian)
+        for kind in ("particle", "spin"):
+            policy = PostSelectionPolicy(kind, SECTOR)
+            kept = sum(postselect(hist, policy, mapping).shots
+                       for grp, hist in zip(ev.groups, dirty) if grp.is_z_basis())
+            outcome = report.outcomes[kind]
+            assert outcome.retained_shots == kept < report.total_z_shots
+            assert (outcome.energy, outcome.standard_error) == mitigated_energy(
+                ev.groups, dirty, policy, mapping, h2_hamiltonian)

@@ -8,11 +8,11 @@ block mappings and random parameters.
 import numpy as np
 import pytest
 
+from conftest import random_block_mapping, random_integrals
 from uccvqe.ansatz import VARIANTS, ActiveSpace, enumerate_excitations
 from uccvqe.circuit import build_ansatz_circuit
 from uccvqe.hamio import (
     ActiveSelection,
-    MolecularIntegrals,
     QubitHamiltonian,
     build_qubit_hamiltonian,
     dense_matrix,
@@ -23,26 +23,11 @@ from uccvqe.hamio import (
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import Statevector, apply_circuit, expectation
-from uccvqe.symmetry import OrbitalSymmetry, SpinSector
+from uccvqe.symmetry import SpinSector
 from uccvqe.vqe import SectorAnsatz, _objective
 
 SPACES = (ActiveSpace(2, 2), ActiveSpace(4, 4))
 FD_STEP = 1e-5
-
-
-def random_integrals(n: int, n_electrons: int, rng) -> MolecularIntegrals:
-    """Real integrals with the 8-fold symmetry of (pq|rs)."""
-    h = rng.normal(scale=0.5, size=(n, n))
-    h = (h + h.T) / 2 - np.diag(np.arange(n, 0, -1.0))
-    a = rng.normal(scale=0.2, size=(n, n, n, n))
-    g = (a + a.transpose(1, 0, 2, 3) + a.transpose(0, 1, 3, 2) + a.transpose(1, 0, 3, 2))
-    g = g + g.transpose(2, 3, 0, 1)
-    return MolecularIntegrals(n, n_electrons, 0, float(rng.normal()), h, g,
-                              OrbitalSymmetry.all_symmetric(n))
-
-
-def random_block_mapping(n: int, rng) -> QubitMapping:
-    return QubitMapping.from_spatial_order(tuple(int(p) for p in rng.permutation(n)))
 
 
 def random_pauli_hamiltonian(space: ActiveSpace, mapping: QubitMapping, rng) -> QubitHamiltonian:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import sum_matrix
+from conftest import random_block_mapping, random_integrals
+from oracles import shot_values_by_string, sum_matrix
 from uccvqe.ansatz import ActiveSpace
 from uccvqe.circuit import Circuit, Gate
-from uccvqe.hamio import MeasurementGroup, QubitHamiltonian, qwc_group
+from uccvqe.hamio import ActiveSelection, MeasurementGroup, QubitHamiltonian, build_qubit_hamiltonian, qwc_group
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import (
@@ -14,6 +15,7 @@ from uccvqe.sim import (
     apply_circuit,
     energy_from_histograms,
     expectation,
+    group_shot_values,
     sample_group,
 )
 
@@ -133,6 +135,55 @@ class TestHistogram:
     def test_malformed_file(self):
         with pytest.raises(SimulationError):
             Histogram.from_text("oops\n")
+
+    @pytest.mark.parametrize("bits", ["0201", "0b01", "1_01", "+101", "011x"])
+    def test_non_binary_bitstring_rejected(self, bits):
+        text = f"GROUP 0\nSHOTS 5\nSEED 1\n0011 3\n{bits} 2\n"
+        with pytest.raises(SimulationError, match="characters of 0/1"):
+            Histogram.from_text(text)
+
+    def test_differing_lengths_rejected(self):
+        with pytest.raises(SimulationError, match="'011' is not 4 characters"):
+            Histogram.from_text("GROUP 0\nSHOTS 5\nSEED 1\n0011 3\n011 2\n")
+        with pytest.raises(SimulationError):
+            Histogram({"0011": 3, "00111": 2}, 5, 0, 0)
+
+
+def random_groups(n_qubits: int, rng) -> list[MeasurementGroup]:
+    """QWC groups of a random Pauli sum and of a molecular Hamiltonian under
+    a random qubit mapping; together they use X, Y and Z bases."""
+    words = [PauliWord.from_axes("".join(rng.choice(list("IXYZ"), size=n_qubits)),
+                                 float(rng.normal())) for _ in range(40)]
+    random_sum = make_hamiltonian(PauliSum(n_qubits, [w for w in words if not w.is_identity()]))
+    n_orb = n_qubits // 2
+    ints = random_integrals(n_orb, n_orb, rng)
+    molecular = build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
+                                        random_block_mapping(n_orb, rng))
+    return qwc_group(random_sum) + qwc_group(molecular)
+
+
+class TestGroupShotValues:
+    @pytest.mark.parametrize("n_qubits", [8, 12])
+    def test_matches_string_oracle_exactly(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        groups = random_groups(n_qubits, rng)
+        assert {axis for g in groups for axis in g.basis} == {"X", "Y", "Z", "-"}
+        for group in groups:
+            outcomes = rng.integers(0, 1 << n_qubits, size=300)
+            counts = {}
+            for s in outcomes:
+                bits = format(int(s), f"0{n_qubits}b")
+                counts[bits] = counts.get(bits, 0) + 1
+            hist = Histogram(counts, len(outcomes), group.index, 0)
+            values, weights = group_shot_values(group, hist)
+            want_values, want_weights = shot_values_by_string(group, hist)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(weights, want_weights)
+
+    def test_register_width_mismatch_rejected(self):
+        group = MeasurementGroup(3, (PauliWord.from_axes("ZZI", 1.0),), ("Z", "Z", "-"))
+        with pytest.raises(SimulationError, match="group 3: bitstrings are not 3 bits long"):
+            group_shot_values(group, Histogram({"0110": 4}, 4, 3, 0))
 
 
 class TestEnergyEstimator:

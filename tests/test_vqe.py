@@ -68,10 +68,10 @@ class TestOptimize:
         space = ActiveSpace(2, 2)
         sym = OrbitalSymmetry.from_labels([1, 5])
         checked = 0
-        seed = 0
-        while checked < 3:
+        for seed in range(20):
+            if checked == 3:
+                break
             ints = make_closed_shell_2o(seed)
-            seed += 1
             h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
             sector = exact_ground_energy(h, SpinSector(1, 1))
             if abs(closed_shell_reference(ints) - sector) > 1e-10:
@@ -79,8 +79,9 @@ class TestOptimize:
             for variant in ("uccd", "uccsd"):
                 spec = enumerate_excitations(variant, space, sym)
                 res = optimize(h, spec, mapping)
-                assert res.energy == pytest.approx(sector, abs=1e-6), (seed - 1, variant)
+                assert res.energy == pytest.approx(sector, abs=1e-6), (seed, variant)
             checked += 1
+        assert checked == 3
 
 
 class TestCircuitVersusDensePath:

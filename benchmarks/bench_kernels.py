@@ -3,9 +3,10 @@
 
 Runs each gate-level kernel over a sweep of register sizes and prints a
 timing table. The full-pipeline rows time one uCCDab energy evaluation at
-gate level (circuit application + expectation, what sampling and the HF
-check run) and one energy plus adjoint gradient on the spin sector (what
-the optimizer runs).
+gate level (circuit application + expectation, what sampling runs) and one
+energy plus adjoint gradient on the spin sector (what the optimizer runs).
+The synthesis rows time what ``uccvqe synth`` adds: compiling the circuit
+and the Hartree-Fock check at zero parameters.
 
 Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
 """
@@ -37,10 +38,11 @@ def bench_gates(impl, n, state):
 
     def run():
         s = state.copy()
+        scratch = np.empty(s.size // 2, dtype=np.complex128)
         for q in range(n):
-            impl.apply_1q(s, n, q, h, h, h, -h)
+            impl.apply_1q(s, n, q, h, h, h, -h, scratch)
         for q in range(n - 1):
-            impl.apply_cnot(s, n, q, q + 1)
+            impl.apply_cnot(s, n, q, q + 1, scratch)
         for q in range(n):
             impl.apply_phase(s, n, q, 1.0, 1.0j)
 
@@ -57,18 +59,11 @@ def bench_expectation(impl, n, state, words):
     return timeit(run)
 
 
-def bench_pipeline(n_orbitals):
-    """One full energy evaluation of a uCCDab circuit on 2*n_orbitals qubits."""
-    from uccvqe.ansatz import enumerate_excitations
-    from uccvqe.circuit import build_ansatz_circuit
-    from uccvqe.hamio import ActiveSelection, MolecularIntegrals, build_qubit_hamiltonian
-    from uccvqe.mapping import greedy_map
-    from uccvqe.sim import Statevector, apply_circuit, expectation
+def synthetic_integrals(n):
+    from uccvqe.hamio import MolecularIntegrals
     from uccvqe.symmetry import OrbitalSymmetry
-    from uccvqe.vqe import _objective
 
     rng = np.random.default_rng(1)
-    n = n_orbitals
     h1 = rng.normal(size=(n, n))
     h1 = (h1 + h1.T) / 2
     g = np.zeros((n, n, n, n))
@@ -76,7 +71,20 @@ def bench_pipeline(n_orbitals):
         for q in range(n):
             g[p, p, q, q] = 0.4 / (1 + abs(p - q))
             g[p, q, p, q] = 0.05 / (1 + abs(p - q))
-    ints = MolecularIntegrals(n, n, 0, 0.0, h1, g, OrbitalSymmetry.all_symmetric(n))
+    return MolecularIntegrals(n, n, 0, 0.0, h1, g, OrbitalSymmetry.all_symmetric(n))
+
+
+def bench_pipeline(n_orbitals):
+    """One full energy evaluation of a uCCDab circuit on 2*n_orbitals qubits."""
+    from uccvqe.ansatz import enumerate_excitations
+    from uccvqe.circuit import build_ansatz_circuit
+    from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian
+    from uccvqe.mapping import greedy_map
+    from uccvqe.sim import Statevector, apply_circuit, expectation
+    from uccvqe.vqe import _objective
+
+    n = n_orbitals
+    ints = synthetic_integrals(n)
     sel = ActiveSelection.full(ints)
     spec = enumerate_excitations("uccdab", sel.active_space())
     mapping = greedy_map(spec.excitations, 2 * n, seed=0, restarts=4)
@@ -92,6 +100,23 @@ def bench_pipeline(n_orbitals):
 
     return (timeit(run, repeats=3), timeit(objective, theta),
             len(circ.gates), ham.term_count)
+
+
+def bench_synth(n_orbitals):
+    """build_ansatz_circuit and Pipeline.hf_energy_check on the same uCCDab
+    instance, read back from an FCIDUMP file as ``uccvqe synth`` does."""
+    import tempfile
+
+    from uccvqe.circuit import build_ansatz_circuit
+    from uccvqe.cli import Pipeline, RunConfig
+    from uccvqe.hamio import write_fcidump
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/bench.fcidump"
+        write_fcidump(path, synthetic_integrals(n_orbitals))
+        pipe = Pipeline(RunConfig(path, n_orbitals, (), map_restarts=4))
+    return (timeit(build_ansatz_circuit, pipe.spec, pipe.mapping, repeats=3),
+            timeit(pipe.hf_energy_check, repeats=3))
 
 
 def main():
@@ -118,6 +143,12 @@ def main():
         t_gates, t_sector, n_gates, n_terms = bench_pipeline(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>6} {n_terms:>6} "
               f"{t_gates * 1e3:>16.2f} {t_sector * 1e3:>19.2f}")
+
+    print("\nsynthesis: circuit build and Hartree-Fock check")
+    print(f"{'orbitals':>8} {'qubits':>7} {'build (ms)':>11} {'HF check (ms)':>14}")
+    for n_orb in (4, 6, 8):
+        t_build, t_hf = bench_synth(n_orb)
+        print(f"{n_orb:>8} {2 * n_orb:>7} {t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
 
 
 if __name__ == "__main__":

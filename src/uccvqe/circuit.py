@@ -315,27 +315,30 @@ _INVERSE = {"H": "H", "X": "X", "CNOT": "CNOT", "S": "SDG", "SDG": "S"}
 
 def cancel_adjacent(circuit: Circuit) -> Circuit:
     """Drop gate pairs that multiply to identity, walking through gates on
-    disjoint qubits. Rz gates are never touched."""
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(gates):
-            inv = _INVERSE.get(g.kind)
-            if inv is None:
+    disjoint qubits. Rz gates are never touched.
+
+    One forward pass: each qubit keeps a stack of the surviving gates on it,
+    so a gate cancels when every one of its qubits has the same gate on top
+    and that gate is its inverse on the same qubit tuple. Popping the pair
+    exposes the gates behind it, so cascades cancel as they arrive.
+    """
+    kept: list[Optional[Gate]] = []
+    stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    for g in circuit.gates:
+        tops = {stacks[q][-1] if stacks[q] else -1 for q in g.qubits}
+        if len(tops) == 1:
+            top = tops.pop()
+            prev = kept[top] if top >= 0 else None
+            if (prev is not None and _INVERSE.get(prev.kind) == g.kind
+                    and prev.qubits == g.qubits):
+                kept[top] = None
+                for q in g.qubits:
+                    stacks[q].pop()
                 continue
-            for j in range(i + 1, len(gates)):
-                gj = gates[j]
-                if not set(gj.qubits) & set(g.qubits):
-                    continue
-                if gj.kind == inv and gj.qubits == g.qubits:
-                    del gates[j]
-                    del gates[i]
-                    changed = True
-                break
-            if changed:
-                break
-    return Circuit(circuit.n_qubits, gates)
+        for q in g.qubits:
+            stacks[q].append(len(kept))
+        kept.append(g)
+    return Circuit(circuit.n_qubits, [g for g in kept if g is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +454,15 @@ def build_ansatz_circuit(spec: AnsatzSpec, mapping: QubitMapping) -> Circuit:
     gates: list[Gate] = []
     for k in range(spec.active_space.n_occupied):
         gates.append(Gate("X", (mapping.alpha_qubit(k),)))
-
-    circuit = Circuit(mapping.n_qubits, gates)
     for exc in spec.excitations:
         if exc.paired:
-            circuit = circuit + synth_paired_excitation(exc, mapping)
-    circuit = circuit + synth_spatial_to_spin(mapping, spec.active_space)
+            gates.extend(synth_paired_excitation(exc, mapping).gates)
+    gates.extend(synth_spatial_to_spin(mapping, spec.active_space).gates)
     for exc in spec.excitations:
         if exc.paired:
             continue
         if exc.kind == "double":
-            circuit = circuit + synth_double_excitation(exc, mapping)
+            gates.extend(synth_double_excitation(exc, mapping).gates)
         else:
-            circuit = circuit + synth_single_excitation(exc, mapping)
-    return cancel_adjacent(circuit)
+            gates.extend(synth_single_excitation(exc, mapping).gates)
+    return cancel_adjacent(Circuit(mapping.n_qubits, gates))

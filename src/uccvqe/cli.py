@@ -243,6 +243,7 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     sampled = evaluate_sampled(
         pipe.hamiltonian, pipe.spec, pipe.mapping, result.params,
         cfg.shots, cfg.sample_seed, cfg.shot_mode,
+        circuit=pipe.circuit, groups=pipe.groups,
     )
     report["energies_hartree"]["sampled_raw"] = sampled.energy
     report["standard_errors_hartree"]["sampled_raw"] = sampled.standard_error
@@ -268,6 +269,7 @@ def cmd_sweep(cfg: RunConfig, shot_list: Sequence[int]) -> dict:
         sampled = evaluate_sampled(
             pipe.hamiltonian, pipe.spec, pipe.mapping, result.params,
             shots, cfg.sample_seed, cfg.shot_mode,
+            circuit=pipe.circuit, groups=pipe.groups,
         )
         rows.append({"shots": shots, "energy": sampled.energy,
                      "standard_error": sampled.standard_error})

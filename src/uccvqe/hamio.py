@@ -296,29 +296,32 @@ class MeasurementGroup:
 
 
 def qwc_group(h: QubitHamiltonian) -> list[MeasurementGroup]:
-    """Greedy first-fit grouping, words in descending coefficient magnitude."""
+    """Greedy first-fit grouping, words in descending coefficient magnitude.
+
+    A group is three qubit masks: its basis in the words' x/z convention and
+    the qubits that basis fixes. A word joins the first group that agrees
+    with it on every qubit both act on.
+    """
     order = sorted(h.terms.words(), key=lambda w: (-abs(w.coefficient), w.axes))
-    bases: list[list[str]] = []
+    masks: list[list[int]] = []   # [x, z, used] per group
     members: list[list[PauliWord]] = []
     for w in order:
-        axes = w.axes
-        placed = False
-        for basis, group in zip(bases, members):
-            if all(basis[q] in ("-", axes[q]) for q in w.support):
-                for q in w.support:
-                    basis[q] = axes[q]
+        wx, wz = w.x_mask, w.z_mask
+        support = wx | wz
+        for m, group in zip(masks, members):
+            if ((m[0] ^ wx) | (m[1] ^ wz)) & m[2] & support == 0:
+                m[0] |= wx
+                m[1] |= wz
+                m[2] |= support
                 group.append(w)
-                placed = True
                 break
-        if not placed:
-            basis = ["-"] * h.n_qubits
-            for q in w.support:
-                basis[q] = axes[q]
-            bases.append(basis)
+        else:
+            masks.append([wx, wz, support])
             members.append([w])
     return [
-        MeasurementGroup(i, tuple(ws), tuple(basis))
-        for i, (ws, basis) in enumerate(zip(members, bases))
+        MeasurementGroup(i, tuple(ws), tuple(
+            PauliWord(h.n_qubits, x, z).axes.replace("I", "-")))
+        for i, (ws, (x, z, _)) in enumerate(zip(members, masks))
     ]
 
 

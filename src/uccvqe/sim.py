@@ -82,19 +82,22 @@ def word_masks(n: int, x_mask: int, z_mask: int) -> tuple[int, int, int]:
 
 def apply_circuit(state: Statevector, circuit: Circuit,
                   params: Optional[dict[str, float]] = None) -> Statevector:
-    """Run a circuit gate by gate; returns a new statevector."""
+    """Run a circuit gate by gate; returns a new statevector. The gates
+    share one half-state scratch buffer instead of allocating their own."""
     if circuit.n_qubits != state.n_qubits:
         raise SimulationError("register sizes differ")
     params = params or {}
     amps = state.amplitudes.copy()
+    scratch = np.empty(amps.size // 2, dtype=np.complex128)
     n = state.n_qubits
     for g in circuit.gates:
         if g.kind == "CNOT":
-            kernels.apply_cnot(amps, n, g.qubits[0], g.qubits[1])
+            kernels.apply_cnot(amps, n, g.qubits[0], g.qubits[1], scratch)
         elif g.kind == "X":
-            kernels.apply_1q(amps, n, g.qubits[0], 0.0, 1.0, 1.0, 0.0)
+            kernels.apply_1q(amps, n, g.qubits[0], 0.0, 1.0, 1.0, 0.0, scratch)
         elif g.kind == "H":
-            kernels.apply_1q(amps, n, g.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
+            kernels.apply_1q(amps, n, g.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2,
+                             scratch)
         elif g.kind == "S":
             kernels.apply_phase(amps, n, g.qubits[0], 1.0, 1.0j)
         elif g.kind == "SDG":
@@ -112,14 +115,24 @@ def apply_circuit(state: Statevector, circuit: Circuit,
 
 
 def expectation(state: Statevector, hamiltonian) -> float:
-    """<psi| H |psi> for a QubitHamiltonian-like object (offset + PauliSum)."""
+    """<psi| H |psi> for a QubitHamiltonian-like object (offset + PauliSum).
+
+    Words arrive sorted by x mask, so each run of words with one x mask
+    shares a single conj(psi[i ^ x]) * psi[i] product; every word then costs
+    one sign vector, one multiply and one sum.
+    """
     if hamiltonian.n_qubits != state.n_qubits:
         raise SimulationError("register sizes differ")
     n = state.n_qubits
+    amps = state.amplitudes
+    idx = np.arange(amps.size, dtype=np.uint64)
     acc = complex(hamiltonian.offset)
+    x_prev, products = None, None
     for w in hamiltonian.terms.words():
         xb, zb, ny = word_masks(n, w.x_mask, w.z_mask)
-        val = kernels.pauli_expectation(state.amplitudes, n, xb, zb)
+        if xb != x_prev:
+            x_prev, products = xb, kernels.flip_products(amps, idx, xb)
+        val = complex(np.sum(products * kernels.parity_signs(idx, zb)))
         acc += w.coefficient * (1j**ny) * val
     if abs(acc.imag) > 1e-10:
         raise SimulationError(f"expectation has imaginary residue {acc.imag:.3e}")

@@ -25,8 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ansatz import AnsatzSpec
-from .circuit import build_ansatz_circuit
-from .hamio import QubitHamiltonian, SectorOperator, qwc_group, sector_operator, spin_sector_indices
+from .circuit import Circuit, build_ansatz_circuit
+from .hamio import (
+    MeasurementGroup,
+    QubitHamiltonian,
+    SectorOperator,
+    qwc_group,
+    sector_operator,
+    spin_sector_indices,
+)
 from .mapping import QubitMapping
 from .pauli import antihermitian_generator
 from .sim import Histogram, Statevector, apply_circuit, energy_from_histograms, sample_group
@@ -204,18 +211,25 @@ def evaluate_sampled(
     shots: int,
     seed: int,
     shot_mode: str = "per-group",
+    *,
+    circuit: Optional[Circuit] = None,
+    groups: Optional[list[MeasurementGroup]] = None,
 ) -> SampledEvaluation:
     """Sample every QWC group of H at fixed parameters.
 
     ``shot_mode`` 'per-group' spends ``shots`` on each group; 'total' splits
-    ``shots`` as evenly as possible across groups.
+    ``shots`` as evenly as possible across groups. ``circuit`` and ``groups``
+    default to ``build_ansatz_circuit(spec, mapping)`` and ``qwc_group(h)``;
+    a caller that holds them already passes them in.
     """
     if shot_mode not in ("per-group", "total"):
         raise VqeError(f"unknown shot mode {shot_mode!r}")
-    groups = qwc_group(h)
+    if groups is None:
+        groups = qwc_group(h)
     if not groups:
         raise VqeError("Hamiltonian has no measurable terms")
-    circuit = build_ansatz_circuit(spec, mapping)
+    if circuit is None:
+        circuit = build_ansatz_circuit(spec, mapping)
     binding = dict(zip(spec.parameter_names(), map(float, params)))
     state = apply_circuit(Statevector.zero(mapping.n_qubits), circuit, binding)
 

@@ -2,13 +2,18 @@
 
 Everything here is built directly from numpy primitives (kron products,
 occupation-number ladder matrices, scipy expm) so it exercises none of the
-code paths under test.
+code paths under test. The reference implementations further down (gate
+cancellation, QWC grouping, gate kernels, expectation) are the simple
+earlier forms of optimized library routines, kept to pin those routines'
+output exactly.
 """
 import numpy as np
 from scipy.linalg import expm
 
+from uccvqe.circuit import Circuit
+from uccvqe.hamio import MeasurementGroup
 from uccvqe.pauli import FermionTerm, PauliSum, PauliWord
-from uccvqe.sim import Statevector, apply_circuit
+from uccvqe.sim import Statevector, apply_circuit, word_masks
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,6 +89,106 @@ def shot_values_by_string(group, histogram) -> tuple[np.ndarray, np.ndarray]:
         values.append(total)
         weights.append(count)
     return np.asarray(values), np.asarray(weights, dtype=np.float64)
+
+
+INVERSE_KIND = {"H": "H", "X": "X", "CNOT": "CNOT", "S": "SDG", "SDG": "S"}
+
+
+def cancel_adjacent_restarting(circuit: Circuit) -> Circuit:
+    """Reference cancellation: find the first gate whose next gate on any of
+    its qubits is its inverse on the same qubits, drop both, rescan from the
+    start until nothing cancels. Quadratic or worse, but plainly correct."""
+    gates = list(circuit.gates)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(gates):
+            inv = INVERSE_KIND.get(g.kind)
+            if inv is None:
+                continue
+            for j in range(i + 1, len(gates)):
+                gj = gates[j]
+                if not set(gj.qubits) & set(g.qubits):
+                    continue
+                if gj.kind == inv and gj.qubits == g.qubits:
+                    del gates[j]
+                    del gates[i]
+                    changed = True
+                break
+            if changed:
+                break
+    return Circuit(circuit.n_qubits, gates)
+
+
+def qwc_group_by_axes(h) -> list:
+    """Reference first-fit QWC grouping on axis strings, qubit by qubit."""
+    order = sorted(h.terms.words(), key=lambda w: (-abs(w.coefficient), w.axes))
+    bases: list[list[str]] = []
+    members: list[list[PauliWord]] = []
+    for w in order:
+        axes = w.axes
+        placed = False
+        for basis, group in zip(bases, members):
+            if all(basis[q] in ("-", axes[q]) for q in w.support):
+                for q in w.support:
+                    basis[q] = axes[q]
+                group.append(w)
+                placed = True
+                break
+        if not placed:
+            basis = ["-"] * h.n_qubits
+            for q in w.support:
+                basis[q] = axes[q]
+            bases.append(basis)
+            members.append([w])
+    return [
+        MeasurementGroup(i, tuple(ws), tuple(basis))
+        for i, (ws, basis) in enumerate(zip(members, bases))
+    ]
+
+
+# Gate kernels as plain whole-array expressions (temporaries allocated per
+# call); the production kernels must reproduce them bit for bit.
+
+def apply_1q_dense(state, q, m00, m01, m10, m11) -> None:
+    view = state.reshape(1 << q, 2, -1)
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :]
+    view[:, 0, :] = m00 * a0 + m01 * a1
+    view[:, 1, :] = m10 * a0 + m11 * a1
+
+
+def apply_phase_dense(state, q, p0, p1) -> None:
+    view = state.reshape(1 << q, 2, -1)
+    view[:, 0, :] *= p0
+    view[:, 1, :] *= p1
+
+
+def apply_cnot_dense(state, control, target) -> None:
+    if control < target:
+        view = state.reshape(1 << control, 2, 1 << (target - control - 1), 2, -1)
+        tmp = view[:, 1, :, 0, :].copy()
+        view[:, 1, :, 0, :] = view[:, 1, :, 1, :]
+        view[:, 1, :, 1, :] = tmp
+    else:
+        view = state.reshape(1 << target, 2, 1 << (control - target - 1), 2, -1)
+        tmp = view[:, 0, :, 1, :].copy()
+        view[:, 0, :, 1, :] = view[:, 1, :, 1, :]
+        view[:, 1, :, 1, :] = tmp
+
+
+def expectation_per_word(state, hamiltonian) -> float:
+    """<psi|H|psi> with one gather, sign vector and product per word."""
+    n = state.n_qubits
+    amps = state.amplitudes
+    idx = np.arange(amps.size, dtype=np.uint64)
+    acc = complex(hamiltonian.offset)
+    for w in hamiltonian.terms.words():
+        xb, zb, ny = word_masks(n, w.x_mask, w.z_mask)
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zb)) & np.uint64(1)).astype(np.float64)
+        flipped = (idx ^ np.uint64(xb)).astype(np.int64)
+        acc += w.coefficient * (1j**ny) * complex(np.sum(np.conj(amps[flipped]) * signs * amps))
+    return float(acc.real)
 
 
 def exp_generator(generator: PauliSum, theta: float) -> np.ndarray:

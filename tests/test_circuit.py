@@ -1,8 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary, equal_up_to_phase, exp_generator, sum_matrix
-from uccvqe.ansatz import ActiveSpace, Excitation, enumerate_excitations
+from conftest import random_block_mapping, random_integrals
+from oracles import (
+    INVERSE_KIND,
+    cancel_adjacent_restarting,
+    circuit_unitary,
+    equal_up_to_phase,
+    exp_generator,
+    sum_matrix,
+)
+from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
 from uccvqe.circuit import (
     Circuit,
     CircuitError,
@@ -18,6 +28,7 @@ from uccvqe.circuit import (
     synth_single_excitation,
     synth_spatial_to_spin,
 )
+from uccvqe.hamio import ActiveSelection
 from uccvqe.mapping import QubitMapping, greedy_map
 from uccvqe.pauli import antihermitian_generator
 from uccvqe.sim import Statevector, apply_circuit
@@ -365,3 +376,88 @@ class TestSingleExcitation:
         want = exp_generator(antihermitian_generator(exc, mapping), theta)
         ok, dev = equal_up_to_phase(got, want, 1e-10)
         assert ok, dev
+
+
+
+def random_cancelling_circuit(n, length, rng):
+    """Random gates of every kind, CNOTs in both directions and Rz blockers,
+    where about half the gates invert one of the last few gates, so
+    cancellations nest and cascade."""
+    gates = []
+    kinds = ["X", "H", "S", "SDG", "RZ"] + (["CNOT"] if n > 1 else [])
+    for _ in range(length):
+        recent = [g for g in gates[-4:] if g.kind != "RZ"]
+        if recent and rng.random() < 0.5:
+            g = recent[int(rng.integers(len(recent)))]
+            gates.append(Gate(INVERSE_KIND[g.kind], g.qubits))
+            continue
+        kind = str(rng.choice(kinds))
+        if kind == "CNOT":
+            c, t = rng.choice(n, size=2, replace=False)
+            gates.append(Gate("CNOT", (int(c), int(t))))
+        elif kind == "RZ":
+            gates.append(Gate("RZ", (int(rng.integers(n)),), float(rng.normal())))
+        else:
+            gates.append(Gate(kind, (int(rng.integers(n)),)))
+    return Circuit(n, gates)
+
+
+class TestCancelAdjacent:
+    def test_matches_restarting_reference_on_random_circuits(self):
+        rng = np.random.default_rng(97)
+        removed = 0
+        for trial in range(1200):
+            n = 1 + trial % 4
+            c = random_cancelling_circuit(n, int(rng.integers(0, 40)), rng)
+            want = cancel_adjacent_restarting(c)
+            assert cancel_adjacent(c).gates == want.gates, c.to_text()
+            removed += len(c.gates) - len(want.gates)
+        assert removed > 5000
+
+    def test_cascade_and_blockers(self):
+        h0, h1, cx = Gate("H", (0,)), Gate("H", (1,)), Gate("CNOT", (0, 1))
+        nested = Circuit(2, [h0, cx, Gate("S", (1,)), Gate("SDG", (1,)), cx, h0])
+        assert cancel_adjacent(nested).gates == ()
+        reversed_cx = Circuit(2, [cx, Gate("CNOT", (1, 0))])
+        assert cancel_adjacent(reversed_cx).gates == reversed_cx.gates
+        blocked = Circuit(2, [h1, Gate("RZ", (1,), 0.3), h1, cx, h0, cx])
+        assert cancel_adjacent(blocked).gates == blocked.gates
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ansatz_circuits_match_restarting_reference(self, variant, monkeypatch):
+        import uccvqe.circuit as circuit_module
+
+        rng = np.random.default_rng(101)
+        for _ in range(2):
+            spec = enumerate_excitations(variant, ActiveSpace(4, 4))
+            mapping = random_block_mapping(4, rng)
+            got = build_ansatz_circuit(spec, mapping)
+            with monkeypatch.context() as m:
+                m.setattr(circuit_module, "cancel_adjacent", cancel_adjacent_restarting)
+                want = build_ansatz_circuit(spec, mapping)
+            assert got.gates == want.gates
+
+
+# SHA-256 of build_ansatz_circuit(...).to_text() as produced by the
+# restarting cancellation pass and block-by-block assembly; the CAS(n, n)
+# cases are uCCSD under a random block mapping drawn after the integrals.
+PINNED_CIRCUIT_SHA256 = {
+    "h2": "e6ddf7605a23b57fc45c1ce04124c3972b68a5b597363402e81c9dfb5b10f7fe",
+    4: "1a4e7b076635390054c424bd38004bb755733b0f8cc8e6691c5f1cc83f3edf70",
+    6: "eaaecf9c9722be028fea07bc6351d7a362c8c51edc8d560bb58fb775cb4f3b7b",
+    8: "13ce4b5aecd837ad1242d79f4a6da92f3d3e16f157776485509408a3907ec6b9",
+}
+
+
+class TestPinnedCircuitText:
+    def test_h2(self, h2_spec):
+        text = build_ansatz_circuit(h2_spec, QubitMapping.identity(2)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CIRCUIT_SHA256["h2"]
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_seeded_uccsd(self, n):
+        rng = np.random.default_rng(n)
+        ints = random_integrals(n, n, rng)
+        spec = enumerate_excitations("uccsd", ActiveSelection.full(ints).active_space(), ints.orbsym)
+        text = build_ansatz_circuit(spec, random_block_mapping(n, rng)).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CIRCUIT_SHA256[n]

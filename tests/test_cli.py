@@ -100,6 +100,25 @@ class TestVqe:
         assert report["retained_shots"] == {"z_basis_total": 2000, "particle": 2000, "spin": 2000}
 
 
+class TestBuildsOnce:
+    @pytest.mark.parametrize("command", [
+        ["vqe", "--shots", "500"],
+        ["sweep", "--shot-list", "300,600"],
+    ])
+    def test_sampling_reuses_the_pipeline_circuit_and_groups(self, command, h2_path,
+                                                             tmp_path, monkeypatch):
+        import uccvqe.vqe as vqe_module
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("sampling rebuilt what the pipeline holds")
+
+        monkeypatch.setattr(vqe_module, "build_ansatz_circuit", rebuilt)
+        monkeypatch.setattr(vqe_module, "qwc_group", rebuilt)
+        code = run(command[:1] + ["--fcidump", h2_path, "--electrons", "2",
+                                  "--out", str(tmp_path)] + command[1:])
+        assert code == 0
+
+
 class TestSweep:
     def test_table_rows(self, h2_path, tmp_path, capsys):
         code = run(["sweep", "--fcidump", h2_path, "--electrons", "2",

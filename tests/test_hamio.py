@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import ladder_matrix
+from conftest import random_block_mapping, random_integrals
+from oracles import ladder_matrix, qwc_group_by_axes
 from uccvqe.ansatz import ActiveSpace
 from uccvqe.hamio import (
     ActiveSelection,
@@ -243,6 +244,22 @@ class TestQwcGrouping:
             for g in groups:
                 assert all(a.qubitwise_commutes_with(b) for a in g.words for b in g.words)
 
+
+    def test_matches_axis_string_reference(self):
+        rng = np.random.default_rng(73)
+        cases = []
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            words = [PauliWord.from_axes("".join(rng.choice(list("IXYZ"), size=n)),
+                                         float(rng.normal()))
+                     for _ in range(int(rng.integers(1, 60)))]
+            cases.append(_wrap(PauliSum(n, [w for w in words if not w.is_identity()])))
+        for n_orb in (2, 4, 6):
+            ints = random_integrals(n_orb, n_orb, rng)
+            cases.append(build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
+                                                 random_block_mapping(n_orb, rng)))
+        for h in cases:
+            assert qwc_group(h) == qwc_group_by_axes(h)
 
 def _wrap(terms: PauliSum):
     from uccvqe.hamio import QubitHamiltonian

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import random_block_mapping, random_integrals
-from oracles import shot_values_by_string, sum_matrix
+from oracles import (
+    apply_1q_dense,
+    apply_cnot_dense,
+    apply_phase_dense,
+    expectation_per_word,
+    shot_values_by_string,
+    sum_matrix,
+)
+from uccvqe import kernels
 from uccvqe.ansatz import ActiveSpace
 from uccvqe.circuit import Circuit, Gate
 from uccvqe.hamio import ActiveSelection, MeasurementGroup, QubitHamiltonian, build_qubit_hamiltonian, qwc_group
@@ -244,3 +252,76 @@ class TestEnergyEstimator:
         groups = qwc_group(h)
         with pytest.raises(SimulationError):
             energy_from_histograms(groups, [], h.offset)
+
+
+def random_amplitudes(n, rng):
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return v / np.linalg.norm(v)
+
+
+class TestKernelsMatchDenseExpressions:
+    """The in-place kernels give the same bits as whole-array expressions at
+    every qubit position, including the last ones, where the inner stride is
+    1 or 2."""
+
+    R = 1 / np.sqrt(2)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_single_qubit_gates(self, n):
+        rng = np.random.default_rng(200 + n)
+        scratch = np.empty(1 << (n - 1), dtype=complex)
+        theta = float(rng.normal())
+        rz = (complex(np.cos(theta / 2), -np.sin(theta / 2)),
+              complex(np.cos(theta / 2), np.sin(theta / 2)))
+        for q in range(n):
+            psi = random_amplitudes(n, rng)
+            for matrix in ((self.R, self.R, self.R, -self.R), (0.0, 1.0, 1.0, 0.0)):
+                want, got = psi.copy(), psi.copy()
+                apply_1q_dense(want, q, *matrix)
+                kernels.apply_1q(got, n, q, *matrix, scratch)
+                assert np.array_equal(got, want), (q, matrix)
+            for p0, p1 in ((1.0, 1.0j), (1.0, -1.0j), rz, (1.0, 1.0)):
+                want, got = psi.copy(), psi.copy()
+                apply_phase_dense(want, q, p0, p1)
+                kernels.apply_phase(got, n, q, p0, p1)
+                assert np.array_equal(got, want), (q, p0, p1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_cnot_every_pair(self, n):
+        rng = np.random.default_rng(300 + n)
+        psi = random_amplitudes(n, rng)
+        scratch = np.empty(1 << (n - 1), dtype=complex)
+        for c in range(n):
+            for t in range(n):
+                if c == t:
+                    continue
+                want, got = psi.copy(), psi.copy()
+                apply_cnot_dense(want, c, t)
+                kernels.apply_cnot(got, n, c, t, scratch)
+                assert np.array_equal(got, want), (c, t)
+
+
+class TestExpectationMatchesPerWordLoop:
+    @pytest.mark.parametrize("n_orb", [2, 4, 6])
+    def test_molecular_hamiltonians_under_random_mappings(self, n_orb):
+        rng = np.random.default_rng(400 + n_orb)
+        for _ in range(2):
+            ints = random_integrals(n_orb, n_orb, rng)
+            h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
+                                        random_block_mapping(n_orb, rng))
+            state = Statevector(2 * n_orb, random_amplitudes(2 * n_orb, rng))
+            assert expectation(state, h) == expectation_per_word(state, h)
+            circ = random_circuit(2 * n_orb, 60, rng)
+            state = apply_circuit(Statevector.zero(2 * n_orb), circ)
+            assert expectation(state, h) == expectation_per_word(state, h)
+
+    def test_pauli_expectation_per_word(self):
+        rng = np.random.default_rng(409)
+        n = 7
+        psi = random_amplitudes(n, rng)
+        idx = np.arange(psi.size, dtype=np.uint64)
+        for _ in range(50):
+            xb, zb = (int(v) for v in rng.integers(0, 1 << n, size=2))
+            signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zb)) & np.uint64(1))
+            want = complex(np.sum(np.conj(psi[(idx ^ np.uint64(xb)).astype(np.int64)]) * signs * psi))
+            assert kernels.pauli_expectation(psi, n, xb, zb) == want

@@ -5,6 +5,7 @@ from conftest import closed_shell_reference, make_closed_shell_2o
 from oracles import exp_generator
 from uccvqe.ansatz import ActiveSpace, enumerate_excitations
 from uccvqe.circuit import build_ansatz_circuit
+from uccvqe.hamio import qwc_group
 from uccvqe.hamio import ActiveSelection, QubitHamiltonian, build_qubit_hamiltonian, exact_ground_energy
 from uccvqe.mapping import QubitMapping, greedy_map
 from uccvqe.pauli import PauliSum, PauliWord, antihermitian_generator
@@ -150,3 +151,13 @@ class TestEvaluateSampled:
         with pytest.raises(VqeError):
             evaluate_sampled(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
                              np.zeros(1), 100, seed=0, shot_mode="bogus")
+
+    def test_given_circuit_and_groups_sample_identically(self, h2_hamiltonian, h2_spec):
+        mapping = QubitMapping.identity(2)
+        params = np.array([0.3])
+        built = evaluate_sampled(h2_hamiltonian, h2_spec, mapping, params, 700, seed=9)
+        given = evaluate_sampled(h2_hamiltonian, h2_spec, mapping, params, 700, seed=9,
+                                 circuit=build_ansatz_circuit(h2_spec, mapping),
+                                 groups=qwc_group(h2_hamiltonian))
+        assert [h.to_text() for h in given.histograms] == [h.to_text() for h in built.histograms]
+        assert (given.energy, given.standard_error) == (built.energy, built.standard_error)

@@ -5,8 +5,9 @@ Runs each gate-level kernel over a sweep of register sizes and prints a
 timing table. The full-pipeline rows time one uCCDab energy evaluation at
 gate level (circuit application + expectation, what sampling runs) and one
 energy plus adjoint gradient on the spin sector (what the optimizer runs).
-The synthesis rows time what ``uccvqe synth`` adds: compiling the circuit
-and the Hartree-Fock check at zero parameters.
+The synthesis rows time what ``uccvqe synth`` adds: the Jordan-Wigner
+qubit Hamiltonian, compiling the circuit and the Hartree-Fock check at zero
+parameters.
 
 Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
 """
@@ -103,19 +104,21 @@ def bench_pipeline(n_orbitals):
 
 
 def bench_synth(n_orbitals):
-    """build_ansatz_circuit and Pipeline.hf_energy_check on the same uCCDab
-    instance, read back from an FCIDUMP file as ``uccvqe synth`` does."""
+    """build_qubit_hamiltonian, build_ansatz_circuit and
+    Pipeline.hf_energy_check on the same uCCDab instance, read back from an
+    FCIDUMP file as ``uccvqe synth`` does."""
     import tempfile
 
     from uccvqe.circuit import build_ansatz_circuit
     from uccvqe.cli import Pipeline, RunConfig
-    from uccvqe.hamio import write_fcidump
+    from uccvqe.hamio import build_qubit_hamiltonian, write_fcidump
 
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/bench.fcidump"
         write_fcidump(path, synthetic_integrals(n_orbitals))
         pipe = Pipeline(RunConfig(path, n_orbitals, (), map_restarts=4))
-    return (timeit(build_ansatz_circuit, pipe.spec, pipe.mapping, repeats=3),
+    return (timeit(build_qubit_hamiltonian, pipe.ints, pipe.selection, pipe.mapping, repeats=3),
+            timeit(build_ansatz_circuit, pipe.spec, pipe.mapping, repeats=3),
             timeit(pipe.hf_energy_check, repeats=3))
 
 
@@ -144,11 +147,13 @@ def main():
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>6} {n_terms:>6} "
               f"{t_gates * 1e3:>16.2f} {t_sector * 1e3:>19.2f}")
 
-    print("\nsynthesis: circuit build and Hartree-Fock check")
-    print(f"{'orbitals':>8} {'qubits':>7} {'build (ms)':>11} {'HF check (ms)':>14}")
+    print("\nsynthesis: qubit Hamiltonian, circuit build and Hartree-Fock check")
+    print(f"{'orbitals':>8} {'qubits':>7} {'hamiltonian (ms)':>17} {'build (ms)':>11} "
+          f"{'HF check (ms)':>14}")
     for n_orb in (4, 6, 8):
-        t_build, t_hf = bench_synth(n_orb)
-        print(f"{n_orb:>8} {2 * n_orb:>7} {t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
+        t_ham, t_build, t_hf = bench_synth(n_orb)
+        print(f"{n_orb:>8} {2 * n_orb:>7} {t_ham * 1e3:>17.2f} {t_build * 1e3:>11.2f} "
+              f"{t_hf * 1e3:>14.2f}")
 
 
 if __name__ == "__main__":

@@ -129,6 +129,12 @@ class Pipeline:
     def __post_init__(self):
         cfg = self.config
         self.ints = parse_fcidump(cfg.fcidump)
+        if self.ints.ms2 != 0:
+            raise CliError(f"{cfg.fcidump}: header has MS2={self.ints.ms2}; the closed-shell "
+                           "pipeline needs a singlet reference (MS2=0)")
+        if cfg.n_electrons > self.ints.n_electrons:
+            raise CliError(f"{cfg.fcidump}: --electrons {cfg.n_electrons} exceeds the "
+                           f"header's NELEC={self.ints.n_electrons}")
         orbitals = cfg.orbitals or tuple(range(self.ints.n_orbitals))
         self.selection = ActiveSelection(cfg.n_electrons, orbitals)
         space = self.selection.active_space()

@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
-from .pauli import FermionTerm, PauliSum, PauliWord, jw_transform
+from .pauli import FermionTerm, PauliSum, PauliWord, jw_terms
 from .symmetry import OrbitalSymmetry, SpinSector
 
 HERMITICITY_TOL = 1e-10
@@ -264,8 +264,13 @@ def build_qubit_hamiltonian(
                     ((s1(p), True), (s2(r), True), (s2(s), False), (s1(q), False)),
                     coeff,
                 ))
-    # One PauliSum merges every image as it reads them and prunes once.
-    total = PauliSum(n, (w for t in fermion_terms for w in jw_transform(t, n).words()))
+    # One dict merges every image in fermion-term order and prunes once. A
+    # key occurs once per image, so the order within an image changes no sum.
+    merged: dict[tuple[int, int], complex] = {}
+    for t in fermion_terms:
+        for key, c in jw_terms(t, n).items():
+            merged[key] = merged.get(key, 0j) + c
+    total = PauliSum.from_masks(n, merged)
 
     for w in total.words():
         if abs(w.coefficient.imag) > HERMITICITY_TOL:
@@ -273,8 +278,8 @@ def build_qubit_hamiltonian(
                 f"non-hermitian assembly: term {w.axes} has imaginary part "
                 f"{w.coefficient.imag:.3e}"
             )
-    real_terms = PauliSum(n, (PauliWord(n, w.x_mask, w.z_mask, w.coefficient.real)
-                              for w in total.words()))
+    real_terms = PauliSum.from_masks(
+        n, {(w.x_mask, w.z_mask): complex(w.coefficient.real) for w in total.words()})
     offset = core + real_terms.identity_part().real
     return QubitHamiltonian(n, real_terms.without_identity(), float(offset), mapping, space)
 

@@ -107,17 +107,21 @@ def _best_window(free: list[int], k: int, anchor: list[int]) -> list[int]:
     return best[1]
 
 
-def _greedy_run(excs: Sequence, n_spatial: int, rng: np.random.Generator) -> QubitMapping:
+def _greedy_run(orbitals: Sequence[list[int]], sharers: dict[int, list[int]],
+                order: list[int], n_spatial: int, rng: np.random.Generator) -> QubitMapping:
+    """One greedy placement. ``orbitals[k]`` lists excitation k's sorted
+    spatial orbitals, ``sharers[o]`` the excitations touching orbital o, and
+    ``order`` the excitation indices in sort-key order."""
     placed: dict[int, int] = {}
     free = list(range(n_spatial))
-    todo = sorted(range(len(excs)), key=lambda k: excs[k].sort_key())
+    todo = list(order)
+    share = [0] * len(orbitals)   # placed orbitals per excitation
     current = int(rng.integers(len(todo)))
 
     while todo:
         idx = todo.pop(current)
-        orbitals = sorted(excs[idx].spatial_orbitals())
-        unplaced = [o for o in orbitals if o not in placed]
-        anchor = [placed[o] for o in orbitals if o in placed]
+        unplaced = [o for o in orbitals[idx] if o not in placed]
+        anchor = [placed[o] for o in orbitals[idx] if o in placed]
         if unplaced:
             if anchor:
                 for o in unplaced:
@@ -130,14 +134,15 @@ def _greedy_run(excs: Sequence, n_spatial: int, rng: np.random.Generator) -> Qub
                 for o, pos in zip(unplaced, win):
                     placed[o] = pos
                     free.remove(pos)
+            for o in unplaced:
+                for k in sharers[o]:
+                    share[k] += 1
         if not todo:
             break
-        shares = [len(excs[k].spatial_orbitals() & placed.keys()) for k in todo]
-        if max(shares) > 0:
-            current = max(range(len(todo)), key=lambda k: (shares[k],))
-            # prefer the most-similar excitation; ties fall to sort order
-            best_share = shares[current]
-            current = min(k for k in range(len(todo)) if shares[k] == best_share)
+        # the most-similar excitation; ties fall to sort order (max keeps the first)
+        best = max(todo, key=share.__getitem__)
+        if share[best] > 0:
+            current = todo.index(best)
         else:
             current = int(rng.integers(len(todo)))
 
@@ -164,7 +169,14 @@ def greedy_map(excs: Sequence, n_qubits: int, seed: int = 0, restarts: int = 32)
     n_spatial = n_qubits // 2
     rng = np.random.default_rng(seed)
 
+    orbitals = [sorted(exc.spatial_orbitals()) for exc in excs]
+    sharers: dict[int, list[int]] = {}
+    for k, orbs in enumerate(orbitals):
+        for o in orbs:
+            sharers.setdefault(o, []).append(k)
+    order = sorted(range(len(excs)), key=lambda k: excs[k].sort_key())
+
     candidates = [QubitMapping.identity(n_spatial)]
     for _ in range(restarts):
-        candidates.append(_greedy_run(excs, n_spatial, rng))
+        candidates.append(_greedy_run(orbitals, sharers, order, n_spatial, rng))
     return min(candidates, key=lambda m: (mapping_cost(excs, m), m.perm))

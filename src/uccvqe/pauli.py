@@ -19,8 +19,38 @@ _AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BIT_AXES = {bits: axis for axis, bits in _AXIS_BITS.items()}
 
 
+# i**k for k = 0..3: the phase of a word product (same values as 1j**k)
+_I_POWERS = tuple(1j**k for k in range(4))
+
+
 def _axis_of(x: int, z: int) -> str:
     return _BIT_AXES[(x, z)]
+
+
+def _product_phase(x1: int, z1: int, x2: int, z2: int) -> complex:
+    """i**k with w1 w2 = i**k w3, from recanonicalizing Y = iXZ on every qubit."""
+    k = (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+        + 2 * (z1 & x2).bit_count()
+    ) % 4
+    return _I_POWERS[k]
+
+
+def _pruned(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not abs(c) < COEFF_EPS}
+
+
+def _product_terms(left: dict, right: list[tuple[int, int, complex]]) -> dict:
+    """Every word of ``left``, in sorted (x, z) order, times every
+    (x, z, coefficient) of ``right`` in the order given, merged."""
+    out: dict[tuple[int, int], complex] = {}
+    for (x1, z1), c1 in sorted(left.items()):
+        for x2, z2, c2 in right:
+            key = (x1 ^ x2, z1 ^ z2)
+            out[key] = out.get(key, 0j) + c1 * c2 * _product_phase(x1, z1, x2, z2)
+    return out
 
 
 class PauliError(ValueError):
@@ -69,16 +99,9 @@ class PauliWord:
     def __mul__(self, other: "PauliWord") -> "PauliWord":
         if self.n != other.n:
             raise PauliError("qubit counts differ")
-        x3 = self.x_mask ^ other.x_mask
-        z3 = self.z_mask ^ other.z_mask
-        # i-exponent from recanonicalizing Y = iXZ on every qubit
-        k = (
-            (self.x_mask & self.z_mask).bit_count()
-            + (other.x_mask & other.z_mask).bit_count()
-            - (x3 & z3).bit_count()
-            + 2 * (self.z_mask & other.x_mask).bit_count()
-        ) % 4
-        return PauliWord(self.n, x3, z3, self.coefficient * other.coefficient * (1j**k))
+        phase = _product_phase(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
+        return PauliWord(self.n, self.x_mask ^ other.x_mask, self.z_mask ^ other.z_mask,
+                         self.coefficient * other.coefficient * phase)
 
     def commutes_with(self, other: "PauliWord") -> bool:
         anti = (self.x_mask & other.z_mask).bit_count() + (self.z_mask & other.x_mask).bit_count()
@@ -117,6 +140,13 @@ class PauliSum:
             self.add_word(w)
         self.prune()
 
+    @classmethod
+    def from_masks(cls, n: int, terms: dict[tuple[int, int], complex]) -> "PauliSum":
+        """Sum over a ``(x_mask, z_mask) -> coefficient`` dict, pruned."""
+        out = cls(n)
+        out._terms = _pruned(terms)
+        return out
+
     def add_word(self, w: PauliWord) -> None:
         if w.n != self.n:
             raise PauliError("qubit counts differ")
@@ -124,9 +154,7 @@ class PauliSum:
         self._terms[key] = self._terms.get(key, 0.0 + 0j) + complex(w.coefficient)
 
     def prune(self) -> None:
-        dead = [k for k, c in self._terms.items() if abs(c) < COEFF_EPS]
-        for k in dead:
-            del self._terms[k]
+        self._terms = _pruned(self._terms)
 
     def words(self) -> Iterator[PauliWord]:
         for (x, z), c in sorted(self._terms.items()):
@@ -159,12 +187,10 @@ class PauliSum:
         return out
 
     def product(self, other: "PauliSum") -> "PauliSum":
-        out = PauliSum(self.n)
-        for w1 in self.words():
-            for w2 in other.words():
-                out.add_word(w1 * w2)
-        out.prune()
-        return out
+        if self.n != other.n:
+            raise PauliError("qubit counts differ")
+        right = [(x, z, c) for (x, z), c in sorted(other._terms.items())]
+        return PauliSum.from_masks(self.n, _product_terms(self._terms, right))
 
     def adjoint(self) -> "PauliSum":
         out = PauliSum(self.n)
@@ -208,31 +234,42 @@ class FermionTerm:
         )
 
 
+def _ladder_words(p: int, dagger: bool, n: int) -> list[tuple[int, int, complex]]:
+    """(x, z, coefficient) of the two words of a_p or a_p^dag, X word first."""
+    if not 0 <= p < n:
+        raise PauliError(f"mode {p} out of range for {n} qubits")
+    zchain = (1 << p) - 1
+    sign = -1j if dagger else 1j
+    return [(1 << p, zchain, 0.5 + 0j), (1 << p, zchain | (1 << p), 0.5 * sign)]
+
+
 def jw_ladder(p: int, dagger: bool, n: int) -> PauliSum:
     """Jordan-Wigner image of a single ladder operator on mode p of n.
 
     a_p^dag -> Z x ... x Z x (X - iY)/2 x I x ... (Z on modes < p); the
     un-daggered operator flips the sign of the Y part.
     """
-    if not 0 <= p < n:
-        raise PauliError(f"mode {p} out of range for {n} qubits")
-    zchain = (1 << p) - 1
-    sign = -1j if dagger else 1j
-    return PauliSum(
-        n,
-        [
-            PauliWord(n, 1 << p, zchain, 0.5),
-            PauliWord(n, 1 << p, zchain | (1 << p), 0.5 * sign),
-        ],
-    )
+    return PauliSum(n, [PauliWord(n, x, z, c) for x, z, c in _ladder_words(p, dagger, n)])
+
+
+def jw_terms(term: FermionTerm, n: int) -> dict[tuple[int, int], complex]:
+    """Jordan-Wigner image of an ordered ladder-operator product as a
+    ``(x_mask, z_mask) -> coefficient`` dict.
+
+    The ladders multiply in on the right one at a time through the product
+    behind ``PauliSum.product``, pruned after each, so the coefficients equal
+    those of a chain of ``PauliSum`` products bit for bit.
+    """
+    ladders = [_ladder_words(p, dag, n) for p, dag in term.ops]
+    terms = _pruned({(0, 0): 0j + complex(term.coefficient)})
+    for words in ladders:
+        terms = _pruned(_product_terms(terms, words))
+    return terms
 
 
 def jw_transform(term: FermionTerm, n: int) -> PauliSum:
     """Jordan-Wigner image of an ordered ladder-operator product."""
-    out = PauliSum(n, [PauliWord(n, 0, 0, term.coefficient)])
-    for p, dag in term.ops:
-        out = out.product(jw_ladder(p, dag, n))
-    return out
+    return PauliSum.from_masks(n, jw_terms(term, n))
 
 
 def antihermitian_generator(exc, mapping) -> PauliSum:

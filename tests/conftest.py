@@ -75,7 +75,10 @@ def random_integrals(n: int, n_electrons: int, rng) -> MolecularIntegrals:
     h = rng.normal(scale=0.5, size=(n, n))
     h = (h + h.T) / 2 - np.diag(np.arange(n, 0, -1.0))
     a = rng.normal(scale=0.2, size=(n, n, n, n))
-    g = (a + a.transpose(1, 0, 2, 3) + a.transpose(0, 1, 3, 2) + a.transpose(1, 0, 3, 2))
+    # one symmetrizing sum per index swap keeps all eight symmetries exact
+    # in floating point, as an FCIDUMP write and parse round trip needs
+    g = a + a.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
     g = g + g.transpose(2, 3, 0, 1)
     return MolecularIntegrals(n, n_electrons, 0, float(rng.normal()), h, g,
                               OrbitalSymmetry.all_symmetric(n))

@@ -3,16 +3,17 @@
 Everything here is built directly from numpy primitives (kron products,
 occupation-number ladder matrices, scipy expm) so it exercises none of the
 code paths under test. The reference implementations further down (gate
-cancellation, QWC grouping, gate kernels, expectation) are the simple
-earlier forms of optimized library routines, kept to pin those routines'
-output exactly.
+cancellation, QWC grouping, gate kernels, expectation, the Jordan-Wigner
+product chain, greedy mapping) are the simple earlier forms of optimized
+library routines, kept to pin those routines' output exactly.
 """
 import numpy as np
 from scipy.linalg import expm
 
 from uccvqe.circuit import Circuit
 from uccvqe.hamio import MeasurementGroup
-from uccvqe.pauli import FermionTerm, PauliSum, PauliWord
+from uccvqe.mapping import QubitMapping, _best_window, mapping_cost
+from uccvqe.pauli import COEFF_EPS, FermionTerm, PauliError, PauliSum, PauliWord
 from uccvqe.sim import Statevector, apply_circuit, word_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -193,6 +194,96 @@ def expectation_per_word(state, hamiltonian) -> float:
 
 def exp_generator(generator: PauliSum, theta: float) -> np.ndarray:
     return expm(theta * sum_matrix(generator))
+
+
+def _word_product(w1: PauliWord, w2: PauliWord) -> PauliWord:
+    x3 = w1.x_mask ^ w2.x_mask
+    z3 = w1.z_mask ^ w2.z_mask
+    k = (
+        (w1.x_mask & w1.z_mask).bit_count()
+        + (w2.x_mask & w2.z_mask).bit_count()
+        - (x3 & z3).bit_count()
+        + 2 * (w1.z_mask & w2.x_mask).bit_count()
+    ) % 4
+    return PauliWord(w1.n, x3, z3, w1.coefficient * w2.coefficient * (1j**k))
+
+
+def _merged(words) -> dict:
+    """(x, z) -> summed coefficient in the order given, |c| < COEFF_EPS dropped."""
+    out: dict = {}
+    for w in words:
+        key = (w.x_mask, w.z_mask)
+        out[key] = out.get(key, 0.0 + 0j) + complex(w.coefficient)
+    return {k: c for k, c in out.items() if not abs(c) < COEFF_EPS}
+
+
+def _sorted_words(terms: dict, n: int) -> list:
+    return [PauliWord(n, x, z, c) for (x, z), c in sorted(terms.items())]
+
+
+def product_by_words(a: PauliSum, b: PauliSum) -> dict:
+    """Every word of a times every word of b, both walked in sorted order,
+    each product a new PauliWord, merged and pruned."""
+    return _merged(_word_product(w1, w2) for w1 in a.words() for w2 in b.words())
+
+
+def jw_transform_by_products(term: FermionTerm, n: int) -> dict:
+    """Jordan-Wigner image as a chain of word-by-word products, one per
+    ladder operator, each ladder's two words built as PauliWords, pruned
+    after every ladder."""
+    terms = _merged([PauliWord(n, 0, 0, term.coefficient)])
+    for p, dagger in term.ops:
+        if not 0 <= p < n:
+            raise PauliError(f"mode {p} out of range for {n} qubits")
+        zchain = (1 << p) - 1
+        sign = -1j if dagger else 1j
+        ladder = _merged([PauliWord(n, 1 << p, zchain, 0.5),
+                          PauliWord(n, 1 << p, zchain | (1 << p), 0.5 * sign)])
+        terms = _merged(_word_product(w1, w2) for w1 in _sorted_words(terms, n)
+                        for w2 in _sorted_words(ladder, n))
+    return terms
+
+
+def greedy_map_rescanning(excs, n_qubits: int, seed: int = 0, restarts: int = 32) -> QubitMapping:
+    """Greedy mapping that recounts every remaining excitation's placed
+    orbitals from its frozenset after every placement."""
+    n_spatial = n_qubits // 2
+    rng = np.random.default_rng(seed)
+
+    def run() -> QubitMapping:
+        placed: dict[int, int] = {}
+        free = list(range(n_spatial))
+        todo = sorted(range(len(excs)), key=lambda k: excs[k].sort_key())
+        current = int(rng.integers(len(todo)))
+        while todo:
+            idx = todo.pop(current)
+            orbitals = sorted(excs[idx].spatial_orbitals())
+            unplaced = [o for o in orbitals if o not in placed]
+            anchor = [placed[o] for o in orbitals if o in placed]
+            if unplaced:
+                if anchor:
+                    for o in unplaced:
+                        pos = min(free, key=lambda p: (sum(abs(p - a) for a in anchor), p))
+                        placed[o] = pos
+                        free.remove(pos)
+                        anchor.append(pos)
+                else:
+                    win = _best_window(free, len(unplaced), sorted(placed.values()))
+                    for o, pos in zip(unplaced, win):
+                        placed[o] = pos
+                        free.remove(pos)
+            if not todo:
+                break
+            shares = [len(excs[k].spatial_orbitals() & placed.keys()) for k in todo]
+            if max(shares) > 0:
+                current = min(k for k in range(len(todo)) if shares[k] == max(shares))
+            else:
+                current = int(rng.integers(len(todo)))
+        positions = [placed[o] if o in placed else free.pop(0) for o in range(n_spatial)]
+        return QubitMapping.from_spatial_order(positions)
+
+    candidates = [QubitMapping.identity(n_spatial)] + [run() for _ in range(restarts)]
+    return min(candidates, key=lambda m: (mapping_cost(excs, m), m.perm))
 
 
 # D2h character table over the operations (E, C2z, C2y, C2x, i, s_xy, s_xz,

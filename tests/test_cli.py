@@ -53,6 +53,24 @@ class TestSynth:
                     "--orbitals", "0;1", "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["synth", "vqe"])
+    def test_nonzero_ms2_rejected_with_file_name(self, command, h2_path, tmp_path, capsys):
+        # the closed-shell pipeline would otherwise run a triplet file as a singlet
+        path = tmp_path / "triplet.fcidump"
+        with open(h2_path) as fh:
+            path.write_text(fh.read().replace("MS2=0", "MS2=2", 1))
+        code = run([command, "--fcidump", str(path), "--electrons", "2",
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: header has MS2=2" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_more_electrons_than_nelec_rejected_with_file_name(self, h2_path, tmp_path, capsys):
+        code = run(["synth", "--fcidump", h2_path, "--electrons", "4", "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{h2_path}: --electrons 4 exceeds the header's NELEC=2" in capsys.readouterr().err
+
 
 class TestVqe:
     def test_full_run_report(self, h2_path, tmp_path):

@@ -1,5 +1,11 @@
+import dataclasses
+import hashlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_block_mapping, random_integrals
 from oracles import ladder_matrix, qwc_group_by_axes
@@ -98,6 +104,24 @@ class TestParse:
         assert again.core_energy == pytest.approx(h2_ints.core_energy)
         assert again.orbsym.labels() == h2_ints.orbsym.labels()
 
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), nelec=st.integers(0, 8),
+           ms2=st.integers(-2, 2), labels=st.lists(st.integers(1, 8), min_size=4, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_round_trip_is_exact(self, n, seed, nelec, ms2, labels):
+        ints = random_integrals(n, nelec, np.random.default_rng(seed))
+        # the writer drops entries at or below 1e-14
+        assume(min(np.abs(ints.h).min(), np.abs(ints.g).min()) > 1e-14)
+        ints = dataclasses.replace(ints, ms2=ms2, orbsym=OrbitalSymmetry.from_labels(labels[:n]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/rt.fcidump"
+            write_fcidump(path, ints)
+            again = parse_fcidump(path)
+        assert np.array_equal(again.h, ints.h)
+        assert np.array_equal(again.g, ints.g)
+        assert again.core_energy == ints.core_energy
+        assert (again.n_orbitals, again.n_electrons, again.ms2) == (n, nelec, ms2)
+        assert again.orbsym.labels() == ints.orbsym.labels()
+
 
 class TestBuild:
     def test_single_orbital_hubbard_like(self):
@@ -191,6 +215,33 @@ class TestBuild:
     def test_odd_frozen_electron_count_rejected(self, h2_ints):
         with pytest.raises(HamiltonianError):
             build_qubit_hamiltonian(h2_ints, ActiveSelection(1, (0, 1)), QubitMapping.identity(2))
+
+
+def hamiltonian_sha256(h) -> str:
+    text = "".join(f"{w.x_mask} {w.z_mask} {w.coefficient!r}\n" for w in h.terms.words())
+    return hashlib.sha256((text + repr(h.offset)).encode()).hexdigest()
+
+
+# Every (x, z, repr(coefficient)) and repr(offset), computed with the
+# PauliSum-product Jordan-Wigner chain; the mask chain must match bit for bit.
+PINNED_HAMILTONIAN_SHA256 = {
+    "h2": "e6e16ee605392c583a09cf6f86811300cf48db88530c11c0b9506b47ce4fa3fb",
+    4: "baa7d0029c16550312816f4d634ac130bf01e405ee076c56201b6a4852ac2304",
+    6: "2a1fa974ee8549b7d4031eaf21744d43337208253bd848d6d9400cecd84af7a1",
+    8: "95c8a6c6d536cf996ada49aef086f675b60f7f04c83788b61ec4a926523c5fba",
+}
+
+
+class TestPinnedHamiltonian:
+    def test_h2(self, h2_hamiltonian):
+        assert hamiltonian_sha256(h2_hamiltonian) == PINNED_HAMILTONIAN_SHA256["h2"]
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_seeded(self, n):
+        rng = np.random.default_rng(n)
+        ints = random_integrals(n, n, rng)
+        h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), random_block_mapping(n, rng))
+        assert hamiltonian_sha256(h) == PINNED_HAMILTONIAN_SHA256[n]
 
 
 class TestQwcGrouping:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from uccvqe.ansatz import Excitation
+from oracles import greedy_map_rescanning
+from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
 from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian, dense_matrix
 from uccvqe.mapping import MappingError, QubitMapping, greedy_map, mapping_cost, span_cost
+from uccvqe.symmetry import OrbitalSymmetry
 
 
 def ab_double(i, j, a, b):
@@ -90,6 +92,30 @@ class TestGreedyMap:
             for r in (1, 4, 16, 32)
         ]
         assert all(c2 <= c1 for c1, c2 in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("screened", [False, True])
+    def test_matches_rescanning_reference(self, variant, screened):
+        rng = np.random.default_rng(VARIANTS.index(variant) + 10 * screened)
+        for n_elec, n_orb in ((2, 3), (4, 4), (4, 6), (6, 6), (8, 8)):
+            sym = (OrbitalSymmetry.from_labels(rng.integers(1, 5, size=n_orb))
+                   if screened else None)
+            excs = enumerate_excitations(variant, ActiveSpace(n_elec, n_orb), sym).excitations
+            if not excs:
+                continue
+            seed = int(rng.integers(1 << 30))
+            assert (greedy_map(excs, 2 * n_orb, seed=seed, restarts=6).perm
+                    == greedy_map_rescanning(excs, 2 * n_orb, seed=seed, restarts=6).perm)
+
+    def test_matches_rescanning_reference_on_sparse_sets(self):
+        # few doubles over many orbitals: runs often restart from a random pick
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            n_spatial = int(rng.integers(4, 9))
+            excs = [ab_double(*(int(o) for o in rng.integers(0, n_spatial, size=4)))
+                    for _ in range(int(rng.integers(1, 6)))]
+            assert (greedy_map(excs, 2 * n_spatial, seed=trial, restarts=8).perm
+                    == greedy_map_rescanning(excs, 2 * n_spatial, seed=trial, restarts=8).perm)
 
     def test_empty_excitations_rejected(self):
         with pytest.raises(MappingError):

@@ -3,20 +3,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fermion_matrix, sum_matrix, word_matrix
+from oracles import (
+    fermion_matrix,
+    jw_transform_by_products,
+    product_by_words,
+    sum_matrix,
+    word_matrix,
+)
 from uccvqe.ansatz import Excitation
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import (
+    COEFF_EPS,
     FermionTerm,
     PauliError,
     PauliSum,
     PauliWord,
     antihermitian_generator,
     jw_ladder,
+    jw_terms,
     jw_transform,
 )
 
 PAPER_DOUBLE_AXES = {"XXXY", "XXYX", "YXYY", "YXXX", "YYXY", "YYYX", "XYYY", "XYXX"}
+
+
+def exact_terms(terms: dict) -> list[tuple[int, int, str]]:
+    """Sorted (x, z, repr(coefficient)); the repr tells -0.0 from 0.0."""
+    return [(x, z, repr(c)) for (x, z), c in sorted(terms.items())]
+
+
+def masks(s: PauliSum) -> dict:
+    return {(w.x_mask, w.z_mask): w.coefficient for w in s.words()}
 
 
 def random_word(rng, n):
@@ -163,6 +180,70 @@ class TestJordanWigner:
             prod = jw_ladder(p, True, n).product(jw_ladder(p, False, n))
             term = FermionTerm(((p, True), (p, False)))
             assert np.allclose(sum_matrix(prod), fermion_matrix(term, n), atol=1e-14)
+
+
+class TestProductChainOracle:
+    """The mask chain must give the coefficients of the word-by-word
+    product chain exactly, signed zeros included."""
+
+    @staticmethod
+    def random_terms(seed, count, scale=1.0):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 7))
+            # few modes per register, so ladders repeat modes often
+            ops = tuple((int(rng.integers(n)), bool(rng.integers(2)))
+                        for _ in range(int(rng.integers(1, 5))))
+            yield FermionTerm(ops, scale * complex(rng.normal(), rng.normal())), n
+
+    def assert_matches(self, term, n):
+        want = exact_terms(jw_transform_by_products(term, n))
+        assert exact_terms(jw_terms(term, n)) == want
+        assert exact_terms(masks(jw_transform(term, n))) == want
+
+    def test_seeded_random_sequences(self):
+        for term, n in self.random_terms(23, 400):
+            self.assert_matches(term, n)
+
+    @pytest.mark.parametrize("ops", [
+        ((1, True), (1, True)),                               # a+_p a+_p = 0
+        ((0, True), (0, False), (2, True), (2, False)),       # n_pa n_pb
+        ((2, True), (0, True), (0, False), (2, False)),       # same, two-body order
+        ((1, False), (1, True), (1, False), (1, True)),
+        ((3, True), (1, True), (1, False), (3, False)),
+    ])
+    def test_repeated_modes(self, ops):
+        for coeff in (1.0, -0.37, 0.25 - 0.5j, 1 - 0j):
+            self.assert_matches(FermionTerm(ops, coeff), 4)
+
+    def test_coefficients_near_the_prune_threshold(self):
+        # Every image along a ladder chain has words of one magnitude,
+        # |c| / 2**(modes so far), so the ladders' factors of 1/2 carry whole
+        # images across COEFF_EPS. The threshold rule (drop |c| < COEFF_EPS,
+        # keep |c| == COEFF_EPS) must match, including at exactly COEFF_EPS.
+        # With |c| ~ COEFF_EPS, images of 1-4 modes land near COEFF_EPS/2..COEFF_EPS/16.
+        for term, n in self.random_terms(29, 400, scale=COEFF_EPS):
+            self.assert_matches(term, n)
+        for k in range(-2, 6):
+            for ops in (((0, True), (1, False)), ((1, True), (0, True), (0, False), (1, False))):
+                self.assert_matches(FermionTerm(ops, COEFF_EPS * 2.0**k), 2)
+
+    @pytest.mark.parametrize("ops", [((4, True),), ((0, True), (-1, False)),
+                                     ((0, True), (0, False), (7, True))])
+    def test_mode_out_of_range(self, ops):
+        for coeff in (1.0, 0.0):
+            with pytest.raises(PauliError):
+                jw_transform(FermionTerm(ops, coeff), 4)
+            with pytest.raises(PauliError):
+                jw_transform_by_products(FermionTerm(ops, coeff), 4)
+
+    def test_sum_product_matches_word_products(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            a = PauliSum(n, [random_word(rng, n) for _ in range(int(rng.integers(0, 6)))])
+            b = PauliSum(n, [random_word(rng, n) for _ in range(int(rng.integers(0, 6)))])
+            assert exact_terms(masks(a.product(b))) == exact_terms(product_by_words(a, b))
 
 
 class TestGenerators:

@@ -29,7 +29,7 @@ from .hamio import (
 )
 from .mapping import QubitMapping, greedy_map, mapping_cost
 from .mitigate import run_policies
-from .sim import Histogram, Statevector, apply_circuit, expectation
+from .sim import MAX_QUBITS, Histogram, prepared_basis_state
 from .symmetry import SpinSector
 from .vqe import evaluate_sampled, optimize
 
@@ -157,22 +157,37 @@ class Pipeline:
         self.sector = SpinSector(cfg.n_electrons // 2, cfg.n_electrons // 2)
 
     def hf_energy_check(self) -> float:
-        """Mean-field consistency: circuit at zero parameters must sit at the
-        restricted mean-field energy of the active problem."""
+        """Mean-field consistency: the circuit at zero parameters must prepare
+        the Hartree-Fock determinant, and its energy must equal the restricted
+        mean-field energy of the active problem. On a basis state only the
+        words without X part count, each with the parity of its Z mask."""
         core, h_eff, g_act, _ = restrict_to_active(self.ints, self.selection)
         reference = rhf_energy(core, h_eff, g_act, self.selection.active_space().n_occupied)
-        state = apply_circuit(
-            Statevector.zero(self.mapping.n_qubits),
-            self.circuit,
-            {name: 0.0 for name in self.spec.parameter_names()},
-        )
-        measured = expectation(state, self.hamiltonian)
-        if abs(measured - reference) > 1e-8:
+        prepared = prepared_basis_state(self.circuit)
+        hf_bits = self.hamiltonian.hf_bitstring()
+        if prepared != hf_bits:
+            raise CliError(
+                f"internal consistency failure: the circuit at zero parameters prepares "
+                f"|{prepared}>, not the Hartree-Fock determinant |{hf_bits}>"
+            )
+        occupied = int(prepared[::-1], 2)  # bit q is qubit q, as in the word masks
+        measured = self.hamiltonian.offset
+        for w in self.hamiltonian.terms.words():
+            if w.x_mask == 0:
+                measured += w.coefficient.real * (-1) ** (w.z_mask & occupied).bit_count()
+        if not abs(measured - reference) <= 1e-8:
             raise CliError(
                 f"internal consistency failure: HF energy {measured:.10f} != "
                 f"mean-field reference {reference:.10f}"
             )
         return measured
+
+    def require_statevector(self, command: str) -> None:
+        """Refuse registers the dense sampler cannot hold, before optimizing."""
+        n = self.mapping.n_qubits
+        if n > MAX_QUBITS:
+            raise CliError(f"{self.config.fcidump}: `uccvqe {command}` samples a statevector of "
+                           f"{n} qubits, above the cap of {MAX_QUBITS}; `uccvqe synth` has no cap")
 
     def post_select(self, report: dict, histograms: Sequence[Histogram], policy: str) -> None:
         """Write the raw and post-selected energies of the policy ('all',
@@ -232,6 +247,7 @@ def cmd_synth(cfg: RunConfig) -> dict:
 def cmd_vqe(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     pipe = Pipeline(cfg)
+    pipe.require_statevector("vqe")
     report = pipe.counts_report("vqe")
     report["energies_hartree"]["hf"] = pipe.hf_energy_check()
 
@@ -269,6 +285,7 @@ def cmd_sweep(cfg: RunConfig, shot_list: Sequence[int]) -> dict:
         raise CliError("sweep needs at least two shot counts")
     t0 = time.perf_counter()
     pipe = Pipeline(cfg)
+    pipe.require_statevector("sweep")
     result = optimize(pipe.hamiltonian, pipe.spec, pipe.mapping)
     rows = []
     for shots in shot_list:

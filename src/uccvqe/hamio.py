@@ -90,6 +90,8 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
             i, j, k, l = (int(t) for t in tok[1:])
         except ValueError as exc:
             raise FcidumpError(f"{path}: non-numeric record {line!r}") from exc
+        if not np.isfinite(val):
+            raise FcidumpError(f"{path}: non-finite value in record {line!r}")
         if max(i, j, k, l) > norb or min(i, j, k, l) < 0:
             raise FcidumpError(f"{path}: orbital index out of range in {line!r}")
         pattern = "".join("0" if t == 0 else "x" for t in (i, j, k, l))
@@ -260,6 +262,8 @@ def build_qubit_hamiltonian(
         coeff = 0.5 * g_act[p, q, r, s]
         for s1 in spins:
             for s2 in spins:
+                if s1 is s2 and (p == r or q == s):
+                    continue  # a+_p a+_p = a_q a_q = 0 within one spin
                 fermion_terms.append(FermionTerm(
                     ((s1(p), True), (s2(r), True), (s2(s), False), (s1(q), False)),
                     coeff,

@@ -1,4 +1,5 @@
-"""Dense statevector execution, exact expectations, and shot sampling.
+"""Dense statevector execution, exact expectations, shot sampling, and the
+statevector-free basis-state check of a zero-parameter circuit.
 
 Amplitude indices put qubit 0 in the most significant bit, matching the
 textual bitstring convention (qubit 0 leftmost). Sampling runs through
@@ -25,14 +26,18 @@ class SimulationError(ValueError):
     pass
 
 
+def _check_cap(n_qubits: int) -> None:
+    if n_qubits > MAX_QUBITS:
+        raise SimulationError(f"{n_qubits} qubits exceeds the dense cap of {MAX_QUBITS}")
+
+
 class Statevector:
     """2**n complex amplitudes, unit norm."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
-        if n_qubits > MAX_QUBITS:
-            raise SimulationError(f"{n_qubits} qubits exceeds the dense cap of {MAX_QUBITS}")
+        _check_cap(n_qubits)
         if amplitudes.shape != (1 << n_qubits,):
             raise SimulationError("amplitude array has wrong length")
         self.n_qubits = n_qubits
@@ -40,6 +45,7 @@ class Statevector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> "Statevector":
+        _check_cap(n_qubits)
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return cls(n_qubits, amps)
@@ -47,6 +53,7 @@ class Statevector:
     @classmethod
     def from_bitstring(cls, bits: str) -> "Statevector":
         n = len(bits)
+        _check_cap(n)
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[int(bits, 2)] = 1.0
         return cls(n, amps)
@@ -82,22 +89,19 @@ def word_masks(n: int, x_mask: int, z_mask: int) -> tuple[int, int, int]:
 
 def apply_circuit(state: Statevector, circuit: Circuit,
                   params: Optional[dict[str, float]] = None) -> Statevector:
-    """Run a circuit gate by gate; returns a new statevector. The gates
-    share one half-state scratch buffer instead of allocating their own."""
+    """Run a circuit gate by gate; returns a new statevector."""
     if circuit.n_qubits != state.n_qubits:
         raise SimulationError("register sizes differ")
     params = params or {}
     amps = state.amplitudes.copy()
-    scratch = np.empty(amps.size // 2, dtype=np.complex128)
     n = state.n_qubits
     for g in circuit.gates:
         if g.kind == "CNOT":
-            kernels.apply_cnot(amps, n, g.qubits[0], g.qubits[1], scratch)
+            kernels.apply_cnot(amps, n, g.qubits[0], g.qubits[1])
         elif g.kind == "X":
-            kernels.apply_1q(amps, n, g.qubits[0], 0.0, 1.0, 1.0, 0.0, scratch)
+            kernels.apply_1q(amps, n, g.qubits[0], 0.0, 1.0, 1.0, 0.0)
         elif g.kind == "H":
-            kernels.apply_1q(amps, n, g.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2,
-                             scratch)
+            kernels.apply_1q(amps, n, g.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
         elif g.kind == "S":
             kernels.apply_phase(amps, n, g.qubits[0], 1.0, 1.0j)
         elif g.kind == "SDG":
@@ -115,28 +119,62 @@ def apply_circuit(state: Statevector, circuit: Circuit,
 
 
 def expectation(state: Statevector, hamiltonian) -> float:
-    """<psi| H |psi> for a QubitHamiltonian-like object (offset + PauliSum).
-
-    Words arrive sorted by x mask, so each run of words with one x mask
-    shares a single conj(psi[i ^ x]) * psi[i] product; every word then costs
-    one sign vector, one multiply and one sum.
-    """
+    """<psi| H |psi> for a QubitHamiltonian-like object (offset + PauliSum)."""
     if hamiltonian.n_qubits != state.n_qubits:
         raise SimulationError("register sizes differ")
     n = state.n_qubits
-    amps = state.amplitudes
-    idx = np.arange(amps.size, dtype=np.uint64)
     acc = complex(hamiltonian.offset)
-    x_prev, products = None, None
     for w in hamiltonian.terms.words():
         xb, zb, ny = word_masks(n, w.x_mask, w.z_mask)
-        if xb != x_prev:
-            x_prev, products = xb, kernels.flip_products(amps, idx, xb)
-        val = complex(np.sum(products * kernels.parity_signs(idx, zb)))
-        acc += w.coefficient * (1j**ny) * val
+        acc += w.coefficient * (1j**ny) * kernels.pauli_expectation(state.amplitudes, n, xb, zb)
     if abs(acc.imag) > 1e-10:
         raise SimulationError(f"expectation has imaginary residue {acc.imag:.3e}")
     return float(acc.real)
+
+
+def prepared_basis_state(circuit: Circuit) -> str:
+    """The basis state b that ``circuit`` prepares from |0...0> with every
+    parameter at zero, as a bitstring (qubit 0 leftmost), without a
+    statevector.
+
+    Parametrized RZ gates are the identity at zero and the rest is Clifford,
+    so each Z_q is conjugated backwards through the gates on a bit-sliced
+    tableau (Aaronson & Gottesman, PRA 70, 052328 (2004)). Row q holds
+    U^dag Z_q U: bit q of ``x[j]``/``z[j]`` says that it acts on qubit j
+    with X/Z (both set: Y), bit q of ``sign`` that it is negative. U|0...0>
+    is a phase times |b> exactly when no row has an X part; b_q is then the
+    sign bit of row q, because <0...0| U^dag Z_q U |0...0> = (-1)^b_q.
+    """
+    n = circuit.n_qubits
+    x = [0] * n
+    z = [1 << q for q in range(n)]
+    sign = 0
+    for i in range(len(circuit.gates) - 1, -1, -1):
+        g = circuit.gates[i]
+        a = g.qubits[0]
+        if g.kind == "CNOT":
+            t = g.qubits[1]
+            sign ^= x[a] & z[t] & ~(x[t] ^ z[a])
+            x[t] ^= x[a]
+            z[a] ^= z[t]
+        elif g.kind == "H":
+            sign ^= x[a] & z[a]
+            x[a], z[a] = z[a], x[a]
+        elif g.kind == "X":
+            sign ^= z[a]
+        elif g.kind == "S":  # S^dag X S = -Y, S^dag Y S = X
+            sign ^= x[a] & ~z[a]
+            z[a] ^= x[a]
+        elif g.kind == "SDG":  # S X S^dag = Y, S Y S^dag = -X
+            sign ^= x[a] & z[a]
+            z[a] ^= x[a]
+        elif not isinstance(g.angle, tuple):
+            raise SimulationError(f"gate {i} is an RZ by the constant angle {g.angle!r}, "
+                                  "which is not the identity at zero parameters")
+    for q in range(n):
+        if any(xj >> q & 1 for xj in x):
+            raise SimulationError(f"qubit {q} is not in a basis state at zero parameters")
+    return "".join("1" if sign >> q & 1 else "0" for q in range(n))
 
 
 @dataclass

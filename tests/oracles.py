@@ -4,8 +4,9 @@ Everything here is built directly from numpy primitives (kron products,
 occupation-number ladder matrices, scipy expm) so it exercises none of the
 code paths under test. The reference implementations further down (gate
 cancellation, QWC grouping, gate kernels, expectation, the Jordan-Wigner
-product chain, greedy mapping) are the simple earlier forms of optimized
-library routines, kept to pin those routines' output exactly.
+product chain, greedy mapping, the gate-level Hartree-Fock check) are the
+simple earlier forms of optimized library routines, kept to pin those
+routines' output exactly.
 """
 import numpy as np
 from scipy.linalg import expm
@@ -190,6 +191,17 @@ def expectation_per_word(state, hamiltonian) -> float:
         flipped = (idx ^ np.uint64(xb)).astype(np.int64)
         acc += w.coefficient * (1j**ny) * complex(np.sum(np.conj(amps[flipped]) * signs * amps))
     return float(acc.real)
+
+
+def hf_check_by_statevector(circuit, hamiltonian) -> tuple[str, float]:
+    """The gate-level Hartree-Fock check: run the circuit at zero parameters
+    on |0...0>, require a single basis state up to phase, and return its
+    bitstring and the per-word expectation of H on it."""
+    n = circuit.n_qubits
+    state = apply_circuit(Statevector.zero(n), circuit, {p: 0.0 for p in circuit.parameters})
+    k = int(np.argmax(np.abs(state.amplitudes)))
+    assert abs(abs(state.amplitudes[k]) - 1.0) < 1e-10, "not a basis state"
+    return format(k, f"0{n}b"), expectation_per_word(state, hamiltonian)
 
 
 def exp_generator(generator: PauliSum, theta: float) -> np.ndarray:

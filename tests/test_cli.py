@@ -1,9 +1,22 @@
 import json
 
+import numpy as np
 import pytest
 
-from uccvqe.circuit import Circuit
-from uccvqe.cli import CliError, load_report, main, validate_report
+from conftest import random_block_mapping, random_integrals
+from oracles import hf_check_by_statevector
+from uccvqe.circuit import Circuit, Gate, build_ansatz_circuit
+from uccvqe.cli import CliError, Pipeline, RunConfig, load_report, main, validate_report
+from uccvqe.hamio import (
+    ActiveSelection,
+    MolecularIntegrals,
+    build_qubit_hamiltonian,
+    restrict_to_active,
+    rhf_energy,
+    write_fcidump,
+)
+from uccvqe.sim import MAX_QUBITS, prepared_basis_state
+from uccvqe.symmetry import OrbitalSymmetry
 
 
 def run(args):
@@ -71,6 +84,107 @@ class TestSynth:
         assert code == 1
         assert f"{h2_path}: --electrons 4 exceeds the header's NELEC=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("indices", ["1   1   1   1", "1   1   0   0"])
+    def test_nan_integral_rejected(self, indices, h2_path, tmp_path, capsys):
+        # a nan (1 1 1 1) used to be dropped by the integral threshold, and a
+        # nan (1 1 0 0) to give "hf": NaN, both with exit status 0
+        with open(h2_path) as fh:
+            lines = fh.read().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.endswith(indices))
+        lines[k] = f" nan   {indices}"
+        path = tmp_path / "nan.fcidump"
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["synth", "--fcidump", str(path), "--electrons", "2",
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{path}: non-finite value in record 'nan   {indices}'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+def pair_integrals(n_orb: int, n_electrons: int) -> MolecularIntegrals:
+    """Diagonal one-electron part and only (pp|qq) and (pq|pq) two-electron
+    integrals: a small Hamiltonian on a wide register."""
+    h = np.diag(np.linspace(-2.0, 1.0, n_orb))
+    g = np.zeros((n_orb,) * 4)
+    for p in range(n_orb):
+        for q in range(n_orb):
+            g[p, p, q, q] = 0.4 / (1 + abs(p - q))
+            if p != q:
+                g[p, q, p, q] = g[p, q, q, p] = 0.05 / (1 + abs(p - q))
+    return MolecularIntegrals(n_orb, n_electrons, 0, 1.5, h, g, OrbitalSymmetry.all_symmetric(n_orb))
+
+
+class TestHartreeFockCheck:
+    @staticmethod
+    def pipeline(tmp_path, ints, variant, mapping) -> Pipeline:
+        path = tmp_path / f"{variant}.fcidump"
+        write_fcidump(str(path), ints)
+        pipe = Pipeline(RunConfig(str(path), ints.n_electrons, (), variant=variant,
+                                  map_restarts=2))
+        pipe.mapping = mapping
+        pipe.hamiltonian = build_qubit_hamiltonian(pipe.ints, pipe.selection, mapping)
+        pipe.circuit = build_ansatz_circuit(pipe.spec, mapping)
+        return pipe
+
+    @pytest.mark.parametrize("variant", ["upccd", "uccdab", "uccd", "uccsd"])
+    @pytest.mark.parametrize("n_orb", [2, 4, 6])
+    def test_matches_statevector_oracle_under_random_mappings(self, variant, n_orb, tmp_path):
+        rng = np.random.default_rng(500 + n_orb)
+        ints = random_integrals(n_orb, n_orb, rng)
+        pipe = self.pipeline(tmp_path, ints, variant, random_block_mapping(n_orb, rng))
+        want_bits, want_energy = hf_check_by_statevector(pipe.circuit, pipe.hamiltonian)
+        assert prepared_basis_state(pipe.circuit) == want_bits
+        assert want_bits == pipe.hamiltonian.hf_bitstring()
+        assert pipe.hf_energy_check() == pytest.approx(want_energy, abs=1e-10)
+
+    def test_wrong_determinant_names_both_bitstrings(self, h2_path, tmp_path):
+        pipe = Pipeline(RunConfig(h2_path, 2, ()))
+        hf_bits = pipe.hamiltonian.hf_bitstring()
+        pipe.circuit = Circuit(4, pipe.circuit.gates + (Gate("X", (3,)),))
+        flipped = hf_bits[:3] + ("0" if hf_bits[3] == "1" else "1")
+        with pytest.raises(CliError, match=rf"prepares \|{flipped}>, not the "
+                                           rf"Hartree-Fock determinant \|{hf_bits}>"):
+            pipe.hf_energy_check()
+
+    def test_nan_energy_fails(self, h2_path):
+        # abs(nan - reference) > 1e-8 is False, so the test must be "not <="
+        pipe = Pipeline(RunConfig(h2_path, 2, ()))
+        pipe.hamiltonian.offset = float("nan")
+        with pytest.raises(CliError, match="HF energy nan != mean-field reference"):
+            pipe.hf_energy_check()
+
+    def test_synth_past_the_statevector_cap(self, tmp_path):
+        # 26 qubits: no 2^n array is ever allocated by synth
+        ints = pair_integrals(13, 6)
+        path = tmp_path / "pairs.fcidump"
+        write_fcidump(str(path), ints)
+        code = run(["synth", "--fcidump", str(path), "--electrons", "6", "--variant", "upccd",
+                    "--out", str(tmp_path / "out")])
+        assert code == 0
+        report = load_report(tmp_path / "out" / "report.json")
+        assert report["qubits"] == 26 > MAX_QUBITS
+        core, h, g, _ = restrict_to_active(ints, ActiveSelection.full(ints))
+        assert report["energies_hartree"]["hf"] == pytest.approx(rhf_energy(core, h, g, 3), abs=1e-10)
+
+    @pytest.mark.parametrize("command", [["vqe"], ["sweep", "--shot-list", "300,600"]])
+    def test_vqe_and_sweep_refuse_oversized_registers_up_front(self, command, tmp_path,
+                                                              capsys, monkeypatch):
+        import uccvqe.cli as cli_module
+
+        def no_optimize(*args, **kwargs):
+            raise AssertionError("optimized before refusing the register")
+
+        monkeypatch.setattr(cli_module, "optimize", no_optimize)
+        path = tmp_path / "pairs.fcidump"
+        write_fcidump(str(path), pair_integrals(13, 6))
+        code = run(command[:1] + ["--fcidump", str(path), "--electrons", "6",
+                                  "--variant", "upccd", "--out", str(tmp_path / "out")]
+                   + command[1:])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: `uccvqe {command[0]}` samples a statevector of 26 qubits" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestVqe:
     def test_full_run_report(self, h2_path, tmp_path):
@@ -104,7 +218,7 @@ class TestVqe:
              "--sample-seed", "7", "--out", str(tmp_path)])
         report = load_report(tmp_path / "report.json")
         assert report["energies_hartree"] == {
-            "hf": -1.1166800501161693,
+            "hf": -1.1166800501161702,
             "variational": -1.1372655543753205,
             "exact_ground": -1.1372655543753205,
             "sampled_raw": -1.1329489486853153,

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import tempfile
 
 import numpy as np
@@ -25,7 +26,7 @@ from uccvqe.hamio import (
     write_fcidump,
 )
 from uccvqe.mapping import QubitMapping
-from uccvqe.pauli import PauliSum, PauliWord
+from uccvqe.pauli import FermionTerm, PauliSum, PauliWord, jw_terms
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
 
 H2_RHF = -1.11668005011617
@@ -93,6 +94,19 @@ class TestParse:
     def test_unknown_index_pattern_rejected(self, tmp_path, record):
         path = write(tmp_path, f" &FCI NORB=2,NELEC=2,\n &END\n {record}\n", name="odd.fcidump")
         with pytest.raises(FcidumpError, match=rf"odd\.fcidump: record '{record}'"):
+            parse_fcidump(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("indices", ["1   1   1   1", "1   1   0   0"])
+    def test_non_finite_value_rejected(self, tmp_path, h2_path, indices, value):
+        # nan fails every comparison: a threshold test would drop it silently
+        with open(h2_path) as fh:
+            lines = fh.read().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.endswith(indices))
+        lines[k] = f" {value}   {indices}"
+        path = write(tmp_path, "\n".join(lines) + "\n", name="bad.fcidump")
+        with pytest.raises(FcidumpError,
+                           match=rf"bad\.fcidump: non-finite value in record '{value}   {indices}'"):
             parse_fcidump(path)
 
     def test_round_trip(self, tmp_path, h2_ints):
@@ -211,6 +225,14 @@ class TestBuild:
         e_full = exact_ground_energy(full, SpinSector(2, 2))
         e_frozen = exact_ground_energy(frozen, SpinSector(1, 1))
         assert e_frozen == pytest.approx(e_full, abs=1e-9)
+
+    def test_skipped_same_spin_terms_have_zero_image(self):
+        # build_qubit_hamiltonian skips a+_p a+_r a_s a_q within one spin when
+        # p == r or q == s
+        for p, q, r, s in itertools.product(range(4), repeat=4):
+            if p == r or q == s:
+                term = FermionTerm(((p, True), (r, True), (s, False), (q, False)), 0.3)
+                assert jw_terms(term, 4) == {}, (p, q, r, s)
 
     def test_odd_frozen_electron_count_rejected(self, h2_ints):
         with pytest.raises(HamiltonianError):

@@ -17,6 +17,7 @@ from uccvqe.hamio import ActiveSelection, MeasurementGroup, QubitHamiltonian, bu
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import (
+    MAX_QUBITS,
     Histogram,
     SimulationError,
     Statevector,
@@ -24,6 +25,7 @@ from uccvqe.sim import (
     energy_from_histograms,
     expectation,
     group_shot_values,
+    prepared_basis_state,
     sample_group,
 )
 
@@ -269,7 +271,6 @@ class TestKernelsMatchDenseExpressions:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_single_qubit_gates(self, n):
         rng = np.random.default_rng(200 + n)
-        scratch = np.empty(1 << (n - 1), dtype=complex)
         theta = float(rng.normal())
         rz = (complex(np.cos(theta / 2), -np.sin(theta / 2)),
               complex(np.cos(theta / 2), np.sin(theta / 2)))
@@ -278,7 +279,7 @@ class TestKernelsMatchDenseExpressions:
             for matrix in ((self.R, self.R, self.R, -self.R), (0.0, 1.0, 1.0, 0.0)):
                 want, got = psi.copy(), psi.copy()
                 apply_1q_dense(want, q, *matrix)
-                kernels.apply_1q(got, n, q, *matrix, scratch)
+                kernels.apply_1q(got, n, q, *matrix)
                 assert np.array_equal(got, want), (q, matrix)
             for p0, p1 in ((1.0, 1.0j), (1.0, -1.0j), rz, (1.0, 1.0)):
                 want, got = psi.copy(), psi.copy()
@@ -290,14 +291,13 @@ class TestKernelsMatchDenseExpressions:
     def test_cnot_every_pair(self, n):
         rng = np.random.default_rng(300 + n)
         psi = random_amplitudes(n, rng)
-        scratch = np.empty(1 << (n - 1), dtype=complex)
         for c in range(n):
             for t in range(n):
                 if c == t:
                     continue
                 want, got = psi.copy(), psi.copy()
                 apply_cnot_dense(want, c, t)
-                kernels.apply_cnot(got, n, c, t, scratch)
+                kernels.apply_cnot(got, n, c, t)
                 assert np.array_equal(got, want), (c, t)
 
 
@@ -325,3 +325,75 @@ class TestExpectationMatchesPerWordLoop:
             signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zb)) & np.uint64(1))
             want = complex(np.sum(np.conj(psi[(idx ^ np.uint64(xb)).astype(np.int64)]) * signs * psi))
             assert kernels.pauli_expectation(psi, n, xb, zb) == want
+
+
+def random_clifford_circuit(n, length, rng):
+    """Gates drawn from the zero-parameter gate set; RZ carries a parameter."""
+    kinds = ["X", "H", "S", "SDG", "RZ"] + ["CNOT"] * (2 if n > 1 else 0)
+    gates = []
+    for _ in range(length):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "CNOT":
+            c, t = rng.choice(n, size=2, replace=False)
+            gates.append(Gate("CNOT", (int(c), int(t))))
+        elif kind == "RZ":
+            gates.append(Gate("RZ", (int(rng.integers(n)),), (float(rng.normal()), "t")))
+        else:
+            gates.append(Gate(kind, (int(rng.integers(n)),)))
+    return Circuit(n, gates)
+
+
+class TestPreparedBasisState:
+    def test_matches_statevector_on_random_clifford_circuits(self):
+        rng = np.random.default_rng(2004)
+        outcomes = {"basis": 0, "refused": 0}
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            circ = random_clifford_circuit(n, int(rng.integers(1, 16)), rng)
+            probs = apply_circuit(Statevector.zero(n), circ, {"t": 0.0}).probabilities()
+            idx = np.arange(1 << n)
+            z = [float(np.sum(probs * (1 - 2 * ((idx >> (n - 1 - q)) & 1)))) for q in range(n)]
+            if all(abs(abs(v) - 1.0) < 1e-9 for v in z):
+                outcomes["basis"] += 1
+                assert prepared_basis_state(circ) == "".join("1" if v < 0 else "0" for v in z)
+            else:
+                outcomes["refused"] += 1
+                with pytest.raises(SimulationError, match="is not in a basis state") as err:
+                    prepared_basis_state(circ)
+                q = int(str(err.value).split()[1])
+                assert abs(z[q]) < 1e-9, (q, z)
+        assert min(outcomes.values()) > 1000, outcomes
+
+    def test_single_gate_rules(self):
+        # X|0> = |1>; S, SDG and H-pairs leave |0>; H S S H = X up to phase
+        assert prepared_basis_state(Circuit(1, [Gate("X", (0,))])) == "1"
+        for kinds in (["S"], ["SDG"], ["H", "H"], ["H", "S", "S", "H"], ["H", "SDG", "SDG", "H"]):
+            want = "1" if kinds.count("S") + kinds.count("SDG") == 2 else "0"
+            assert prepared_basis_state(Circuit(1, [Gate(k, (0,)) for k in kinds])) == want
+        assert prepared_basis_state(Circuit(3, [Gate("X", (0,)), Gate("CNOT", (0, 2))])) == "101"
+
+    def test_parametrized_rz_is_identity(self):
+        circ = Circuit(2, [Gate("X", (1,)), Gate("RZ", (1,), (0.5, "t0"))])
+        assert prepared_basis_state(circ) == "01"
+
+    def test_superposition_names_the_qubit(self):
+        circ = Circuit(3, [Gate("X", (0,)), Gate("H", (2,))])
+        with pytest.raises(SimulationError, match="qubit 2 is not in a basis state"):
+            prepared_basis_state(circ)
+
+    def test_constant_rz_refused_with_gate_index(self):
+        circ = Circuit.from_text("QUBITS 2\nX 0\nRZ 1 0.25\n")
+        with pytest.raises(SimulationError, match="gate 1 is an RZ by the constant angle 0.25"):
+            prepared_basis_state(circ)
+
+
+class TestDenseCap:
+    @pytest.mark.parametrize("make", [lambda: Statevector.zero(MAX_QUBITS + 1),
+                                      lambda: Statevector.from_bitstring("0" * (MAX_QUBITS + 1))])
+    def test_refused_before_allocating(self, make, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated a statevector above the cap")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(SimulationError, match=f"exceeds the dense cap of {MAX_QUBITS}"):
+            make()

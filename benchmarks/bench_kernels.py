@@ -8,7 +8,9 @@ energy plus adjoint gradient on the spin sector (what the optimizer runs).
 The synthesis rows time what ``uccvqe synth`` adds: the Jordan-Wigner
 qubit Hamiltonian, compiling the circuit and the Hartree-Fock check at zero
 parameters (Pauli propagation, no statevector, so they go past the dense
-cap).
+cap). The exact-reference rows give the dimension of the spin sector and of
+the Hartree-Fock irrep block under a 4-irrep ORBSYM, and the time of
+``exact_ground_energy`` on that block (dense ``eigvalsh``).
 
 Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
 """
@@ -103,6 +105,27 @@ def bench_pipeline(n_orbitals):
             len(circ.gates), ham.term_count)
 
 
+def bench_exact(labels):
+    """Sector dimension, HF-irrep block dimension and block solve time of
+    the closed-shell reference on integrals that respect ``labels``."""
+    from uccvqe.hamio import (ActiveSelection, build_qubit_hamiltonian, exact_ground_energy,
+                              sector_indices)
+    from uccvqe.mapping import QubitMapping
+    from uccvqe.symmetry import OrbitalSymmetry, SpinSector
+
+    n = len(labels)
+    ints = synthetic_integrals(n)
+    code = np.array(labels) - 1
+    ints.h[code[:, None] != code[None, :]] = 0.0
+    ints.g[(code[:, None, None, None] ^ code[None, :, None, None]
+            ^ code[None, None, :, None] ^ code[None, None, None, :]) != 0] = 0.0
+    ints.orbsym = OrbitalSymmetry.from_labels(labels)
+    h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), QubitMapping.identity(n))
+    sector = SpinSector(n // 2, n // 2)
+    return (len(sector_indices(h, sector)), len(sector_indices(h, sector, ints.orbsym)),
+            timeit(exact_ground_energy, h, sector, ints.orbsym, repeats=3))
+
+
 def bench_synth(n_orbitals):
     """build_qubit_hamiltonian, build_ansatz_circuit and
     Pipeline.hf_energy_check on the same uCCDab instance, read back from an
@@ -146,6 +169,13 @@ def main():
         t_gates, t_sector, n_gates, n_terms = bench_pipeline(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>6} {n_terms:>6} "
               f"{t_gates * 1e3:>16.2f} {t_sector * 1e3:>19.2f}")
+
+    print("\nexact reference: spin sector, Hartree-Fock irrep block, block solve")
+    print(f"{'orbitals':>8} {'qubits':>7} {'sector dim':>11} {'block dim':>10} {'solve (ms)':>11}")
+    for labels in ((1, 2, 3, 4), (1, 2, 3, 1, 2, 3), (1, 1, 1, 2, 3, 3, 4, 4)):
+        sector_dim, block_dim, t_solve = bench_exact(labels)
+        print(f"{len(labels):>8} {2 * len(labels):>7} {sector_dim:>11} {block_dim:>10} "
+              f"{t_solve * 1e3:>11.2f}")
 
     print("\nsynthesis: qubit Hamiltonian, circuit build and Hartree-Fock check")
     print(f"{'orbitals':>8} {'qubits':>7} {'gates':>7} {'hamiltonian (ms)':>17} "

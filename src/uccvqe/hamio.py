@@ -18,11 +18,12 @@ from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
 from .pauli import FermionTerm, PauliSum, PauliWord, jw_terms
-from .symmetry import OrbitalSymmetry, SpinSector
+from .symmetry import OrbitalSymmetry, SpinSector, in_symmetry_block
 
 HERMITICITY_TOL = 1e-10
 INTEGRAL_THRESHOLD = 1e-12
 DENSE_QUBIT_LIMIT = 14
+DENSE_BLOCK_LIMIT = 2048  # every spin sector up to 14 qubits and screened CAS(8,8) fit
 
 
 class FcidumpError(ValueError):
@@ -30,6 +31,10 @@ class FcidumpError(ValueError):
 
 
 class HamiltonianError(ValueError):
+    pass
+
+
+class BlockSizeError(HamiltonianError):
     pass
 
 
@@ -363,23 +368,19 @@ def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     return mat
 
 
-def spin_sector_indices(mapping: QubitMapping, sector: SpinSector) -> np.ndarray:
-    """Ascending amplitude indices whose alpha/beta occupation under
-    ``mapping`` matches the sector."""
-    n = mapping.n_qubits
-    alpha_bits = sum(1 << (n - 1 - q) for q in mapping.alpha_qubits())
-    beta_bits = sum(1 << (n - 1 - q) for q in mapping.beta_qubits())
-    idx = np.arange(1 << n, dtype=np.uint64)
-    na = np.bitwise_count(idx & np.uint64(alpha_bits))
-    nb = np.bitwise_count(idx & np.uint64(beta_bits))
-    return idx[(na == sector.n_alpha) & (nb == sector.n_beta)].astype(np.int64)
+def spin_sector_indices(mapping: QubitMapping, sector: SpinSector,
+                        orbsym: Optional[OrbitalSymmetry] = None) -> np.ndarray:
+    """Ascending amplitude indices of the block (``in_symmetry_block``)."""
+    idx = np.arange(1 << mapping.n_qubits, dtype=np.uint64)
+    return idx[in_symmetry_block(idx, mapping, sector, orbsym)].astype(np.int64)
 
 
-def sector_indices(h: QubitHamiltonian, sector: SpinSector) -> np.ndarray:
-    """Amplitude indices whose alpha/beta occupation matches the sector."""
+def sector_indices(h: QubitHamiltonian, sector: SpinSector,
+                   orbsym: Optional[OrbitalSymmetry] = None) -> np.ndarray:
+    """Amplitude indices of the block under the attached mapping."""
     if h.mapping is None:
         raise HamiltonianError("sector restriction needs a qubit mapping")
-    return spin_sector_indices(h.mapping, sector)
+    return spin_sector_indices(h.mapping, sector, orbsym)
 
 
 @dataclass(frozen=True)
@@ -441,31 +442,22 @@ def sector_operator(terms: PauliSum, basis: np.ndarray) -> SectorOperator:
     return SectorOperator(len(states), tuple(gathers))
 
 
-def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None) -> float:
-    """Lowest eigenvalue, optionally restricted to a particle/spin sector.
-
-    The molecular Hamiltonian conserves both spin occupations, so the sector
-    block is exact rather than a projection.
-    """
-    n = h.n_qubits
-    if n > DENSE_QUBIT_LIMIT:
-        raise HamiltonianError(f"{n} qubits exceeds the {DENSE_QUBIT_LIMIT}-qubit dense cap")
-    if sector is not None:
-        keep = sector_indices(h, sector)
-        if len(keep) == 0:
-            raise HamiltonianError("empty sector")
-        vals = np.linalg.eigvalsh(sector_operator(h.terms, keep).matrix())
-        return float(vals[0] + h.offset)
-    if n <= 10:
-        vals = np.linalg.eigvalsh(dense_matrix(h))
-        return float(vals[0])
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    table = _mask_table(h.terms)
-    op = LinearOperator(
-        (1 << n, 1 << n),
-        matvec=lambda v: kernels.apply_pauli_sum(np.ascontiguousarray(v, dtype=np.complex128), n, table),
-        dtype=np.complex128,
-    )
-    vals = eigsh(op, k=1, which="SA", return_eigenvectors=False)
-    return float(vals[0] + h.offset)
+def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None,
+                        orbsym: Optional[OrbitalSymmetry] = None) -> float:
+    """Lowest eigenvalue on the symmetry block (``in_symmetry_block``) by one
+    dense ``eigvalsh``. With no sector, the lowest over every spin sector:
+    the whole register for an operator that conserves both spin counts.
+    Molecular Hamiltonians conserve both and, with integrals that respect
+    ``orbsym``, the irrep, so a block is exact rather than a projection."""
+    counts = range(h.n_qubits // 2 + 1)
+    blocks = [sector_indices(h, s, orbsym) for s in
+              ([sector] if sector else [SpinSector(a, b) for a in counts for b in counts])]
+    largest = max(len(keep) for keep in blocks)
+    if largest > DENSE_BLOCK_LIMIT:
+        raise BlockSizeError(f"symmetry block of {largest} determinants exceeds the "
+                             f"dense cap of {DENSE_BLOCK_LIMIT}")
+    if largest == 0:
+        raise HamiltonianError("empty symmetry block")
+    ground = min(np.linalg.eigvalsh(sector_operator(h.terms, keep).matrix())[0]
+                 for keep in blocks if len(keep))
+    return float(ground + h.offset)

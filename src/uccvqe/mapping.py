@@ -81,15 +81,18 @@ def span_cost(support: Iterable[int]) -> int:
     return qs[-1] - qs[0] + 1 - len(qs)
 
 
+def _scorer(excs: Sequence, n_qubits: int):
+    """perm -> total span cost, from each excitation's spin orbitals taken once."""
+    sets = [exc.spin_orbitals(n_qubits // 2) for exc in excs]
+    for exc, sos in zip(excs, sets):
+        if max(sos) >= n_qubits:
+            raise MappingError(f"excitation {exc} not covered by mapping")
+    return lambda perm: sum(span_cost(perm[so] for so in sos) for sos in sets)
+
+
 def mapping_cost(excs: Sequence, mapping: QubitMapping) -> int:
     """Total Z-chain length proxy over all excitations under a mapping."""
-    total = 0
-    for exc in excs:
-        sos = exc.spin_orbitals(mapping.n_spatial)
-        if any(so >= mapping.n_qubits for so in sos):
-            raise MappingError(f"excitation {exc} not covered by mapping")
-        total += span_cost(mapping.qubit_of(so) for so in sos)
-    return total
+    return _scorer(excs, mapping.n_qubits)(mapping.perm)
 
 
 def _best_window(free: list[int], k: int, anchor: list[int]) -> list[int]:
@@ -179,4 +182,5 @@ def greedy_map(excs: Sequence, n_qubits: int, seed: int = 0, restarts: int = 32)
     candidates = [QubitMapping.identity(n_spatial)]
     for _ in range(restarts):
         candidates.append(_greedy_run(orbitals, sharers, order, n_spatial, rng))
-    return min(candidates, key=lambda m: (mapping_cost(excs, m), m.perm))
+    cost = _scorer(excs, n_qubits)
+    return min(candidates, key=lambda m: (cost(m.perm), m.perm))

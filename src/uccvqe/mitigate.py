@@ -1,19 +1,21 @@
 """Symmetry-based post-selection on computational-basis histograms.
 
 The 'particle' policy keeps shots whose total 1-count equals the electron
-count; 'spin' additionally pins the per-spin counts (and therefore implies
-the particle constraint). Only Z-basis measurement groups are filtered;
-rotated-basis groups pass through untouched.
+count; 'spin' keeps the (N_alpha, N_beta) sector, ``in_symmetry_block``.
+Only Z-basis measurement groups are filtered; rotated-basis groups pass
+through untouched.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .hamio import QubitHamiltonian
 from .mapping import QubitMapping
-from .sim import Histogram, energy_from_histograms
-from .symmetry import SpinSector, sector_of_bitstring
+from .sim import Histogram, estimate_energy, group_outcomes
+from .symmetry import SpinSector, in_symmetry_block
 
 POLICIES = ("none", "particle", "spin")
 
@@ -31,45 +33,36 @@ class PostSelectionPolicy:
         if self.kind not in POLICIES:
             raise MitigationError(f"unknown policy {self.kind!r}; expected one of {POLICIES}")
 
+    def keeps(self, idx: np.ndarray, mapping: Optional[QubitMapping]) -> np.ndarray:
+        """Which uint64 outcome indices (qubit 0 most significant) to keep."""
+        if self.kind == "particle":
+            return np.bitwise_count(idx) == self.sector.n_electrons
+        if self.kind == "none":
+            return np.ones(len(idx), dtype=bool)
+        if mapping is None:
+            raise MitigationError("spin post-selection needs the qubit mapping")
+        return in_symmetry_block(idx, mapping, self.sector)
+
+    def discarded(self, group_id: int) -> MitigationError:
+        return MitigationError(f"post-selection '{self.kind}' discarded every shot of group "
+                               f"{group_id}: measured data is entirely outside the "
+                               f"({self.sector.n_alpha},{self.sector.n_beta}) sector")
+
 
 def postselect(hist: Histogram, policy: PostSelectionPolicy,
                mapping: Optional[QubitMapping] = None) -> Histogram:
     """Filter a computational-basis histogram by the policy's symmetry."""
-    if policy.kind == "none":
-        return Histogram(dict(hist.counts), hist.shots, hist.group_id, hist.seed)
-    if policy.kind == "spin" and mapping is None:
-        raise MitigationError("spin post-selection needs the qubit mapping")
-    kept: dict[str, int] = {}
-    for bits, count in hist.counts.items():
-        if policy.kind == "particle":
-            ok = bits.count("1") == policy.sector.n_electrons
-        else:
-            sector = sector_of_bitstring(bits, mapping)
-            ok = (sector.n_alpha == policy.sector.n_alpha
-                  and sector.n_beta == policy.sector.n_beta)
-        if ok:
-            kept[bits] = count
+    bits = sorted(hist.counts)
+    spin = mapping is not None and policy.kind == "spin"
+    n = mapping.n_qubits if spin else len(next(iter(bits), ""))
+    if any(len(b) != n for b in bits):
+        raise MitigationError(f"group {hist.group_id}: bitstrings are not {n} bits long")
+    idx = np.array([int(b, 2) for b in bits], dtype=np.uint64)
+    kept = {b: hist.counts[b] for b, keep in zip(bits, policy.keeps(idx, mapping)) if keep}
     retained = sum(kept.values())
     if retained == 0:
-        raise MitigationError(
-            f"post-selection '{policy.kind}' discarded every shot of group "
-            f"{hist.group_id}: measured data is entirely outside the "
-            f"({policy.sector.n_alpha},{policy.sector.n_beta}) sector"
-        )
+        raise policy.discarded(hist.group_id)
     return Histogram(kept, retained, hist.group_id, hist.seed)
-
-
-def _postselect_z_groups(groups: Sequence, histograms: Sequence[Histogram],
-                         policy: PostSelectionPolicy,
-                         mapping: Optional[QubitMapping]) -> list[Histogram]:
-    """The histograms with every Z-basis group post-selected once; rotated
-    groups pass through as given."""
-    if len(groups) != len(histograms):
-        raise MitigationError(f"{len(groups)} groups but {len(histograms)} histograms")
-    if not any(g.is_z_basis() for g in groups):
-        raise MitigationError("no computational-basis measurement group found")
-    return [postselect(hist, policy, mapping) if g.is_z_basis() else hist
-            for g, hist in zip(groups, histograms)]
 
 
 def mitigated_energy(
@@ -80,8 +73,8 @@ def mitigated_energy(
     h: QubitHamiltonian,
 ) -> tuple[float, float]:
     """Energy and standard error after post-selecting the Z-basis groups."""
-    filtered = _postselect_z_groups(groups, histograms, policy, mapping)
-    return energy_from_histograms(groups, filtered, h.offset)
+    report = run_policies(groups, histograms, policy.sector, mapping, h, (policy.kind,))
+    return report.outcomes[policy.kind].energy, report.outcomes[policy.kind].standard_error
 
 
 @dataclass
@@ -108,16 +101,29 @@ def run_policies(
     h: QubitHamiltonian,
     kinds: Sequence[str] = ("particle", "spin"),
 ) -> MitigationReport:
-    """Apply each requested policy and collect retained-shot accounting."""
-    raw_e, raw_se = energy_from_histograms(groups, histograms, h.offset)
-    z_idx = [i for i, g in enumerate(groups) if g.is_z_basis()]
-    if not z_idx:
+    """Apply each requested policy and collect retained-shot accounting.
+
+    Each histogram is parsed and valued once; a policy is then a mask on
+    the outcome indices of the Z-basis groups."""
+    if len(groups) != len(histograms):
+        raise MitigationError(f"{len(groups)} groups but {len(histograms)} histograms")
+    if not any(g.is_z_basis() for g in groups):
         raise MitigationError("no computational-basis measurement group found")
-    total_z = sum(histograms[i].shots for i in z_idx)
-    outcomes = {}
-    for kind in kinds:
-        policy = PostSelectionPolicy(kind, sector)
-        filtered = _postselect_z_groups(groups, histograms, policy, mapping)
-        e, se = energy_from_histograms(groups, filtered, h.offset)
-        outcomes[kind] = PolicyOutcome(e, se, sum(filtered[i].shots for i in z_idx))
-    return MitigationReport(total_z, PolicyOutcome(raw_e, raw_se, total_z), outcomes)
+    parsed = [(g.is_z_basis(), *group_outcomes(g, hist), hist.group_id)
+              for g, hist in zip(groups, histograms)]
+
+    def outcome(policy: PostSelectionPolicy) -> PolicyOutcome:
+        samples, retained = [], 0
+        for z_basis, idx, values, weights, group_id in parsed:
+            if z_basis:
+                keep = policy.keeps(idx, mapping)
+                values, weights = values[keep], weights[keep]
+                retained += int(weights.sum())
+                if not weights.any():
+                    raise policy.discarded(group_id)
+            samples.append((values, weights, group_id))
+        return PolicyOutcome(*estimate_energy(samples, h.offset), retained)
+
+    raw = outcome(PostSelectionPolicy("none", sector))
+    return MitigationReport(raw.retained_shots, raw,
+                            {kind: outcome(PostSelectionPolicy(kind, sector)) for kind in kinds})

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .circuit import Circuit
+from .symmetry import index_mask
 
 MAX_QUBITS = 24
 
@@ -64,26 +65,14 @@ class Statevector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def bitstring_of_index(self, index: int) -> str:
-        return format(index, f"0{self.n_qubits}b")
-
     def copy(self) -> "Statevector":
         return Statevector(self.n_qubits, self.amplitudes.copy())
-
-
-def _index_bit(n: int, q: int) -> int:
-    return 1 << (n - 1 - q)
 
 
 def word_masks(n: int, x_mask: int, z_mask: int) -> tuple[int, int, int]:
     """Convert qubit-indexed Pauli masks to amplitude-index masks; returns
     (x_bits, z_bits, y_count)."""
-    xb = zb = 0
-    for q in range(n):
-        if (x_mask >> q) & 1:
-            xb |= _index_bit(n, q)
-        if (z_mask >> q) & 1:
-            zb |= _index_bit(n, q)
+    xb, zb = (index_mask(n, [q for q in range(n) if mask >> q & 1]) for mask in (x_mask, z_mask))
     return xb, zb, (x_mask & z_mask).bit_count()
 
 
@@ -247,8 +236,9 @@ def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
     return Histogram(counts, shots, getattr(group, "index", 0), seed)
 
 
-def group_shot_values(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bitstring contribution of a whole group and the matching counts.
+def group_outcomes(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A group's outcomes as uint64 amplitude indices (qubit 0 most
+    significant) in bitstring order, the group's value on each, and counts.
 
     After the basis change every member word is diagonal, so its value on
     an outcome is the parity of the outcome's bits on the word's support.
@@ -262,31 +252,39 @@ def group_shot_values(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarr
     for w in group.words:
         xb, zb, _ = word_masks(n, w.x_mask, w.z_mask)
         values += w.coefficient.real * kernels.parity_signs(idx, xb | zb)
-    return values, np.array([count for _, count in items], dtype=np.float64)
+    return idx, values, np.array([count for _, count in items], dtype=np.float64)
 
 
-def energy_from_histograms(groups: Sequence, histograms: Sequence[Histogram],
-                           offset: float = 0.0) -> tuple[float, float]:
-    """Energy estimate and standard error from one histogram per group.
+def group_shot_values(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bitstring contribution of a whole group and the matching counts."""
+    return group_outcomes(group, histogram)[1:]
+
+
+def estimate_energy(samples, offset: float = 0.0) -> tuple[float, float]:
+    """Energy estimate and standard error from (values, counts, group id) per group.
 
     Within a group all member words are read off the same shots, so their
     covariance enters through the per-shot group totals; groups are sampled
     independently and their variances add.
     """
-    if len(groups) != len(histograms):
-        raise SimulationError(
-            f"{len(groups)} groups but {len(histograms)} histograms"
-        )
     energy = float(offset)
     variance = 0.0
-    for group, hist in zip(groups, histograms):
-        values, weights = group_shot_values(group, hist)
+    for values, weights, group_id in samples:
         shots = weights.sum()
         if shots <= 0:
-            raise SimulationError(f"group {hist.group_id} has no shots")
+            raise SimulationError(f"group {group_id} has no shots")
         mean = float(np.dot(values, weights) / shots)
         energy += mean
         if shots > 1:
             var = float(np.dot(weights, (values - mean) ** 2) / (shots - 1))
             variance += var / shots
     return energy, math.sqrt(variance)
+
+
+def energy_from_histograms(groups: Sequence, histograms: Sequence[Histogram],
+                           offset: float = 0.0) -> tuple[float, float]:
+    """Energy estimate and standard error from one histogram per group."""
+    if len(groups) != len(histograms):
+        raise SimulationError(f"{len(groups)} groups but {len(histograms)} histograms")
+    return estimate_energy(((*group_shot_values(group, hist), hist.group_id)
+                            for group, hist in zip(groups, histograms)), offset)

@@ -1,4 +1,4 @@
-"""Abelian point-group bookkeeping and spin-sector labeling.
+"""Abelian point-group bookkeeping and the symmetry-block rule.
 
 Irreps follow the Molpro/FCIDUMP ORBSYM convention: integer labels 1..8
 where label 1 is the totally symmetric irrep and the product of two irreps
@@ -8,7 +8,9 @@ subgroups; non-Abelian groups are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 
 class SymmetryError(ValueError):
@@ -108,15 +110,39 @@ class SpinSector:
         return self.n_alpha + self.n_beta
 
 
+def index_mask(n: int, qubits) -> int:
+    """Amplitude-index bits of ``qubits`` on n qubits (qubit 0 is the most significant)."""
+    return sum(1 << (n - 1 - q) for q in qubits)
+
+
+def in_symmetry_block(indices: np.ndarray, mapping, sector: SpinSector,
+                      orbsym: Optional[OrbitalSymmetry] = None) -> np.ndarray:
+    """Which uint64 amplitude indices lie in the (N_alpha, N_beta) sector
+    and, given one irrep per spatial orbital of the mapping, are totally
+    symmetric like every closed-shell Hartree-Fock determinant: the XOR of
+    the occupied spin orbitals' irrep codes is 0, one parity per code bit."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    count = lambda qubits: np.bitwise_count(idx & np.uint64(index_mask(mapping.n_qubits, qubits)))
+    keep = ((count(mapping.alpha_qubits()) == sector.n_alpha)
+            & (count(mapping.beta_qubits()) == sector.n_beta))
+    if orbsym is not None:
+        if len(orbsym) != mapping.n_spatial:
+            raise SymmetryError(f"{len(orbsym)} orbital irreps for {mapping.n_spatial} orbitals")
+        for bit in (1, 2, 4):
+            odd = [q for k in range(mapping.n_spatial) if orbsym[k].code & bit
+                   for q in (mapping.alpha_qubit(k), mapping.beta_qubit(k))]
+            keep &= count(odd) % 2 == 0
+    return keep
+
+
 def sector_of_bitstring(bits: str, mapping) -> SpinSector:
     """Count measured '1's separately on alpha and beta qubits.
 
     ``bits`` is a computational-basis outcome with qubit 0 leftmost.
     """
-    if len(bits) != mapping.n_qubits:
-        raise SymmetryError(
-            f"bitstring length {len(bits)} != qubit count {mapping.n_qubits}"
-        )
-    n_alpha = sum(bits[q] == "1" for q in mapping.alpha_qubits())
-    n_beta = sum(bits[q] == "1" for q in mapping.beta_qubits())
-    return SpinSector(n_alpha, n_beta)
+    n = mapping.n_qubits
+    if len(bits) != n:
+        raise SymmetryError(f"bitstring length {len(bits)} != qubit count {n}")
+    index = int(bits, 2)
+    return SpinSector((index & index_mask(n, mapping.alpha_qubits())).bit_count(),
+                      (index & index_mask(n, mapping.beta_qubits())).bit_count())

@@ -4,18 +4,18 @@ Everything here is built directly from numpy primitives (kron products,
 occupation-number ladder matrices, scipy expm) so it exercises none of the
 code paths under test. The reference implementations further down (gate
 cancellation, QWC grouping, gate kernels, expectation, the Jordan-Wigner
-product chain, greedy mapping, the gate-level Hartree-Fock check) are the
-simple earlier forms of optimized library routines, kept to pin those
-routines' output exactly.
+product chain, greedy mapping, the gate-level Hartree-Fock check,
+post-selection on bitstrings) are the simple earlier forms of optimized
+library routines, kept to pin those routines' output exactly.
 """
 import numpy as np
 from scipy.linalg import expm
 
 from uccvqe.circuit import Circuit
 from uccvqe.hamio import MeasurementGroup
-from uccvqe.mapping import QubitMapping, _best_window, mapping_cost
+from uccvqe.mapping import QubitMapping, _best_window
 from uccvqe.pauli import COEFF_EPS, FermionTerm, PauliError, PauliSum, PauliWord
-from uccvqe.sim import Statevector, apply_circuit, word_masks
+from uccvqe.sim import Histogram, Statevector, apply_circuit, word_masks
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -258,7 +258,8 @@ def jw_transform_by_products(term: FermionTerm, n: int) -> dict:
 
 def greedy_map_rescanning(excs, n_qubits: int, seed: int = 0, restarts: int = 32) -> QubitMapping:
     """Greedy mapping that recounts every remaining excitation's placed
-    orbitals from its frozenset after every placement."""
+    orbitals from its frozenset after every placement, and scores each
+    candidate from freshly built spin-orbital sets."""
     n_spatial = n_qubits // 2
     rng = np.random.default_rng(seed)
 
@@ -294,8 +295,31 @@ def greedy_map_rescanning(excs, n_qubits: int, seed: int = 0, restarts: int = 32
         positions = [placed[o] if o in placed else free.pop(0) for o in range(n_spatial)]
         return QubitMapping.from_spatial_order(positions)
 
+    def cost(m):
+        total = 0
+        for exc in excs:
+            qs = sorted(m.qubit_of(so) for so in exc.spin_orbitals(n_spatial))
+            total += qs[-1] - qs[0] + 1 - len(qs)
+        return total
+
     candidates = [QubitMapping.identity(n_spatial)] + [run() for _ in range(restarts)]
-    return min(candidates, key=lambda m: (mapping_cost(excs, m), m.perm))
+    return min(candidates, key=lambda m: (cost(m), m.perm))
+
+
+def postselect_by_string(hist, kind: str, n_alpha: int, n_beta: int, mapping=None):
+    """Reference post-selection on bitstrings: 'particle' counts every '1',
+    'spin' counts the '1's on the mapping's alpha and beta qubits."""
+    kept = {}
+    for bits, count in hist.counts.items():
+        if kind == "particle":
+            ok = bits.count("1") == n_alpha + n_beta
+        else:
+            ok = (sum(bits[q] == "1" for q in mapping.alpha_qubits()) == n_alpha
+                  and sum(bits[q] == "1" for q in mapping.beta_qubits()) == n_beta)
+        if ok:
+            kept[bits] = count
+    assert kept, f"post-selection '{kind}' discarded every shot of group {hist.group_id}"
+    return Histogram(kept, sum(kept.values()), hist.group_id, hist.seed)
 
 
 # D2h character table over the operations (E, C2z, C2y, C2x, i, s_xy, s_xz,

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_block_mapping, random_integrals
 from oracles import hf_check_by_statevector
 from uccvqe.circuit import Circuit, Gate, build_ansatz_circuit
+from uccvqe import hamio
 from uccvqe.cli import CliError, Pipeline, RunConfig, load_report, main, validate_report
 from uccvqe.hamio import (
     ActiveSelection,
@@ -230,6 +231,39 @@ class TestVqe:
             for key in ("sampled_raw", "sampled_particle", "sampled_spin")
         }
         assert report["retained_shots"] == {"z_basis_total": 2000, "particle": 2000, "spin": 2000}
+
+
+    def test_exact_ground_is_the_hartree_fock_irrep_block(self, tmp_path):
+        # Two orbitals of different irreps. The (1,1) sector also holds the
+        # two open-shell determinants of the other irrep, whose ground lies
+        # 94 mEh lower; the doubles ansatz is exact on the irrep-1 block.
+        g = np.zeros((2, 2, 2, 2))
+        for (p, q, r, s_), v in (((0, 0, 0, 0), 0.7), ((1, 1, 1, 1), 0.7),
+                                 ((0, 0, 1, 1), 0.6), ((0, 1, 0, 1), 0.2)):
+            for a, b, c, d in ((p, q, r, s_), (q, p, r, s_), (p, q, s_, r), (q, p, s_, r),
+                               (r, s_, p, q), (s_, r, p, q), (r, s_, q, p), (s_, r, q, p)):
+                g[a, b, c, d] = v
+        path = tmp_path / "two.fcidump"
+        write_fcidump(str(path), MolecularIntegrals(
+            2, 2, 0, 0.0, np.diag([-1.0, -0.95]), g, OrbitalSymmetry.from_labels([1, 2])))
+        energies = {}
+        for flags in ([], ["--no-symmetry"]):
+            out = tmp_path / ("off" if flags else "on")
+            assert run(["vqe", "--fcidump", str(path), "--electrons", "2", "--shots", "200",
+                        "--out", str(out)] + flags) == 0
+            energies[bool(flags)] = load_report(out / "report.json")["energies_hartree"]
+        screened, unscreened = energies[False], energies[True]
+        assert screened["exact_ground"] == pytest.approx(screened["variational"], abs=1e-9)
+        assert screened["exact_ground"] == pytest.approx(-1.4561552812808836, abs=1e-12)
+        assert unscreened["exact_ground"] == pytest.approx(-1.55, abs=1e-12)
+
+    def test_block_over_the_cap_leaves_exact_ground_out(self, h2_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(hamio, "DENSE_BLOCK_LIMIT", 1)
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "200",
+                    "--out", str(tmp_path)]) == 0
+        energies = load_report(tmp_path / "report.json")["energies_hartree"]
+        assert "exact_ground" not in energies
+        assert energies["variational"] == pytest.approx(-1.1372655544, abs=1e-7)
 
 
 class TestBuildsOnce:

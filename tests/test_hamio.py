@@ -13,6 +13,7 @@ from oracles import ladder_matrix, qwc_group_by_axes
 from uccvqe.ansatz import ActiveSpace
 from uccvqe.hamio import (
     ActiveSelection,
+    BlockSizeError,
     FcidumpError,
     HamiltonianError,
     MolecularIntegrals,
@@ -342,12 +343,6 @@ def _wrap(terms: PauliSum):
 
 
 class TestExactGroundEnergy:
-    def test_single_z(self):
-        terms = PauliSum(1, [PauliWord.from_axes("Z", -1.0)])
-        h = _wrap(terms)
-        h.offset = 0.25
-        assert exact_ground_energy(h) == pytest.approx(-1.0 + 0.25, abs=1e-12)
-
     def test_h2_reference_energy(self, h2_hamiltonian):
         assert exact_ground_energy(h2_hamiltonian) == pytest.approx(H2_FCI, abs=1e-9)
 
@@ -361,13 +356,15 @@ class TestExactGroundEnergy:
         assert exact_ground_energy(h2_hamiltonian) <= rhf_energy(core, h_eff, g_act, 1)
 
     def test_dimension_cap(self):
+        # the (4,4) sector of 8 spatial orbitals holds C(8,4)^2 = 4900 determinants
         terms = PauliSum(16, [PauliWord.from_axes("Z" * 16, 1.0)])
         h = _wrap(terms)
-        with pytest.raises(HamiltonianError, match="dense cap"):
-            exact_ground_energy(h)
+        with pytest.raises(BlockSizeError, match="block of 4900 determinants exceeds the dense cap"):
+            exact_ground_energy(h, SpinSector(4, 4))
 
     def test_iterative_path_matches_dense(self, h2_hamiltonian):
-        # force the sparse eigensolver branch by checking a 12-qubit padded copy
+        # a 12-qubit padded copy: with no sector every spin-sector block is
+        # solved, and H2's two electrons sit in the (2, 0) block of this mapping
         from uccvqe.hamio import QubitHamiltonian
 
         n = 12

@@ -1,7 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from uccvqe.hamio import MeasurementGroup
+from conftest import random_block_mapping, random_integrals
+from oracles import postselect_by_string
+from uccvqe.hamio import (
+    ActiveSelection,
+    MeasurementGroup,
+    build_qubit_hamiltonian,
+    qwc_group,
+    spin_sector_indices,
+)
 from uccvqe.mapping import QubitMapping
 from uccvqe.mitigate import (
     MitigationError,
@@ -10,7 +20,7 @@ from uccvqe.mitigate import (
     postselect,
     run_policies,
 )
-from uccvqe.pauli import PauliWord
+from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import Histogram, energy_from_histograms
 from uccvqe.symmetry import SpinSector
 from uccvqe.vqe import evaluate_sampled, optimize
@@ -190,3 +200,55 @@ class TestMitigatedEnergy:
             assert outcome.retained_shots == kept < report.total_z_shots
             assert (outcome.energy, outcome.standard_error) == mitigated_energy(
                 ev.groups, dirty, policy, mapping, h2_hamiltonian)
+
+
+def contaminated_case(n_orbitals: int, seed: int):
+    """A random molecular Hamiltonian under a random block mapping, its
+    diagonal words measured as one Z-basis group and the rest grouped by
+    ``qwc_group``, with one histogram per group: 3/4 of the shots in the
+    reference spin sector, 1/4 uniform over the register."""
+    rng = np.random.default_rng(seed)
+    ints = random_integrals(n_orbitals, n_orbitals, rng)
+    mapping = random_block_mapping(n_orbitals, rng)
+    h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+    n = 2 * n_orbitals
+    diagonal = tuple(w for w in h.terms.words() if w.x_mask == 0)
+    rest = PauliSum(n, [w for w in h.terms.words() if w.x_mask != 0])
+    groups = [MeasurementGroup(0, diagonal, ("Z",) * n)] + [
+        MeasurementGroup(1 + g.index, g.words, g.basis)
+        for g in qwc_group(dataclasses.replace(h, terms=rest))]
+    sector = SpinSector(n_orbitals // 2, n_orbitals // 2)
+    in_sector = spin_sector_indices(mapping, sector)
+    histograms = []
+    for group in groups:
+        draws = np.concatenate([rng.choice(in_sector, size=300), rng.integers(0, 1 << n, size=100)])
+        counts = {}
+        for d in draws:
+            bits = format(int(d), f"0{n}b")
+            counts[bits] = counts.get(bits, 0) + 1
+        histograms.append(Histogram(counts, len(draws), group.index, seed))
+    return groups, histograms, sector, mapping, h
+
+
+@pytest.mark.parametrize("n_orbitals", [4, 6])
+def test_index_filters_match_the_bitstring_oracle(n_orbitals):
+    for seed in range(2):
+        groups, hists, sector, mapping, h = contaminated_case(n_orbitals, 100 * n_orbitals + seed)
+        report = run_policies(groups, hists, sector, mapping, h)
+        assert (report.raw.energy, report.raw.standard_error) == energy_from_histograms(
+            groups, hists, h.offset)
+        for kind in ("particle", "spin"):
+            policy = PostSelectionPolicy(kind, sector)
+            want = [postselect_by_string(hist, kind, sector.n_alpha, sector.n_beta, mapping)
+                    if g.is_z_basis() else hist for g, hist in zip(groups, hists)]
+            energy, se = energy_from_histograms(groups, want, h.offset)
+            kept = sum(w.shots for g, w in zip(groups, want) if g.is_z_basis())
+            outcome = report.outcomes[kind]
+            assert (outcome.energy, outcome.standard_error, outcome.retained_shots) == (
+                energy, se, kept)
+            assert kept < report.total_z_shots
+            assert mitigated_energy(groups, hists, policy, mapping, h) == (energy, se)
+            for g, hist, w in zip(groups, hists, want):
+                if g.is_z_basis():
+                    got = postselect(hist, policy, mapping)
+                    assert (got.counts, got.shots) == (w.counts, w.shots)

@@ -12,7 +12,9 @@ from conftest import random_block_mapping, random_integrals
 from uccvqe.ansatz import VARIANTS, ActiveSpace, enumerate_excitations
 from uccvqe.circuit import build_ansatz_circuit
 from uccvqe.hamio import (
+    DENSE_BLOCK_LIMIT,
     ActiveSelection,
+    BlockSizeError,
     QubitHamiltonian,
     build_qubit_hamiltonian,
     dense_matrix,
@@ -23,7 +25,7 @@ from uccvqe.hamio import (
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import Statevector, apply_circuit, expectation
-from uccvqe.symmetry import SpinSector
+from uccvqe.symmetry import OrbitalSymmetry, SpinSector
 from uccvqe.vqe import SectorAnsatz, _objective
 
 SPACES = (ActiveSpace(2, 2), ActiveSpace(4, 4))
@@ -116,3 +118,41 @@ def test_sector_operator_matches_dense_block_for_any_pauli_sum():
     dense = dense_matrix(h) - h.offset * np.eye(1 << 8)
     assert np.allclose(sector_operator(h.terms, keep).matrix(), dense[np.ix_(keep, keep)],
                        atol=1e-12)
+
+
+def symmetry_adapted_integrals(n_orbitals, n_electrons, labels, rng):
+    """Random integrals with every irrep-forbidden element zeroed."""
+    ints = random_integrals(n_orbitals, n_electrons, rng)
+    code = np.array(labels) - 1
+    ints.h[code[:, None] != code[None, :]] = 0.0
+    xor = code[:, None, None, None] ^ code[None, :, None, None] ^ code[None, None, :, None]
+    ints.g[(xor ^ code[None, None, None, :]) != 0] = 0.0
+    ints.orbsym = OrbitalSymmetry.from_labels(labels)
+    return ints
+
+
+@pytest.mark.parametrize("n_orbitals,n_electrons", [(2, 2), (3, 2), (4, 4), (5, 4), (6, 6)])
+def test_block_ground_matches_dense_block_under_random_irreps(n_orbitals, n_electrons):
+    rng = np.random.default_rng(40 + n_orbitals)
+    for _ in range(2 if n_orbitals < 6 else 1):
+        labels = [int(l) for l in rng.integers(1, 5, size=n_orbitals)]
+        ints = symmetry_adapted_integrals(n_orbitals, n_electrons, labels, rng)
+        mapping = random_block_mapping(n_orbitals, rng)
+        h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+        sector = SpinSector(n_electrons // 2, n_electrons // 2)
+        keep = sector_indices(h, sector, ints.orbsym)
+        block = dense_matrix(h)[np.ix_(keep, keep)]
+        ground = exact_ground_energy(h, sector, ints.orbsym)
+        assert ground == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-10)
+        assert ground >= exact_ground_energy(h, sector) - 1e-12
+
+
+def test_block_cap_is_a_named_error():
+    # CAS(8,8) without screening: the (4,4) sector has C(8,4)^2 = 4900 determinants
+    space = ActiveSpace(8, 8)
+    h = QubitHamiltonian(16, PauliSum(16, [PauliWord.from_axes("Z" + "I" * 15, 1.0)]), 0.0,
+                         QubitMapping.identity(8), space)
+    with pytest.raises(BlockSizeError, match="4900 determinants"):
+        exact_ground_energy(h, SpinSector(4, 4))
+    labels = OrbitalSymmetry.from_labels([1, 1, 1, 2, 3, 3, 4, 4])
+    assert len(sector_indices(h, SpinSector(4, 4), labels)) <= DENSE_BLOCK_LIMIT

@@ -14,6 +14,7 @@ from uccvqe.symmetry import (
     SpinSector,
     SymmetryError,
     excitation_allowed,
+    in_symmetry_block,
     irrep_product,
     sector_of_bitstring,
 )
@@ -133,3 +134,49 @@ class TestSpinSector:
     def test_negative_counts_rejected(self):
         with pytest.raises(SymmetryError):
             SpinSector(-1, 0)
+
+
+class TestSymmetryBlock:
+    @staticmethod
+    def by_characters(index, mapping, sector, labels):
+        """Block membership read off the bitstring character by character,
+        irreps multiplied through the D2h character table."""
+        bits = format(index, f"0{mapping.n_qubits}b")
+        n_alpha = sum(bits[mapping.alpha_qubit(k)] == "1" for k in range(mapping.n_spatial))
+        n_beta = sum(bits[mapping.beta_qubit(k)] == "1" for k in range(mapping.n_spatial))
+        if (n_alpha, n_beta) != (sector.n_alpha, sector.n_beta):
+            return False
+        if labels is None:
+            return True
+        label = 1
+        for k in range(mapping.n_spatial):
+            for q in (mapping.alpha_qubit(k), mapping.beta_qubit(k)):
+                if bits[q] == "1":
+                    label = d2h_product_label(label, labels[k])
+        return label == 1
+
+    def test_matches_character_count_under_random_mappings(self):
+        rng = np.random.default_rng(17)
+        for n_spatial in (1, 2, 3, 4, 5):
+            n = 2 * n_spatial
+            idx = np.arange(1 << n, dtype=np.uint64)
+            for _ in range(3):
+                mapping = QubitMapping(tuple(int(q) for q in rng.permutation(n)))
+                labels = tuple(int(l) for l in rng.integers(1, 9, size=n_spatial))
+                sector = SpinSector(*(int(c) for c in rng.integers(0, n_spatial + 1, size=2)))
+                for sym in (None, OrbitalSymmetry.from_labels(labels)):
+                    got = in_symmetry_block(idx, mapping, sector, sym)
+                    want = [self.by_characters(int(i), mapping, sector,
+                                               None if sym is None else labels) for i in idx]
+                    assert got.tolist() == want
+
+    def test_hartree_fock_determinant_is_in_its_block(self):
+        m = QubitMapping.from_spatial_order([2, 0, 3, 1])
+        hf = sum(1 << (7 - q) for k in (0, 1) for q in (m.alpha_qubit(k), m.beta_qubit(k)))
+        sym = OrbitalSymmetry.from_labels([6, 7, 8, 5])
+        assert in_symmetry_block(np.array([hf], dtype=np.uint64), m, SpinSector(2, 2), sym)[0]
+
+    def test_irrep_table_must_fit_the_mapping(self):
+        with pytest.raises(SymmetryError, match="3 orbital irreps"):
+            in_symmetry_block(np.arange(16, dtype=np.uint64), QubitMapping.identity(2),
+                              SpinSector(1, 1), OrbitalSymmetry.all_symmetric(3))

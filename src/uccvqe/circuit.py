@@ -1,11 +1,13 @@
-"""Gate-level synthesis of the ansatz and the entangling-gate rewrite pass.
+"""Gate-level synthesis of the ansatz and the peephole passes.
 
 Every multi-qubit rotation exp(-i a/2 P) compiles to basis changes into the
 Z eigenbasis (H for X, Sdg+H for Y), a CNOT fan-in onto the highest active
 qubit, Rz, and the mirror. Consecutive rotations of one excitation differ on
-exactly two qubits; their shared ladder structure cancels analytically and
-the emitter writes only the two-CNOT interface, which the CX-H-CX rewrite
-then shrinks to one CNOT.
+exactly two qubits; their shared ladder structure cancels analytically down
+to a CNOT-H-CNOT interface, which the emitter writes directly in its
+one-CNOT form (the CX-H-CX identity). The assembled circuit then goes
+through one ``cancel_adjacent`` pass. ``rewrite_cx_h_cx`` applies the same
+identity to any circuit; synthesis does not call it.
 """
 from __future__ import annotations
 
@@ -158,58 +160,54 @@ def _ladder(active: Sequence[int], target: int) -> list[Gate]:
     return [Gate("CNOT", (q, target)) for q in active if q != target]
 
 
+def _rewrite_template(c: int, t: int) -> list[Gate]:
+    """One-CNOT form of CNOT(c,t) H(c) CNOT(c,t): the reversed CNOT dressed
+    with S and H gates."""
+    return [
+        Gate("S", (c,)),
+        Gate("H", (t,)),
+        Gate("CNOT", (t, c)),
+        Gate("SDG", (c,)),
+        Gate("S", (t,)),
+        Gate("H", (c,)),
+        Gate("H", (t,)),
+    ]
+
+
 def _interface(prev: str, new: str, active: Sequence[int], target: int) -> list[Gate]:
-    """Gates between two adjacent rotations of a gadget chain.
+    """Gates between two adjacent rotations of a gadget chain, given their
+    full axes strings.
 
     When the axes differ on exactly one non-target qubit u and the target,
-    both flipping X<->Y, the inner ladders cancel except for two CNOTs and
-    the residual single-qubit change: on u that residual is S,H,S (X->Y) or
-    Sdg,H,Sdg (Y->X) with the S layer commuting out through the CNOT
-    controls, and on the target it is an X-axis rotation that commutes
-    through the fan-in entirely. Anything else falls back to a full
-    close/reopen.
+    both flipping X<->Y, the inner ladders cancel except for the residual
+    single-qubit change and CNOT(u,t) H(u) CNOT(u,t): on u that residual is
+    S,H,S (X->Y) or Sdg,H,Sdg (Y->X) with the S layer commuting out through
+    the CNOT controls, and on the target it is an X-axis rotation that
+    commutes through the fan-in entirely. The CNOT-H-CNOT core is written
+    in its one-CNOT form. Anything else falls back to a full close/reopen.
     """
-    changed = [q for q in active if prev[_pos(active, q)] != new[_pos(active, q)]]
-    xy = {"X", "Y"}
-    fast = (
-        len(changed) == 2
-        and target in changed
-        and all(
-            {prev[_pos(active, q)], new[_pos(active, q)]} == xy for q in changed
-        )
-    )
-    if not fast:
+    changed = [q for q in active if prev[q] != new[q]]
+    if not (len(changed) == 2 and changed[1] == target
+            and all({prev[q], new[q]} == {"X", "Y"} for q in changed)):
         out = _ladder(active, target)[::-1]
         for q in active:
-            out.extend(_close_basis(prev[_pos(active, q)], q))
+            out.extend(_close_basis(prev[q], q))
         for q in active:
-            out.extend(_open_basis(new[_pos(active, q)], q))
+            out.extend(_open_basis(new[q], q))
         out.extend(_ladder(active, target))
         return out
 
-    u = changed[0] if changed[0] != target else changed[1]
-    out: list[Gate] = []
+    u = changed[0]
     # target residual: close(prev)+open(new) = HSH or HSdgH, recoded so the
     # H sits between S-layer gates; the whole triple is an Rx and commutes
     # with every CNOT targeting it.
-    t_kind = "SDG" if prev[_pos(active, target)] == "Y" else "S"
-    out += [Gate(t_kind, (target,)), Gate("H", (target,)), Gate(t_kind, (target,))]
-    u_kind = "SDG" if prev[_pos(active, u)] == "Y" else "S"
-    out += [
-        Gate(u_kind, (u,)),
-        Gate("CNOT", (u, target)),
-        Gate("H", (u,)),
-        Gate("CNOT", (u, target)),
-        Gate(u_kind, (u,)),
-    ]
-    return out
+    t_kind = "SDG" if prev[target] == "Y" else "S"
+    u_kind = "SDG" if prev[u] == "Y" else "S"
+    return [Gate(t_kind, (target,)), Gate("H", (target,)), Gate(t_kind, (target,)),
+            Gate(u_kind, (u,)), *_rewrite_template(u, target), Gate(u_kind, (u,))]
 
 
-def _pos(active: Sequence[int], q: int) -> int:
-    return active.index(q)
-
-
-def _gadget_chain(n: int, terms: Sequence[tuple[str, Angle]]) -> Circuit:
+def _gadget_chain(terms: Sequence[tuple[str, Angle]]) -> list[Gate]:
     """Merged chain of Pauli rotations sharing one active qubit set.
 
     ``terms`` holds (full axes string, angle) pairs; each implements
@@ -229,44 +227,23 @@ def _gadget_chain(n: int, terms: Sequence[tuple[str, Angle]]) -> Circuit:
         gates.extend(_open_basis(first_axes[q], q))
     gates.extend(_ladder(active, target))
     gates.append(Gate("RZ", (target,), terms[0][1]))
-    prev = first_axes
-    for axes, angle in terms[1:]:
-        gates.extend(
-            _interface(
-                "".join(prev[q] for q in active),
-                "".join(axes[q] for q in active),
-                active,
-                target,
-            )
-        )
+    for (prev, _), (axes, angle) in zip(terms, terms[1:]):
+        gates.extend(_interface(prev, axes, active, target))
         gates.append(Gate("RZ", (target,), angle))
-        prev = axes
     gates.extend(_ladder(active, target)[::-1])
     for q in active:
-        gates.extend(_close_basis(prev[q], q))
-    return Circuit(n, gates)
+        gates.extend(_close_basis(terms[-1][0][q], q))
+    return gates
 
 
 def synth_pauli_rotation(word_axes: str, angle: Angle, n: Optional[int] = None) -> Circuit:
     """Circuit for exp(-i angle/2 P) with P given as an axes string."""
     n = len(word_axes) if n is None else n
-    return _gadget_chain(n, [(word_axes, angle)])
+    return Circuit(n, _gadget_chain([(word_axes, angle)]))
 
 
 # ---------------------------------------------------------------------------
-# rewrite pass
-
-def _rewrite_template(c: int, t: int) -> list[Gate]:
-    return [
-        Gate("S", (c,)),
-        Gate("H", (t,)),
-        Gate("CNOT", (t, c)),
-        Gate("SDG", (c,)),
-        Gate("S", (t,)),
-        Gate("H", (c,)),
-        Gate("H", (t,)),
-    ]
-
+# peephole passes
 
 def rewrite_cx_h_cx(circuit: Circuit) -> Circuit:
     """Replace every CNOT, H(control), CNOT pattern by its single-CNOT
@@ -359,28 +336,34 @@ def _param_name(exc: Excitation) -> str:
     return f"t{exc.param_id}"
 
 
-def synth_double_excitation(exc: Excitation, mapping: QubitMapping,
-                            param: Optional[str] = None) -> Circuit:
-    """Merged 8-rotation chain for an unpaired double excitation."""
-    if exc.kind != "double" or exc.paired:
-        raise CircuitError("expected an unpaired double excitation")
-    param = param or _param_name(exc)
-    gen = antihermitian_generator(exc, mapping)
-    terms = dict()
+def _excitation_chain(exc: Excitation, mapping: QubitMapping, param: str) -> list[Gate]:
+    """Uncancelled gadget chain of an unpaired excitation: the two rotations
+    of a single in axes order, or the eight of a double in
+    ``DOUBLE_TERM_ORDER``."""
+    terms = _rotation_terms(antihermitian_generator(exc, mapping), param)
+    if exc.kind == "single":
+        return _gadget_chain(sorted(terms, key=lambda t: t[0]))
+    by_label = {}
     support = None
-    for axes, angle in _rotation_terms(gen, param):
+    for axes, angle in terms:
         xy = [q for q, a in enumerate(axes) if a in "XY"]
         if support is None:
             support = xy
         elif xy != support:
             raise CircuitError("double-excitation words disagree on X/Y support")
-        label = "".join(axes[q] for q in xy)
-        terms[label] = (axes, angle)
-    if len(terms) != 8:
-        raise CircuitError(f"expected 8 rotation terms, got {len(terms)}")
-    ordered = [terms[label] for label in DOUBLE_TERM_ORDER]
-    chain = _gadget_chain(mapping.n_qubits, ordered)
-    return cancel_adjacent(rewrite_cx_h_cx(chain))
+        by_label["".join(axes[q] for q in xy)] = (axes, angle)
+    if len(by_label) != 8:
+        raise CircuitError(f"expected 8 rotation terms, got {len(by_label)}")
+    return _gadget_chain([by_label[label] for label in DOUBLE_TERM_ORDER])
+
+
+def synth_double_excitation(exc: Excitation, mapping: QubitMapping,
+                            param: Optional[str] = None) -> Circuit:
+    """Merged 8-rotation chain for an unpaired double excitation."""
+    if exc.kind != "double" or exc.paired:
+        raise CircuitError("expected an unpaired double excitation")
+    chain = _excitation_chain(exc, mapping, param or _param_name(exc))
+    return cancel_adjacent(Circuit(mapping.n_qubits, chain))
 
 
 def synth_single_excitation(exc: Excitation, mapping: QubitMapping,
@@ -388,11 +371,8 @@ def synth_single_excitation(exc: Excitation, mapping: QubitMapping,
     """Two-rotation chain for a single excitation."""
     if exc.kind != "single":
         raise CircuitError("expected a single excitation")
-    param = param or _param_name(exc)
-    gen = antihermitian_generator(exc, mapping)
-    ordered = sorted(_rotation_terms(gen, param), key=lambda t: t[0])
-    chain = _gadget_chain(mapping.n_qubits, ordered)
-    return cancel_adjacent(rewrite_cx_h_cx(chain))
+    chain = _excitation_chain(exc, mapping, param or _param_name(exc))
+    return cancel_adjacent(Circuit(mapping.n_qubits, chain))
 
 
 def _rx_gates(q: int, angle: Angle) -> list[Gate]:
@@ -459,10 +439,6 @@ def build_ansatz_circuit(spec: AnsatzSpec, mapping: QubitMapping) -> Circuit:
             gates.extend(synth_paired_excitation(exc, mapping).gates)
     gates.extend(synth_spatial_to_spin(mapping, spec.active_space).gates)
     for exc in spec.excitations:
-        if exc.paired:
-            continue
-        if exc.kind == "double":
-            gates.extend(synth_double_excitation(exc, mapping).gates)
-        else:
-            gates.extend(synth_single_excitation(exc, mapping).gates)
+        if not exc.paired:
+            gates.extend(_excitation_chain(exc, mapping, _param_name(exc)))
     return cancel_adjacent(Circuit(mapping.n_qubits, gates))

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,19 +65,10 @@ class RunConfig:
     out_dir: str = "."
 
     def to_dict(self) -> dict:
-        return {
-            "fcidump": self.fcidump,
-            "n_electrons": self.n_electrons,
-            "orbitals": list(self.orbitals),
-            "variant": self.variant,
-            "symmetry": self.symmetry,
-            "map_seed": self.map_seed,
-            "map_restarts": self.map_restarts,
-            "shots": self.shots,
-            "shot_mode": self.shot_mode,
-            "sample_seed": self.sample_seed,
-            "policy": self.policy,
-        }
+        """The report's ``config``: every field but ``out_dir``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        out["orbitals"] = list(self.orbitals)
+        return out
 
 
 def validate_report(data: dict) -> dict:

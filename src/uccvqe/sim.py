@@ -176,13 +176,15 @@ class Histogram:
     seed: int
 
     def __post_init__(self):
+        width = len(next(iter(self.counts), ""))
+        for bits, count in self.counts.items():
+            if bits.strip("01") or len(bits) != width:
+                raise SimulationError(f"bitstring {bits!r} is not {width} characters of 0/1")
+            if count < 0:
+                raise SimulationError(f"record '{bits} {count}' has a negative count")
         total = sum(self.counts.values())
         if total != self.shots:
             raise SimulationError(f"counts sum to {total}, expected {self.shots}")
-        width = len(next(iter(self.counts), ""))
-        for bits in self.counts:
-            if bits.strip("01") or len(bits) != width:
-                raise SimulationError(f"bitstring {bits!r} is not {width} characters of 0/1")
 
     def to_text(self) -> str:
         lines = [f"GROUP {self.group_id}", f"SHOTS {self.shots}", f"SEED {self.seed}"]
@@ -192,17 +194,34 @@ class Histogram:
 
     @classmethod
     def from_text(cls, text: str) -> "Histogram":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 3 or not lines[0].startswith("GROUP "):
-            raise SimulationError("malformed histogram file")
-        gid = int(lines[0].split()[1])
-        shots = int(lines[1].split()[1])
-        seed = int(lines[2].split()[1])
-        counts = {}
-        for ln in lines[3:]:
-            bits, c = ln.split()
-            counts[bits] = int(c)
-        return cls(counts, shots, gid, seed)
+        """Read the ``to_text`` form: ``GROUP``, ``SHOTS`` and ``SEED`` lines
+        with one integer each, then one ``<bits> <count>`` record per
+        bitstring. Blank lines are skipped; anything else is refused with
+        its line number."""
+        lines = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        header = []
+        for key, (k, tok) in zip(("GROUP", "SHOTS", "SEED"), lines):
+            if len(tok) != 2 or tok[0] != key:
+                raise SimulationError(f"line {k}: expected '{key} <integer>', got {' '.join(tok)!r}")
+            header.append(_line_int(k, tok[1]))
+        if len(header) < 3:
+            raise SimulationError("malformed histogram file: needs GROUP, SHOTS and SEED lines")
+        counts: dict[str, int] = {}
+        for k, tok in lines[3:]:
+            if len(tok) != 2:
+                raise SimulationError(f"line {k}: expected '<bits> <count>', got {' '.join(tok)!r}")
+            if tok[0] in counts:
+                raise SimulationError(f"line {k}: bitstring {tok[0]!r} repeats an earlier record")
+            counts[tok[0]] = _line_int(k, tok[1])
+        group_id, shots, seed = header
+        return cls(counts, shots, group_id, seed)
+
+
+def _line_int(line: int, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise SimulationError(f"line {line}: {token!r} is not an integer") from None
 
 
 def basis_change_circuit(group, n: int) -> Circuit:
@@ -228,11 +247,8 @@ def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    counts = {
-        format(idx, f"0{state.n_qubits}b"): int(c)
-        for idx, c in enumerate(draws)
-        if c
-    }
+    counts = {format(idx, f"0{state.n_qubits}b"): int(draws[idx])
+              for idx in np.flatnonzero(draws).tolist()}
     return Histogram(counts, shots, getattr(group, "index", 0), seed)
 
 

@@ -5,16 +5,36 @@ occupation-number ladder matrices, scipy expm) so it exercises none of the
 code paths under test. The reference implementations further down (gate
 cancellation, QWC grouping, gate kernels, expectation, the Jordan-Wigner
 product chain, greedy mapping, the gate-level Hartree-Fock check,
-post-selection on bitstrings) are the simple earlier forms of optimized
+post-selection on bitstrings, ansatz assembly block by block through the
+rewrite pass) are the simple earlier forms of optimized
 library routines, kept to pin those routines' output exactly.
 """
 import numpy as np
 from scipy.linalg import expm
 
-from uccvqe.circuit import Circuit
+from uccvqe.circuit import (
+    DOUBLE_TERM_ORDER,
+    Circuit,
+    Gate,
+    _close_basis,
+    _ladder,
+    _open_basis,
+    _rotation_terms,
+    cancel_adjacent,
+    rewrite_cx_h_cx,
+    synth_paired_excitation,
+    synth_spatial_to_spin,
+)
 from uccvqe.hamio import MeasurementGroup
 from uccvqe.mapping import QubitMapping, _best_window
-from uccvqe.pauli import COEFF_EPS, FermionTerm, PauliError, PauliSum, PauliWord
+from uccvqe.pauli import (
+    COEFF_EPS,
+    FermionTerm,
+    PauliError,
+    PauliSum,
+    PauliWord,
+    antihermitian_generator,
+)
 from uccvqe.sim import Histogram, Statevector, apply_circuit, word_masks
 
 I2 = np.eye(2, dtype=complex)
@@ -120,6 +140,66 @@ def cancel_adjacent_restarting(circuit: Circuit) -> Circuit:
             if changed:
                 break
     return Circuit(circuit.n_qubits, gates)
+
+
+def _two_cnot_interface(prev: str, new: str, active, target: int) -> list:
+    """Gates between adjacent chain rotations with the interface core left
+    as CNOT(u,t) H(u) CNOT(u,t) for the rewrite pass to shrink."""
+    changed = [q for q in active if prev[q] != new[q]]
+    if not (len(changed) == 2 and target in changed
+            and all({prev[q], new[q]} == {"X", "Y"} for q in changed)):
+        out = _ladder(active, target)[::-1]
+        out += [g for q in active for g in _close_basis(prev[q], q)]
+        out += [g for q in active for g in _open_basis(new[q], q)]
+        return out + _ladder(active, target)
+    u = changed[0] if changed[0] != target else changed[1]
+    t_kind = "SDG" if prev[target] == "Y" else "S"
+    u_kind = "SDG" if prev[u] == "Y" else "S"
+    return [Gate(t_kind, (target,)), Gate("H", (target,)), Gate(t_kind, (target,)),
+            Gate(u_kind, (u,)), Gate("CNOT", (u, target)), Gate("H", (u,)),
+            Gate("CNOT", (u, target)), Gate(u_kind, (u,))]
+
+
+def _two_cnot_chain(n: int, terms) -> Circuit:
+    active = [q for q, a in enumerate(terms[0][0]) if a != "I"]
+    target = active[-1]
+    gates = [g for q in active for g in _open_basis(terms[0][0][q], q)]
+    gates += _ladder(active, target) + [Gate("RZ", (target,), terms[0][1])]
+    for (prev, _), (axes, angle) in zip(terms, terms[1:]):
+        gates += _two_cnot_interface(prev, axes, active, target)
+        gates.append(Gate("RZ", (target,), angle))
+    gates += _ladder(active, target)[::-1]
+    gates += [g for q in active for g in _close_basis(terms[-1][0][q], q)]
+    return Circuit(n, gates)
+
+
+def excitation_block_by_rewrite(exc, mapping) -> Circuit:
+    """One unpaired excitation as a block: its rotation chain with two-CNOT
+    interfaces, then ``rewrite_cx_h_cx``, then ``cancel_adjacent``."""
+    terms = _rotation_terms(antihermitian_generator(exc, mapping), f"t{exc.param_id}")
+    if exc.kind == "double":
+        by_label = {"".join(a for a in axes if a in "XY"): (axes, angle) for axes, angle in terms}
+        terms = [by_label[label] for label in DOUBLE_TERM_ORDER]
+    else:
+        terms = sorted(terms, key=lambda t: t[0])
+    return cancel_adjacent(rewrite_cx_h_cx(_two_cnot_chain(mapping.n_qubits, terms)))
+
+
+def build_ansatz_by_blocks(spec, mapping) -> tuple[Circuit, list[Circuit]]:
+    """Reference ansatz assembly: Hartree-Fock X gates, paired blocks,
+    fan-out, then each unpaired excitation rewritten and cancelled as its
+    own block, and one more cancellation over the whole circuit. Returns
+    the circuit and the unpaired blocks in order."""
+    gates = [Gate("X", (mapping.alpha_qubit(k),)) for k in range(spec.active_space.n_occupied)]
+    for exc in spec.excitations:
+        if exc.paired:
+            gates += synth_paired_excitation(exc, mapping).gates
+    gates += synth_spatial_to_spin(mapping, spec.active_space).gates
+    blocks = [excitation_block_by_rewrite(exc, mapping) for exc in spec.excitations
+              if not exc.paired]
+    for block in blocks:
+        gates += block.gates
+    return cancel_adjacent(Circuit(mapping.n_qubits, gates)), blocks
 
 
 def qwc_group_by_axes(h) -> list:

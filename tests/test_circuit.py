@@ -6,6 +6,7 @@ import pytest
 from conftest import random_block_mapping, random_integrals
 from oracles import (
     INVERSE_KIND,
+    build_ansatz_by_blocks,
     cancel_adjacent_restarting,
     circuit_unitary,
     equal_up_to_phase,
@@ -179,7 +180,7 @@ class TestGadgetChains:
         ]
         for terms in chains:
             n = len(terms[0][0])
-            got = circuit_unitary(_gadget_chain(n, terms))
+            got = circuit_unitary(Circuit(n, _gadget_chain(terms)))
             want = np.eye(1 << n, dtype=complex)
             for axes, angle in terms:
                 mat = sum_matrix(PauliSum(n, [PauliWord.from_axes(axes, 1.0)]))
@@ -191,7 +192,7 @@ class TestGadgetChains:
         from uccvqe.circuit import _gadget_chain
 
         with pytest.raises(CircuitError, match="different qubit sets"):
-            _gadget_chain(2, [("XY", 0.1), ("XI", 0.2)])
+            _gadget_chain([("XY", 0.1), ("XI", 0.2)])
 
 
 class TestRewrite:
@@ -436,6 +437,61 @@ class TestCancelAdjacent:
                 m.setattr(circuit_module, "cancel_adjacent", cancel_adjacent_restarting)
                 want = build_ansatz_circuit(spec, mapping)
             assert got.gates == want.gates
+
+
+def _case_grid(rng):
+    """(spec, mapping) for every variant on 2-7 orbitals at every
+    closed-shell electron count short of full, with all-symmetric and with
+    random ORBSYM labels, each under a random block mapping."""
+    for variant in VARIANTS:
+        for n in range(2, 8):
+            for n_occ in range(1, n):
+                for sym in (None, OrbitalSymmetry.from_labels(rng.integers(1, 9, size=n))):
+                    spec = enumerate_excitations(variant, ActiveSpace(2 * n_occ, n), sym)
+                    yield spec, random_block_mapping(n, rng)
+
+
+class TestOneCnotInterface:
+    def test_build_matches_per_block_rewrite_reference(self):
+        rng = np.random.default_rng(113)
+        checked = 0
+        for spec, mapping in _case_grid(rng):
+            want, blocks = build_ansatz_by_blocks(spec, mapping)
+            assert build_ansatz_circuit(spec, mapping).gates == want.gates, spec.variant
+            if spec.active_space.n_orbitals > 5:
+                continue  # the per-excitation entry points wrap the same chains
+            unpaired = [exc for exc in spec.excitations if not exc.paired]
+            for exc, block in zip(unpaired, blocks, strict=True):
+                synth = synth_double_excitation if exc.kind == "double" else synth_single_excitation
+                assert synth(exc, mapping).gates == block.gates, exc
+            checked += len(blocks)
+        assert checked > 500
+
+    def test_emitted_chains_hold_no_rewrite_pattern(self):
+        from uccvqe.circuit import _excitation_chain
+
+        rng = np.random.default_rng(127)
+        chains = 0
+        for spec, mapping in _case_grid(rng):
+            for exc in spec.excitations:
+                if not exc.paired:
+                    chain = Circuit(mapping.n_qubits, _excitation_chain(exc, mapping, "t"))
+                    assert rewrite_cx_h_cx(chain).gates == chain.gates, exc
+                    chains += 1
+        assert chains > 3000
+
+    def test_one_build_cancels_once_and_never_rewrites(self, monkeypatch):
+        import uccvqe.circuit as circuit_module
+
+        calls = {"cancel_adjacent": 0, "rewrite_cx_h_cx": 0}
+        for name in calls:
+            def counted(circuit, fn=getattr(circuit_module, name), name=name):
+                calls[name] += 1
+                return fn(circuit)
+            monkeypatch.setattr(circuit_module, name, counted)
+        spec = enumerate_excitations("uccsd", ActiveSpace(4, 4))
+        build_ansatz_circuit(spec, random_block_mapping(4, np.random.default_rng(131)))
+        assert calls == {"cancel_adjacent": 1, "rewrite_cx_h_cx": 0}
 
 
 # SHA-256 of build_ansatz_circuit(...).to_text() as produced by the

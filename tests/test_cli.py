@@ -371,6 +371,29 @@ class TestMitigateCommand:
         assert err.startswith(f"uccvqe: error: {path}: ")
         assert "characters of 0/1" in err
 
+    @pytest.mark.parametrize("case, message", [
+        ("negative", "has a negative count"),
+        ("repeat", "repeats an earlier record"),
+        ("bare-shots", "line 2: expected 'SHOTS <integer>'"),
+    ])
+    def test_unreadable_histogram_named(self, h2_path, tmp_path, capsys, case, message):
+        self._vqe_run(h2_path, tmp_path)
+        path = tmp_path / "group_000.hist"
+        lines = path.read_text().splitlines()
+        header, records = lines[:3], lines[3:]
+        (b0, c0), (b1, c1) = (r.split() for r in records[:2])
+        edited = {
+            # the counts still sum to SHOTS; only the sign check refuses them
+            "negative": header + [f"{b0} {int(c0) + int(c1) + 6}", f"{b1} -6"] + records[2:],
+            "repeat": header + records + records[:1],
+            "bare-shots": [header[0], "SHOTS", header[2]] + records,
+        }[case]
+        path.write_text("\n".join(edited) + "\n")
+        assert self._mitigate(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"uccvqe: error: {path}: ")
+        assert message in err
+
     def test_report_missing_config_key_is_a_clean_error(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())

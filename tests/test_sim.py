@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,17 @@ class TestSampling:
         with pytest.raises(SimulationError):
             sample_group(Statevector.zero(1), z_group(1), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [1, 4, 8, 12])
+    def test_counts_match_enumerate_all_form(self, n):
+        rng = np.random.default_rng(150 + n)
+        state = Statevector(n, random_amplitudes(n, rng))
+        hist = sample_group(state, z_group(n), 3000, seed=n)
+        probs = state.probabilities()
+        draws = np.random.default_rng(n).multinomial(3000, probs / probs.sum())
+        want = {format(idx, f"0{n}b"): int(c) for idx, c in enumerate(draws) if c}
+        assert list(hist.counts.items()) == list(want.items())
+        assert hist.to_text() == Histogram(want, 3000, 0, n).to_text()
+
 
 class TestHistogram:
     def test_counts_must_sum_to_shots(self):
@@ -150,6 +163,28 @@ class TestHistogram:
     def test_non_binary_bitstring_rejected(self, bits):
         text = f"GROUP 0\nSHOTS 5\nSEED 1\n0011 3\n{bits} 2\n"
         with pytest.raises(SimulationError, match="characters of 0/1"):
+            Histogram.from_text(text)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(SimulationError, match="record '11 -2' has a negative count"):
+            Histogram({"00": 6, "11": -2}, 4, 0, 0)
+        with pytest.raises(SimulationError, match="negative count"):
+            Histogram.from_text("GROUP 0\nSHOTS 4\nSEED 1\n00 6\n11 -2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("GROUP 0\nSHOTS 4\nSEED 1\n00 3\n\n00 1\n", "line 6: bitstring '00' repeats"),
+        ("GROUP 0\nSHOTS\nSEED 1\n00 4\n", "line 2: expected 'SHOTS <integer>', got 'SHOTS'"),
+        ("GROUP 0\nSEED 1\nSHOTS 4\n00 4\n", "line 2: expected 'SHOTS <integer>'"),
+        ("GROUP 0\nSHOTS 4 4\nSEED 1\n00 4\n", "line 2: expected 'SHOTS <integer>'"),
+        ("GROUP 0\nSHOTS four\nSEED 1\n00 4\n", "line 2: 'four' is not an integer"),
+        ("GROUP 0\nSHOTS 4\nSEED 1\n00 4 x\n", "line 4: expected '<bits> <count>'"),
+        ("GROUP 0\nSHOTS 4\nSEED 1\n00\n", "line 4: expected '<bits> <count>'"),
+        ("GROUP 0\nSHOTS 4\nSEED 1\n00 4.0\n", "line 4: '4.0' is not an integer"),
+        ("GROUP 0\nSHOTS 4\n", "needs GROUP, SHOTS and SEED"),
+    ], ids=["repeat", "bare-key", "key-order", "extra-token", "word", "long-record",
+            "short-record", "float", "no-seed"])
+    def test_unreadable_lines_named(self, text, message):
+        with pytest.raises(SimulationError, match=re.escape(message)):
             Histogram.from_text(text)
 
     def test_differing_lengths_rejected(self):

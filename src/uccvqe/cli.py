@@ -29,9 +29,9 @@ from .hamio import (
 )
 from .mapping import QubitMapping, greedy_map, mapping_cost
 from .mitigate import run_policies
-from .sim import MAX_QUBITS, Histogram, prepared_basis_state
+from .sim import MAX_QUBITS, Histogram, group_outcomes, prepared_basis_state
 from .symmetry import OrbitalSymmetry, SpinSector
-from .vqe import evaluate_sampled, optimize
+from .vqe import evaluate_sampled, group_seed, optimize, shot_budget
 
 SCHEMA_VERSION = 1
 
@@ -178,17 +178,17 @@ class Pipeline:
             raise CliError(f"{self.config.fcidump}: `uccvqe {command}` samples a statevector of "
                            f"{n} qubits, above the cap of {MAX_QUBITS}; `uccvqe synth` has no cap")
 
-    def post_select(self, report: dict, histograms: Sequence[Histogram], policy: str) -> None:
-        """Write the raw and post-selected energies of the policy ('all',
-        'none' or one kind) over one histogram per group into the report."""
+    def post_select(self, report: dict, valued: Sequence, policy: str) -> None:
+        """Write the raw energy, and the post-selected energies and retained
+        shots of the policy ('all', 'none' or one kind), into the report from
+        each group's ``group_outcomes``. The only writer of ``sampled_raw``."""
         kinds = {"all": ("particle", "spin"), "none": ()}.get(policy, (policy,))
-        if not kinds:
-            return
-        mit = run_policies(self.groups, histograms, self.sector, self.mapping,
+        mit = run_policies(self.groups, valued, self.sector, self.mapping,
                            self.hamiltonian, kinds)
         energies, errors = report["energies_hartree"], report["standard_errors_hartree"]
         energies["sampled_raw"], errors["sampled_raw"] = mit.raw.energy, mit.raw.standard_error
-        report["retained_shots"]["z_basis_total"] = mit.total_z_shots
+        if kinds:
+            report["retained_shots"]["z_basis_total"] = mit.total_z_shots
         for kind, outcome in mit.outcomes.items():
             energies[f"sampled_{kind}"] = outcome.energy
             errors[f"sampled_{kind}"] = outcome.standard_error
@@ -258,10 +258,8 @@ def cmd_vqe(cfg: RunConfig) -> dict:
         cfg.shots, cfg.sample_seed, cfg.shot_mode,
         circuit=pipe.circuit, groups=pipe.groups,
     )
-    report["energies_hartree"]["sampled_raw"] = sampled.energy
-    report["standard_errors_hartree"]["sampled_raw"] = sampled.standard_error
     report["timings_seconds"]["sample"] = time.perf_counter() - t_sample
-    pipe.post_select(report, sampled.histograms, cfg.policy)
+    pipe.post_select(report, sampled.valued, cfg.policy)
 
     out = _out_dir(cfg)
     for hist in sampled.histograms:
@@ -307,7 +305,17 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
     pipe = Pipeline(cfg)
     if list(pipe.mapping.perm) != report["mapping_perm"]:
         raise CliError("reconstructed mapping differs from the report; config mismatch")
-    by_id: dict[int, Histogram] = {}
+    pipe.post_select(report, _saved_outcomes(pipe, hist_dir), policy)
+    write_report(Path(report_path), report)
+    return report
+
+
+def _saved_outcomes(pipe: Pipeline, hist_dir: str) -> list:
+    """``group_outcomes`` of each group on its saved histogram, paired by
+    group id. A file is refused, by name, unless its SEED and SHOTS are what
+    the run's sampling gives its group and its bitstrings span the register."""
+    cfg = pipe.config
+    by_id: dict[int, tuple[Path, Histogram]] = {}
     for path in sorted(Path(hist_dir).glob("group_*.hist")):
         try:
             hist = Histogram.from_text(path.read_text())
@@ -315,7 +323,7 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
             raise CliError(f"{path}: {exc}") from None
         if hist.group_id in by_id:
             raise CliError(f"{path}: second histogram for group {hist.group_id}")
-        by_id[hist.group_id] = hist
+        by_id[hist.group_id] = path, hist
     wanted = [g.index for g in pipe.groups]
     missing = sorted(set(wanted) - set(by_id))
     unknown = sorted(set(by_id) - set(wanted))
@@ -324,9 +332,23 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
             f"{hist_dir}: histograms do not match the {len(wanted)} groups "
             f"(missing ids {missing[:10]}, unknown ids {unknown[:10]})"
         )
-    pipe.post_select(report, [by_id[gid] for gid in wanted], policy)
-    write_report(Path(report_path), report)
-    return report
+    n = pipe.mapping.n_qubits
+    valued = []
+    for g, shots in zip(pipe.groups, shot_budget(cfg.shots, len(pipe.groups), cfg.shot_mode)):
+        path, hist = by_id[g.index]
+        seed = group_seed(cfg.sample_seed, g.index)
+        width = len(next(iter(hist.counts), ""))
+        if hist.seed != seed:
+            raise CliError(f"{path}: SEED {hist.seed}, but sample seed {cfg.sample_seed} "
+                           f"gives group {g.index} the seed {seed}")
+        if hist.shots != shots:
+            raise CliError(f"{path}: SHOTS {hist.shots}, but {cfg.shots} shots "
+                           f"({cfg.shot_mode}) give group {g.index} {shots}")
+        if width != n:
+            raise CliError(f"{path}: bitstrings are {width} bits long, "
+                           f"but the register has {n} qubits")
+        valued.append(group_outcomes(g, hist))
+    return valued
 
 
 def _orbital_list(text: str) -> tuple[int, ...]:

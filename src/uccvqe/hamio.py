@@ -83,6 +83,7 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
     h = np.zeros((norb, norb))
     g = np.zeros((norb, norb, norb, norb))
     core = 0.0
+    first: dict[tuple[int, ...], tuple[float, str]] = {}  # integral -> value, record
     for raw in body.splitlines():
         line = raw.strip()
         if not line:
@@ -102,19 +103,27 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
         pattern = "".join("0" if t == 0 else "x" for t in (i, j, k, l))
         if pattern == "xxxx":
             p, q, r, s = i - 1, j - 1, k - 1, l - 1
-            for a, b, c, d in (
-                (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-                (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-            ):
+            images = ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                      (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p))
+            for a, b, c, d in images:
                 g[a, b, c, d] = val
         elif pattern == "xx00":
-            h[i - 1, j - 1] = val
-            h[j - 1, i - 1] = val
+            images = ((i - 1, j - 1), (j - 1, i - 1))
+            for a, b in images:
+                h[a, b] = val
         elif pattern == "0000":
+            images = ((),)
             core = val
-        elif pattern != "x000":  # x000 is an orbital energy, not part of H
+        elif pattern == "x000":  # an orbital energy, not part of H
+            continue
+        else:
             raise FcidumpError(f"{path}: record {line!r} has index pattern {pattern}; "
                                "expected ijkl, ij00, i000 or 0000")
+        key = min(images)
+        if key in first and first[key][0] != val:
+            raise FcidumpError(f"{path}: record {line!r} sets an integral that record "
+                               f"{first[key][1]!r} set to a different value")
+        first.setdefault(key, (val, line))
     return MolecularIntegrals(norb, nelec, ms2, core, h, g, orbsym)
 
 
@@ -255,40 +264,33 @@ def build_qubit_hamiltonian(
     beta = lambda p: mapping.qubit_of(n_act + p)
     spins = (alpha, beta)
 
-    fermion_terms = []
+    # One dict merges each image as its term is generated and prunes once.
+    # A key occurs once per image, so the order within an image changes no sum.
+    merged: dict[tuple[int, int], complex] = {}
+
+    def add(ops, coeff):
+        for key, c in jw_terms(FermionTerm(ops, coeff), n).items():
+            merged[key] = merged.get(key, 0j) + c
+
     for p in range(n_act):
         for q in range(n_act):
-            if abs(h_eff[p, q]) <= INTEGRAL_THRESHOLD:
-                continue
-            for spin in spins:
-                fermion_terms.append(FermionTerm(((spin(p), True), (spin(q), False)), h_eff[p, q]))
-    nz = np.argwhere(np.abs(g_act) > INTEGRAL_THRESHOLD)
-    for p, q, r, s in nz:
-        coeff = 0.5 * g_act[p, q, r, s]
+            if abs(h_eff[p, q]) > INTEGRAL_THRESHOLD:
+                for spin in spins:
+                    add(((spin(p), True), (spin(q), False)), h_eff[p, q])
+    for p, q, r, s in np.argwhere(np.abs(g_act) > INTEGRAL_THRESHOLD):
         for s1 in spins:
             for s2 in spins:
-                if s1 is s2 and (p == r or q == s):
-                    continue  # a+_p a+_p = a_q a_q = 0 within one spin
-                fermion_terms.append(FermionTerm(
-                    ((s1(p), True), (s2(r), True), (s2(s), False), (s1(q), False)),
-                    coeff,
-                ))
-    # One dict merges every image in fermion-term order and prunes once. A
-    # key occurs once per image, so the order within an image changes no sum.
-    merged: dict[tuple[int, int], complex] = {}
-    for t in fermion_terms:
-        for key, c in jw_terms(t, n).items():
-            merged[key] = merged.get(key, 0j) + c
-    total = PauliSum.from_masks(n, merged)
+                if not (s1 is s2 and (p == r or q == s)):  # a+_p a+_p = a_q a_q = 0 in one spin
+                    add(((s1(p), True), (s2(r), True), (s2(s), False), (s1(q), False)),
+                        0.5 * g_act[p, q, r, s])
 
-    for w in total.words():
+    for w in PauliSum.from_masks(n, merged).words():
         if abs(w.coefficient.imag) > HERMITICITY_TOL:
             raise HamiltonianError(
                 f"non-hermitian assembly: term {w.axes} has imaginary part "
                 f"{w.coefficient.imag:.3e}"
             )
-    real_terms = PauliSum.from_masks(
-        n, {(w.x_mask, w.z_mask): complex(w.coefficient.real) for w in total.words()})
+    real_terms = PauliSum.from_masks(n, {key: complex(c.real) for key, c in merged.items()})
     offset = core + real_terms.identity_part().real
     return QubitHamiltonian(n, real_terms.without_identity(), float(offset), mapping, space)
 

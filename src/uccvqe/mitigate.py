@@ -73,7 +73,10 @@ def mitigated_energy(
     h: QubitHamiltonian,
 ) -> tuple[float, float]:
     """Energy and standard error after post-selecting the Z-basis groups."""
-    report = run_policies(groups, histograms, policy.sector, mapping, h, (policy.kind,))
+    if len(groups) != len(histograms):
+        raise MitigationError(f"{len(groups)} groups but {len(histograms)} histograms")
+    valued = [group_outcomes(g, hist) for g, hist in zip(groups, histograms)]
+    report = run_policies(groups, valued, policy.sector, mapping, h, (policy.kind,))
     return report.outcomes[policy.kind].energy, report.outcomes[policy.kind].standard_error
 
 
@@ -95,33 +98,31 @@ class MitigationReport:
 
 def run_policies(
     groups: Sequence,
-    histograms: Sequence[Histogram],
+    valued: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     sector: SpinSector,
     mapping: QubitMapping,
     h: QubitHamiltonian,
     kinds: Sequence[str] = ("particle", "spin"),
 ) -> MitigationReport:
-    """Apply each requested policy and collect retained-shot accounting.
-
-    Each histogram is parsed and valued once; a policy is then a mask on
-    the outcome indices of the Z-basis groups."""
-    if len(groups) != len(histograms):
-        raise MitigationError(f"{len(groups)} groups but {len(histograms)} histograms")
-    if not any(g.is_z_basis() for g in groups):
+    """The raw estimate and each requested policy, with retained-shot
+    accounting, over each group's ``group_outcomes``. A policy is a mask on
+    the outcome indices of the Z-basis groups; some group must be Z-basis
+    when ``kinds`` is not empty."""
+    if len(groups) != len(valued):
+        raise MitigationError(f"{len(groups)} groups but {len(valued)} valued histograms")
+    if kinds and not any(g.is_z_basis() for g in groups):
         raise MitigationError("no computational-basis measurement group found")
-    parsed = [(g.is_z_basis(), *group_outcomes(g, hist), hist.group_id)
-              for g, hist in zip(groups, histograms)]
 
     def outcome(policy: PostSelectionPolicy) -> PolicyOutcome:
         samples, retained = [], 0
-        for z_basis, idx, values, weights, group_id in parsed:
-            if z_basis:
+        for g, (idx, values, weights) in zip(groups, valued):
+            if g.is_z_basis():
                 keep = policy.keeps(idx, mapping)
                 values, weights = values[keep], weights[keep]
                 retained += int(weights.sum())
                 if not weights.any():
-                    raise policy.discarded(group_id)
-            samples.append((values, weights, group_id))
+                    raise policy.discarded(g.index)
+            samples.append((values, weights, g.index))
         return PolicyOutcome(*estimate_energy(samples, h.offset), retained)
 
     raw = outcome(PostSelectionPolicy("none", sector))

@@ -271,11 +271,6 @@ def group_outcomes(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray,
     return idx, values, np.array([count for _, count in items], dtype=np.float64)
 
 
-def group_shot_values(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bitstring contribution of a whole group and the matching counts."""
-    return group_outcomes(group, histogram)[1:]
-
-
 def estimate_energy(samples, offset: float = 0.0) -> tuple[float, float]:
     """Energy estimate and standard error from (values, counts, group id) per group.
 
@@ -302,5 +297,5 @@ def energy_from_histograms(groups: Sequence, histograms: Sequence[Histogram],
     """Energy estimate and standard error from one histogram per group."""
     if len(groups) != len(histograms):
         raise SimulationError(f"{len(groups)} groups but {len(histograms)} histograms")
-    return estimate_energy(((*group_shot_values(group, hist), hist.group_id)
+    return estimate_energy(((*group_outcomes(group, hist)[1:], hist.group_id)
                             for group, hist in zip(groups, histograms)), offset)

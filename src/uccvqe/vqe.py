@@ -36,7 +36,7 @@ from .hamio import (
 )
 from .mapping import QubitMapping
 from .pauli import antihermitian_generator
-from .sim import Histogram, Statevector, apply_circuit, energy_from_histograms, sample_group
+from .sim import Histogram, Statevector, apply_circuit, estimate_energy, group_outcomes, sample_group
 from .symmetry import SpinSector
 
 
@@ -196,11 +196,25 @@ class SampledEvaluation:
     groups: list
     histograms: list[Histogram]
     shots_per_group: list[int]
+    valued: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # group_outcomes per group
 
 
 def group_seed(base_seed: int, group_index: int) -> int:
     """Deterministic per-group sampling seed derived from the base seed."""
     return int(np.random.SeedSequence((int(base_seed), int(group_index))).generate_state(1)[0])
+
+
+def shot_budget(shots: int, n_groups: int, shot_mode: str) -> list[int]:
+    """Shots per group: 'per-group' spends ``shots`` on each group; 'total'
+    splits ``shots`` as evenly as possible, the first groups taking one more."""
+    if shot_mode == "per-group":
+        return [shots] * n_groups
+    if shot_mode != "total":
+        raise VqeError(f"unknown shot mode {shot_mode!r}")
+    base, extra = divmod(shots, n_groups)
+    if base == 0:
+        raise VqeError(f"{shots} total shots cannot cover {n_groups} groups")
+    return [base + (1 if i < extra else 0) for i in range(n_groups)]
 
 
 def evaluate_sampled(
@@ -217,34 +231,26 @@ def evaluate_sampled(
 ) -> SampledEvaluation:
     """Sample every QWC group of H at fixed parameters.
 
-    ``shot_mode`` 'per-group' spends ``shots`` on each group; 'total' splits
-    ``shots`` as evenly as possible across groups. ``circuit`` and ``groups``
+    ``shot_mode`` is read by ``shot_budget``. ``circuit`` and ``groups``
     default to ``build_ansatz_circuit(spec, mapping)`` and ``qwc_group(h)``;
-    a caller that holds them already passes them in.
+    a caller that holds them already passes them in. Each histogram is
+    valued once, into ``valued``, which post-selection filters.
     """
-    if shot_mode not in ("per-group", "total"):
-        raise VqeError(f"unknown shot mode {shot_mode!r}")
     if groups is None:
         groups = qwc_group(h)
     if not groups:
         raise VqeError("Hamiltonian has no measurable terms")
+    budget = shot_budget(shots, len(groups), shot_mode)
     if circuit is None:
         circuit = build_ansatz_circuit(spec, mapping)
     binding = dict(zip(spec.parameter_names(), map(float, params)))
     state = apply_circuit(Statevector.zero(mapping.n_qubits), circuit, binding)
 
-    n_groups = len(groups)
-    if shot_mode == "per-group":
-        budget = [shots] * n_groups
-    else:
-        base, extra = divmod(shots, n_groups)
-        budget = [base + (1 if i < extra else 0) for i in range(n_groups)]
-        if base == 0:
-            raise VqeError(f"{shots} total shots cannot cover {n_groups} groups")
-
     histograms = [
         sample_group(state, grp, budget[i], group_seed(seed, i))
         for i, grp in enumerate(groups)
     ]
-    energy, se = energy_from_histograms(groups, histograms, h.offset)
-    return SampledEvaluation(energy, se, groups, histograms, budget)
+    valued = [group_outcomes(grp, hist) for grp, hist in zip(groups, histograms)]
+    energy, se = estimate_energy(((values, weights, grp.index)
+                                  for grp, (_, values, weights) in zip(groups, valued)), h.offset)
+    return SampledEvaluation(energy, se, groups, histograms, budget, valued)

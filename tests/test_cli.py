@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import random_block_mapping, random_integrals
 from oracles import hf_check_by_statevector
 from uccvqe.circuit import Circuit, Gate, build_ansatz_circuit
-from uccvqe import hamio
+from uccvqe import hamio, sim
 from uccvqe.cli import CliError, Pipeline, RunConfig, load_report, main, validate_report
 from uccvqe.hamio import (
     ActiveSelection,
@@ -285,6 +286,50 @@ class TestBuildsOnce:
         assert code == 0
 
 
+class TestValuesEachHistogramOnce:
+    @pytest.fixture
+    def outcome_calls(self, monkeypatch):
+        """Count ``group_outcomes`` calls under every name a module holds it by."""
+        original, calls = sim.group_outcomes, []
+
+        def counted(group, histogram):
+            calls.append(group.index)
+            return original(group, histogram)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("uccvqe") and getattr(module, "group_outcomes", None) is original:
+                monkeypatch.setattr(module, "group_outcomes", counted)
+        return calls
+
+    @pytest.mark.parametrize("policy", ["all", "spin", "none"])
+    def test_vqe_then_mitigate_value_each_group_once(self, policy, h2_path, tmp_path,
+                                                     outcome_calls):
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "300",
+                    "--policy", policy, "--out", str(tmp_path)]) == 0
+        groups = list(range(load_report(tmp_path / "report.json")["qwc_group_count"]))
+        assert sorted(outcome_calls) == groups
+        outcome_calls.clear()
+        assert run(["mitigate", "--report", str(tmp_path / "report.json"),
+                    "--histograms", str(tmp_path), "--policy", "spin"]) == 0
+        assert sorted(outcome_calls) == groups
+
+    def test_policy_none_writes_raw_only_and_mitigate_reproduces_it(self, h2_path, tmp_path):
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "700",
+                    "--sample-seed", "4", "--policy", "none", "--out", str(tmp_path)]) == 0
+        report = load_report(tmp_path / "report.json")
+        assert set(report["energies_hartree"]) == {"hf", "variational", "exact_ground",
+                                                   "sampled_raw"}
+        assert set(report["standard_errors_hartree"]) == {"sampled_raw"}
+        assert report["retained_shots"] == {}
+        assert run(["mitigate", "--report", str(tmp_path / "report.json"),
+                    "--histograms", str(tmp_path), "--policy", "spin"]) == 0
+        after = load_report(tmp_path / "report.json")
+        for block in ("energies_hartree", "standard_errors_hartree"):
+            assert after[block]["sampled_raw"] == report[block]["sampled_raw"]
+            assert after[block]["sampled_spin"] == report[block]["sampled_raw"]  # noiseless
+        assert after["retained_shots"] == {"z_basis_total": 700, "spin": 700}
+
+
 class TestSweep:
     def test_table_rows(self, h2_path, tmp_path, capsys):
         code = run(["sweep", "--fcidump", h2_path, "--electrons", "2",
@@ -393,6 +438,42 @@ class TestMitigateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"uccvqe: error: {path}: ")
         assert message in err
+
+    def test_histogram_of_another_sample_seed_rejected(self, h2_path, tmp_path, capsys):
+        self._vqe_run(h2_path, tmp_path / "run")
+        run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "800",
+             "--sample-seed", "9", "--out", str(tmp_path / "other")])
+        path = tmp_path / "run" / "group_002.hist"
+        path.write_text((tmp_path / "other" / "group_002.hist").read_text())
+        assert self._mitigate(tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"uccvqe: error: {path}: SEED ")
+        assert "sample seed 5 gives group 2 the seed" in err
+
+    @pytest.mark.parametrize("shot_mode, shots, group_shots", [
+        ("per-group", "800", 800), ("total", "1001", 201)])
+    def test_histogram_with_another_shot_count_rejected(self, h2_path, tmp_path, capsys,
+                                                       shot_mode, shots, group_shots):
+        run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", shots,
+             "--shot-mode", shot_mode, "--out", str(tmp_path)])
+        assert self._mitigate(tmp_path) == 0  # the budget the run spent is accepted
+        path = tmp_path / "group_000.hist"
+        group, _, seed, first = path.read_text().splitlines()[:4]
+        path.write_text(f"{group}\nSHOTS 2\n{seed}\n{first.split()[0]} 2\n")
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err.startswith(
+            f"uccvqe: error: {path}: SHOTS 2, but {shots} shots ({shot_mode}) "
+            f"give group 0 {group_shots}")
+
+    def test_bitstrings_wider_than_the_register_rejected_with_file_name(self, h2_path, tmp_path,
+                                                                         capsys):
+        self._vqe_run(h2_path, tmp_path)
+        path = tmp_path / "group_000.hist"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["0" + rec for rec in lines[3:]]) + "\n")
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err == (f"uccvqe: error: {path}: bitstrings are 5 bits long, "
+                                           "but the register has 4 qubits\n")
 
     def test_report_missing_config_key_is_a_clean_error(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path)

@@ -110,6 +110,40 @@ class TestParse:
                            match=rf"bad\.fcidump: non-finite value in record '{value}   {indices}'"):
             parse_fcidump(path)
 
+    # Every image of (12|13) under the 8-fold symmetry, both orders of h_12,
+    # and the core energy: a second record with another value is refused.
+    @pytest.mark.parametrize("first, second", [
+        *(("0.5 1 2 1 3", f"0.25 {ijkl}") for ijkl in
+          ("1 2 1 3", "2 1 1 3", "1 2 3 1", "2 1 3 1", "1 3 1 2", "3 1 1 2", "1 3 2 1", "3 1 2 1")),
+        ("0.5 1 2 0 0", "0.25 1 2 0 0"),
+        ("0.5 1 2 0 0", "0.25 2 1 0 0"),
+        ("0.5 0 0 0 0", "0.25 0 0 0 0"),
+    ])
+    def test_conflicting_record_rejected(self, tmp_path, first, second):
+        text = f" &FCI NORB=3,NELEC=2,\n &END\n {first}\n 0.1 2 2 0 0\n {second}\n"
+        path = write(tmp_path, text, name="twice.fcidump")
+        with pytest.raises(FcidumpError, match=rf"twice\.fcidump: record '{second}' sets an "
+                                               rf"integral that record '{first}' set"):
+            parse_fcidump(path)
+
+    def test_conflicting_coulomb_record_rejected(self, tmp_path, h2_path):
+        # h2_sto3g sets (11|22) on its '2 2 1 1' line
+        with open(h2_path) as fh:
+            text = fh.read()
+        with pytest.raises(FcidumpError, match="'0.9999 1 1 2 2' sets an integral"):
+            parse_fcidump(write(tmp_path, text + " 0.9999 1 1 2 2\n"))
+
+    def test_repeated_equal_records_accepted(self, tmp_path):
+        images = ("1 2 1 3", "2 1 1 3", "1 2 3 1", "2 1 3 1", "1 3 1 2", "3 1 1 2", "1 3 2 1", "3 1 2 1")
+        head = " &FCI NORB=3,NELEC=2,\n &END\n"
+        once = parse_fcidump(write(tmp_path, head + " 0.5 1 2 1 3\n -1 1 2 0 0\n 0.7 0 0 0 0\n",
+                                   name="once.fcidump"))
+        body = "".join(f" 0.5 {ijkl}\n" for ijkl in images)
+        body += " -1 1 2 0 0\n -1.0 2 1 0 0\n 0.7 0 0 0 0\n 0.7 0 0 0 0\n"
+        again = parse_fcidump(write(tmp_path, head + body, name="again.fcidump"))
+        assert np.array_equal(again.g, once.g) and np.array_equal(again.h, once.h)
+        assert again.core_energy == once.core_energy == 0.7
+
     def test_round_trip(self, tmp_path, h2_ints):
         path = str(tmp_path / "out.fcidump")
         write_fcidump(path, h2_ints)

@@ -21,7 +21,7 @@ from uccvqe.mitigate import (
     run_policies,
 )
 from uccvqe.pauli import PauliSum, PauliWord
-from uccvqe.sim import Histogram, energy_from_histograms
+from uccvqe.sim import Histogram, energy_from_histograms, group_outcomes
 from uccvqe.symmetry import SpinSector
 from uccvqe.vqe import evaluate_sampled, optimize
 
@@ -179,7 +179,7 @@ class TestMitigatedEnergy:
 
     def test_run_policies_accounting(self, h2_hamiltonian, h2_sampled):
         _, ev = h2_sampled
-        report = run_policies(ev.groups, ev.histograms, SECTOR,
+        report = run_policies(ev.groups, ev.valued, SECTOR,
                               QubitMapping.identity(2), h2_hamiltonian)
         assert report.raw.retained_shots == report.total_z_shots
         assert report.outcomes["spin"].retained_shots <= report.outcomes["particle"].retained_shots
@@ -191,7 +191,8 @@ class TestMitigatedEnergy:
         rng = np.random.default_rng(77)
         dirty = [contaminate(hist, 0.2, 4, rng) if grp.is_z_basis() else hist
                  for grp, hist in zip(ev.groups, ev.histograms)]
-        report = run_policies(ev.groups, dirty, SECTOR, mapping, h2_hamiltonian)
+        valued = [group_outcomes(g, hist) for g, hist in zip(ev.groups, dirty)]
+        report = run_policies(ev.groups, valued, SECTOR, mapping, h2_hamiltonian)
         for kind in ("particle", "spin"):
             policy = PostSelectionPolicy(kind, SECTOR)
             kept = sum(postselect(hist, policy, mapping).shots
@@ -234,7 +235,8 @@ def contaminated_case(n_orbitals: int, seed: int):
 def test_index_filters_match_the_bitstring_oracle(n_orbitals):
     for seed in range(2):
         groups, hists, sector, mapping, h = contaminated_case(n_orbitals, 100 * n_orbitals + seed)
-        report = run_policies(groups, hists, sector, mapping, h)
+        report = run_policies(groups, [group_outcomes(g, hist) for g, hist in zip(groups, hists)],
+                              sector, mapping, h)
         assert (report.raw.energy, report.raw.standard_error) == energy_from_histograms(
             groups, hists, h.offset)
         for kind in ("particle", "spin"):

@@ -26,7 +26,7 @@ from uccvqe.sim import (
     apply_circuit,
     energy_from_histograms,
     expectation,
-    group_shot_values,
+    group_outcomes,
     prepared_basis_state,
     sample_group,
 )
@@ -220,7 +220,7 @@ class TestGroupShotValues:
                 bits = format(int(s), f"0{n_qubits}b")
                 counts[bits] = counts.get(bits, 0) + 1
             hist = Histogram(counts, len(outcomes), group.index, 0)
-            values, weights = group_shot_values(group, hist)
+            _, values, weights = group_outcomes(group, hist)
             want_values, want_weights = shot_values_by_string(group, hist)
             assert np.array_equal(values, want_values)
             assert np.array_equal(weights, want_weights)
@@ -228,7 +228,7 @@ class TestGroupShotValues:
     def test_register_width_mismatch_rejected(self):
         group = MeasurementGroup(3, (PauliWord.from_axes("ZZI", 1.0),), ("Z", "Z", "-"))
         with pytest.raises(SimulationError, match="group 3: bitstrings are not 3 bits long"):
-            group_shot_values(group, Histogram({"0110": 4}, 4, 3, 0))
+            group_outcomes(group, Histogram({"0110": 4}, 4, 3, 0))
 
 
 class TestEnergyEstimator:

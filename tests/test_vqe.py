@@ -9,7 +9,7 @@ from uccvqe.hamio import qwc_group
 from uccvqe.hamio import ActiveSelection, QubitHamiltonian, build_qubit_hamiltonian, exact_ground_energy
 from uccvqe.mapping import QubitMapping, greedy_map
 from uccvqe.pauli import PauliSum, PauliWord, antihermitian_generator
-from uccvqe.sim import Statevector, apply_circuit, expectation
+from uccvqe.sim import Statevector, apply_circuit, energy_from_histograms, expectation, group_outcomes
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
 from uccvqe.vqe import OptimizeConfig, VqeError, evaluate_sampled, optimize
 
@@ -161,3 +161,15 @@ class TestEvaluateSampled:
                                  groups=qwc_group(h2_hamiltonian))
         assert [h.to_text() for h in given.histograms] == [h.to_text() for h in built.histograms]
         assert (given.energy, given.standard_error) == (built.energy, built.standard_error)
+
+    @pytest.mark.parametrize("shot_mode", ["per-group", "total"])
+    def test_valued_groups_are_the_histograms_outcomes(self, h2_hamiltonian, h2_spec, shot_mode):
+        ev = evaluate_sampled(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
+                              np.array([0.2]), 901, seed=4, shot_mode=shot_mode)
+        assert len(ev.valued) == len(ev.groups) == len(ev.histograms)
+        for got, group, hist in zip(ev.valued, ev.groups, ev.histograms):
+            want = group_outcomes(group, hist)
+            assert len(got) == len(want) == 3
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert (ev.energy, ev.standard_error) == energy_from_histograms(
+            ev.groups, ev.histograms, h2_hamiltonian.offset)

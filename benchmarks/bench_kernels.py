@@ -8,9 +8,11 @@ energy plus adjoint gradient on the spin sector (what the optimizer runs).
 The synthesis rows time what ``uccvqe synth`` adds: the Jordan-Wigner
 qubit Hamiltonian, compiling the circuit and the Hartree-Fock check at zero
 parameters (Pauli propagation, no statevector, so they go past the dense
-cap). The exact-reference rows give the dimension of the spin sector and of
-the Hartree-Fock irrep block under a 4-irrep ORBSYM, and the time of
-``exact_ground_energy`` on that block (dense ``eigvalsh``).
+cap). They read dense integrals, every (pq|rs) set as in a real FCIDUMP,
+and report the Pauli term count. The exact-reference rows give the
+dimension of the spin sector and of the Hartree-Fock irrep block under a
+4-irrep ORBSYM, and the time of ``exact_ground_energy`` on that block
+(dense ``eigvalsh``).
 
 Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
 """
@@ -77,6 +79,22 @@ def synthetic_integrals(n):
     return MolecularIntegrals(n, n, 0, 0.0, h1, g, OrbitalSymmetry.all_symmetric(n))
 
 
+def dense_integrals(n):
+    """Seeded integrals with every (pq|rs) set and the 8-fold symmetry exact,
+    as in a real FCIDUMP (``synthetic_integrals`` sets only O(n^2) of them)."""
+    from uccvqe.hamio import MolecularIntegrals
+    from uccvqe.symmetry import OrbitalSymmetry
+
+    rng = np.random.default_rng(2)
+    h1 = rng.normal(scale=0.5, size=(n, n))
+    h1 = (h1 + h1.T) / 2 - np.diag(np.arange(n, 0, -1.0))
+    g = rng.normal(scale=0.05, size=(n, n, n, n))
+    g = g + g.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    return MolecularIntegrals(n, n, 0, 0.0, h1, g, OrbitalSymmetry.all_symmetric(n))
+
+
 def bench_pipeline(n_orbitals):
     """One full energy evaluation of a uCCDab circuit on 2*n_orbitals qubits."""
     from uccvqe.ansatz import enumerate_excitations
@@ -138,11 +156,12 @@ def bench_synth(n_orbitals):
 
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/bench.fcidump"
-        write_fcidump(path, synthetic_integrals(n_orbitals))
+        write_fcidump(path, dense_integrals(n_orbitals))
         pipe = Pipeline(RunConfig(path, n_orbitals, (), map_restarts=4))
     return (timeit(build_qubit_hamiltonian, pipe.ints, pipe.selection, pipe.mapping, repeats=3),
             timeit(build_ansatz_circuit, pipe.spec, pipe.mapping, repeats=3),
-            timeit(pipe.hf_energy_check, repeats=3), len(pipe.circuit.gates))
+            timeit(pipe.hf_energy_check, repeats=3), len(pipe.circuit.gates),
+            pipe.hamiltonian.term_count)
 
 
 def main():
@@ -178,11 +197,11 @@ def main():
               f"{t_solve * 1e3:>11.2f}")
 
     print("\nsynthesis: qubit Hamiltonian, circuit build and Hartree-Fock check")
-    print(f"{'orbitals':>8} {'qubits':>7} {'gates':>7} {'hamiltonian (ms)':>17} "
-          f"{'build (ms)':>11} {'HF check (ms)':>14}")
+    print(f"{'orbitals':>8} {'qubits':>7} {'gates':>7} {'pauli terms':>12} "
+          f"{'hamiltonian (ms)':>17} {'build (ms)':>11} {'HF check (ms)':>14}")
     for n_orb in (4, 6, 8, 10, 12):
-        t_ham, t_build, t_hf, n_gates = bench_synth(n_orb)
-        print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>7} {t_ham * 1e3:>17.2f} "
+        t_ham, t_build, t_hf, n_gates, n_terms = bench_synth(n_orb)
+        print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>7} {n_terms:>12} {t_ham * 1e3:>17.2f} "
               f"{t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
 
 

@@ -8,6 +8,7 @@ beta block before the qubit mapping permutes them.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -17,8 +18,8 @@ import numpy as np
 from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
-from .pauli import FermionTerm, PauliSum, PauliWord, jw_terms
-from .symmetry import OrbitalSymmetry, SpinSector, in_symmetry_block
+from .pauli import MASK_QUBIT_LIMIT, PauliSum, PauliWord, jw_images
+from .symmetry import OrbitalSymmetry, SpinSector, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
 INTEGRAL_THRESHOLD = 1e-12
@@ -260,29 +261,33 @@ def build_qubit_hamiltonian(
         raise HamiltonianError("mapping register does not fit the active space")
 
     n = mapping.n_qubits
-    alpha = lambda p: mapping.qubit_of(p)
-    beta = lambda p: mapping.qubit_of(n_act + p)
-    spins = (alpha, beta)
+    if n > MASK_QUBIT_LIMIT:
+        raise HamiltonianError(f"{n} qubits exceed the {MASK_QUBIT_LIMIT} that the uint64 "
+                               "Pauli masks of the Jordan-Wigner assembly hold")
+    qubit = np.array(mapping.perm)
+    spins = (qubit[:n_act], qubit[n_act:])  # alpha, beta qubit of each spatial orbital
 
-    # One dict merges each image as its term is generated and prunes once.
-    # A key occurs once per image, so the order within an image changes no sum.
+    # One dict merges each term's image in term order and prunes once. A key
+    # occurs once per image, so the order within an image changes no sum.
     merged: dict[tuple[int, int], complex] = {}
 
-    def add(ops, coeff):
-        for key, c in jw_terms(FermionTerm(ops, coeff), n).items():
+    def fold(modes, daggers, coeffs):
+        """Merge the images of the terms ``modes[i][t]``, one list entry i per
+        spin choice, in (t, i) order, with coefficient ``coeffs[t]``."""
+        rows = np.stack(modes, axis=1).reshape(-1, len(daggers))
+        _, xs, zs, cs = jw_images(rows, daggers, np.repeat(coeffs, len(modes)), n)
+        for key, c in zip(zip(xs.tolist(), zs.tolist()), cs.tolist()):
             merged[key] = merged.get(key, 0j) + c
 
+    # one-body terms in (p, q, spin) order, then two-body terms in (p, q, r, s,
+    # s1, s2) order, one leading orbital p at a time to bound the arrays
+    p, q = np.nonzero(np.abs(h_eff) > INTEGRAL_THRESHOLD)
+    fold([np.stack([spin[p], spin[q]], axis=1) for spin in spins], (True, False), h_eff[p, q])
     for p in range(n_act):
-        for q in range(n_act):
-            if abs(h_eff[p, q]) > INTEGRAL_THRESHOLD:
-                for spin in spins:
-                    add(((spin(p), True), (spin(q), False)), h_eff[p, q])
-    for p, q, r, s in np.argwhere(np.abs(g_act) > INTEGRAL_THRESHOLD):
-        for s1 in spins:
-            for s2 in spins:
-                if not (s1 is s2 and (p == r or q == s)):  # a+_p a+_p = a_q a_q = 0 in one spin
-                    add(((s1(p), True), (s2(r), True), (s2(s), False), (s1(q), False)),
-                        0.5 * g_act[p, q, r, s])
+        q, r, s = np.nonzero(np.abs(g_act[p]) > INTEGRAL_THRESHOLD)
+        fold([np.stack([np.full(len(q), s1[p]), s2[r], s2[s], s1[q]], axis=1)
+              for s1 in spins for s2 in spins],
+             (True, True, False, False), 0.5 * g_act[p, q, r, s])
 
     for w in PauliSum.from_masks(n, merged).words():
         if abs(w.coefficient.imag) > HERMITICITY_TOL:
@@ -372,8 +377,17 @@ def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
 
 def spin_sector_indices(mapping: QubitMapping, sector: SpinSector,
                         orbsym: Optional[OrbitalSymmetry] = None) -> np.ndarray:
-    """Ascending amplitude indices of the block (``in_symmetry_block``)."""
-    idx = np.arange(1 << mapping.n_qubits, dtype=np.uint64)
+    """Ascending amplitude indices of the block (``in_symmetry_block``).
+
+    The spin sector is enumerated per spin, C(N, N_alpha) alpha occupations
+    OR-ed with C(N, N_beta) beta occupations, so no 2^n array is formed;
+    the irrep rule then filters the sector."""
+    def occupations(qubits, count):
+        return np.array([index_mask(mapping.n_qubits, occ)
+                         for occ in itertools.combinations(qubits, count)], dtype=np.uint64)
+
+    idx = np.sort((occupations(mapping.alpha_qubits(), sector.n_alpha)[:, None]
+                   | occupations(mapping.beta_qubits(), sector.n_beta)[None, :]).ravel())
     return idx[in_symmetry_block(idx, mapping, sector, orbsym)].astype(np.int64)
 
 

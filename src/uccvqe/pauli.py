@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 COEFF_EPS = 1e-12
 
 _AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -21,6 +23,7 @@ _BIT_AXES = {bits: axis for axis, bits in _AXIS_BITS.items()}
 
 # i**k for k = 0..3: the phase of a word product (same values as 1j**k)
 _I_POWERS = tuple(1j**k for k in range(4))
+_I_POWERS_ARRAY = np.array(_I_POWERS)
 
 
 def _axis_of(x: int, z: int) -> str:
@@ -265,6 +268,70 @@ def jw_terms(term: FermionTerm, n: int) -> dict[tuple[int, int], complex]:
     for words in ladders:
         terms = _pruned(_product_terms(terms, words))
     return terms
+
+
+MASK_QUBIT_LIMIT = 64  # the width of the uint64 masks of ``jw_images``
+
+
+def jw_images(modes, daggers, coefficients, n: int):
+    """Jordan-Wigner images of many ladder products of one length L at once.
+
+    Row t of ``modes`` and ``daggers`` (shape (T, L), or (L,) for
+    ``daggers`` shared by every row) is the ordered product a_t1 ... a_tL
+    times ``coefficients[t]``. Returns (term, x, z, coefficient) arrays:
+    each term's words in term order, the words that share a key summed and
+    pruned as ``jw_terms`` prunes, so the coefficients equal its dicts.
+
+    Closed form (Seeley, Richard & Love, J. Chem. Phys. 137, 224109
+    (2012)): ladder j contributes its X word or, on path bit b_j = 1, its Y
+    word, so each of the 2^L paths gives X = xor of 2^m_j, Z = xor of
+    (2^m_j - 1) | b_j 2^m_j and the coefficient c 2^-L i^k with
+    k = 2 sum_j bit_m_j(Z_<j) + 2 sum_{j undaggered} b_j - popcount(X & Z),
+    ``_product_phase`` telescoped along the chain (Z_<j: the Z mask of the
+    ladders before j). Every factor is +-1/2 or +-i/2 and the paths onto
+    one key agree or cancel, so the sums are exact and each image has one
+    magnitude, |c| / 2^(distinct modes), which no intermediate image of the
+    chain undercuts: the prune keeps an image whole or drops it, as the
+    chain does.
+    """
+    if n > MASK_QUBIT_LIMIT:
+        raise PauliError(f"{n} qubits exceed the {MASK_QUBIT_LIMIT}-bit Pauli masks")
+    modes = np.asarray(modes, dtype=np.int64)
+    n_terms, length = modes.shape
+    bad = (modes < 0) | (modes >= n)
+    if bad.any():
+        raise PauliError(f"mode {modes[bad][0]} out of range for {n} qubits")
+    undaggered = ~np.broadcast_to(np.asarray(daggers, dtype=bool), modes.shape)
+    modes = modes.astype(np.uint64)
+
+    # ladder by ladder, each path splits into its X word (b_j = 0, first
+    # half) and its Y word (b_j = 1, second half): path p has b_j = bit j of p
+    z = np.zeros((n_terms, 1), dtype=np.uint64)
+    k = np.zeros((n_terms, 1), dtype=np.int64)
+    for j in range(length):
+        m = modes[:, j, None]
+        bit = np.uint64(1) << m
+        k += 2 * ((z >> m) & np.uint64(1)).astype(np.int64)
+        z ^= bit - np.uint64(1)
+        k = np.concatenate([k, k + 2 * undaggered[:, j, None]], axis=1)
+        z = np.concatenate([z, z ^ bit], axis=1)
+    x = np.bitwise_xor.reduce(np.uint64(1) << modes, axis=1)
+    k = (k - np.bitwise_count(x[:, None] & z)) & 3
+
+    # sum each term's paths over equal z, in units of c 2^-L
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1).ravel()
+    first = np.ones(z.shape, dtype=bool)
+    first[1:] = z[1:] != z[:-1]
+    first[:: 1 << length] = True
+    starts = np.flatnonzero(first)
+    unit = np.add.reduceat(_I_POWERS_ARRAY[np.take_along_axis(k, order, axis=1).ravel()],
+                           starts) * 0.5**length
+    term = starts >> length
+    coeff = np.asarray(coefficients, dtype=complex)[term] * unit
+    keep = ~(np.abs(coeff) < COEFF_EPS)
+    term = term[keep]
+    return term, x[term], z[starts[keep]], coeff[keep]
 
 
 def jw_transform(term: FermionTerm, n: int) -> PauliSum:

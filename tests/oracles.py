@@ -4,7 +4,9 @@ Everything here is built directly from numpy primitives (kron products,
 occupation-number ladder matrices, scipy expm) so it exercises none of the
 code paths under test. The reference implementations further down (gate
 cancellation, QWC grouping, gate kernels, expectation, the Jordan-Wigner
-product chain, greedy mapping, the gate-level Hartree-Fock check,
+product chain, the Hamiltonian assembled term by term through that chain,
+the 2^n filter of a symmetry block, greedy mapping, the gate-level
+Hartree-Fock check,
 post-selection on bitstrings, ansatz assembly block by block through the
 rewrite pass) are the simple earlier forms of optimized
 library routines, kept to pin those routines' output exactly.
@@ -25,7 +27,14 @@ from uccvqe.circuit import (
     synth_paired_excitation,
     synth_spatial_to_spin,
 )
-from uccvqe.hamio import MeasurementGroup
+from uccvqe.hamio import (
+    HERMITICITY_TOL,
+    INTEGRAL_THRESHOLD,
+    HamiltonianError,
+    MeasurementGroup,
+    QubitHamiltonian,
+    restrict_to_active,
+)
 from uccvqe.mapping import QubitMapping, _best_window
 from uccvqe.pauli import (
     COEFF_EPS,
@@ -34,8 +43,10 @@ from uccvqe.pauli import (
     PauliSum,
     PauliWord,
     antihermitian_generator,
+    jw_terms,
 )
 from uccvqe.sim import Histogram, Statevector, apply_circuit, word_masks
+from uccvqe.symmetry import in_symmetry_block
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -334,6 +345,59 @@ def jw_transform_by_products(term: FermionTerm, n: int) -> dict:
         terms = _merged(_word_product(w1, w2) for w1 in _sorted_words(terms, n)
                         for w2 in _sorted_words(ladder, n))
     return terms
+
+
+def build_qubit_hamiltonian_by_chains(ints, selection, mapping=None) -> QubitHamiltonian:
+    """``build_qubit_hamiltonian`` with one ladder chain (``jw_terms``) per
+    fermion term, same-spin terms with p == r or q == s skipped."""
+    core, h_eff, g_act, _ = restrict_to_active(ints, selection)
+    space = selection.active_space()
+    n_act = space.n_orbitals
+    if mapping is None:
+        mapping = QubitMapping.identity(n_act)
+    if mapping.n_qubits != 2 * n_act:
+        raise HamiltonianError("mapping register does not fit the active space")
+
+    n = mapping.n_qubits
+    alpha = lambda p: mapping.qubit_of(p)
+    beta = lambda p: mapping.qubit_of(n_act + p)
+    spins = (alpha, beta)
+
+    # One dict merges each image as its term is generated and prunes once.
+    # A key occurs once per image, so the order within an image changes no sum.
+    merged: dict[tuple[int, int], complex] = {}
+
+    def add(ops, coeff):
+        for key, c in jw_terms(FermionTerm(ops, coeff), n).items():
+            merged[key] = merged.get(key, 0j) + c
+
+    for p in range(n_act):
+        for q in range(n_act):
+            if abs(h_eff[p, q]) > INTEGRAL_THRESHOLD:
+                for spin in spins:
+                    add(((spin(p), True), (spin(q), False)), h_eff[p, q])
+    for p, q, r, s in np.argwhere(np.abs(g_act) > INTEGRAL_THRESHOLD):
+        for s1 in spins:
+            for s2 in spins:
+                if not (s1 is s2 and (p == r or q == s)):  # a+_p a+_p = a_q a_q = 0 in one spin
+                    add(((s1(p), True), (s2(r), True), (s2(s), False), (s1(q), False)),
+                        0.5 * g_act[p, q, r, s])
+
+    for w in PauliSum.from_masks(n, merged).words():
+        if abs(w.coefficient.imag) > HERMITICITY_TOL:
+            raise HamiltonianError(
+                f"non-hermitian assembly: term {w.axes} has imaginary part "
+                f"{w.coefficient.imag:.3e}"
+            )
+    real_terms = PauliSum.from_masks(n, {key: complex(c.real) for key, c in merged.items()})
+    offset = core + real_terms.identity_part().real
+    return QubitHamiltonian(n, real_terms.without_identity(), float(offset), mapping, space)
+
+
+def spin_sector_indices_by_filter(mapping, sector, orbsym=None) -> np.ndarray:
+    """Every amplitude index of the register, kept by ``in_symmetry_block``."""
+    idx = np.arange(1 << mapping.n_qubits, dtype=np.uint64)
+    return idx[in_symmetry_block(idx, mapping, sector, orbsym)].astype(np.int64)
 
 
 def greedy_map_rescanning(excs, n_qubits: int, seed: int = 0, restarts: int = 32) -> QubitMapping:

@@ -9,7 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_block_mapping, random_integrals
-from oracles import ladder_matrix, qwc_group_by_axes
+from oracles import (
+    build_qubit_hamiltonian_by_chains,
+    ladder_matrix,
+    qwc_group_by_axes,
+    spin_sector_indices_by_filter,
+)
 from uccvqe.ansatz import ActiveSpace
 from uccvqe.hamio import (
     ActiveSelection,
@@ -24,6 +29,7 @@ from uccvqe.hamio import (
     qwc_group,
     restrict_to_active,
     rhf_energy,
+    spin_sector_indices,
     write_fcidump,
 )
 from uccvqe.mapping import QubitMapping
@@ -262,8 +268,8 @@ class TestBuild:
         assert e_frozen == pytest.approx(e_full, abs=1e-9)
 
     def test_skipped_same_spin_terms_have_zero_image(self):
-        # build_qubit_hamiltonian skips a+_p a+_r a_s a_q within one spin when
-        # p == r or q == s
+        # a+_p a+_r a_s a_q within one spin vanishes when p == r or q == s, and
+        # build_qubit_hamiltonian relies on the image cancelling inside the term
         for p, q, r, s in itertools.product(range(4), repeat=4):
             if p == r or q == s:
                 term = FermionTerm(((p, True), (r, True), (s, False), (q, False)), 0.3)
@@ -299,6 +305,87 @@ class TestPinnedHamiltonian:
         ints = random_integrals(n, n, rng)
         h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), random_block_mapping(n, rng))
         assert hamiltonian_sha256(h) == PINNED_HAMILTONIAN_SHA256[n]
+
+
+def exact_hamiltonian(h) -> tuple[list, str]:
+    return [(w.x_mask, w.z_mask, repr(w.coefficient)) for w in h.terms.words()], repr(h.offset)
+
+
+class TestClosedFormAssembly:
+    """The batched closed-form assembly gives the words, coefficients and
+    offset of one ladder chain per term, bit for bit."""
+
+    @staticmethod
+    def assert_matches(ints, selection, mapping):
+        assert exact_hamiltonian(build_qubit_hamiltonian(ints, selection, mapping)) == \
+            exact_hamiltonian(build_qubit_hamiltonian_by_chains(ints, selection, mapping))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_integrals_and_mappings(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3 if n < 8 else 1):
+            ints = random_integrals(n, n - n % 2, rng)
+            self.assert_matches(ints, ActiveSelection.full(ints), random_block_mapping(n, rng))
+
+    def test_frozen_core_selections(self):
+        rng = np.random.default_rng(111)
+        for n, frozen, n_act, electrons in ((4, 1, 2, 4), (5, 1, 3, 4), (6, 2, 3, 6), (6, 1, 4, 6)):
+            ints = random_integrals(n, electrons, rng)
+            act = tuple(int(o) for o in rng.permutation(n)[:n_act])
+            selection = ActiveSelection(electrons - 2 * frozen, act)
+            self.assert_matches(ints, selection, random_block_mapping(n_act, rng))
+
+    @pytest.mark.parametrize("scale", [3e-12, 5e-12, 1e-11, 2e-11])
+    def test_integrals_near_the_prune_threshold(self, scale):
+        # images of |c| / 2**(distinct modes) straddle COEFF_EPS: the chain
+        # drops some whole and keeps others
+        rng = np.random.default_rng(int(scale * 1e13))
+        ints = random_integrals(4, 4, rng)
+        ints = dataclasses.replace(ints, h=ints.h * scale, g=ints.g * scale)
+        self.assert_matches(ints, ActiveSelection.full(ints), random_block_mapping(4, rng))
+
+    def test_sparse_34_qubit_register(self):
+        # beta qubits of the last spatial positions are 32 and 33
+        n = 17
+        rng = np.random.default_rng(117)
+        h = np.diag(-np.arange(n, 0, -1.0))
+        g = np.zeros((n, n, n, n))
+        for _ in range(40):
+            p, q, r, s = (int(i) for i in rng.integers(0, n, size=4))
+            v = float(rng.normal(scale=0.2))
+            for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                               (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)):
+                g[a, b, c, d] = v
+            h[p, q] = h[q, p] = float(rng.normal(scale=0.1))
+        ints = MolecularIntegrals(n, 4, 0, 0.2, h, g, OrbitalSymmetry.all_symmetric(n))
+        mapping = random_block_mapping(n, rng)
+        hq = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+        assert max(max(w.support) for w in hq.terms.words()) == 33
+        assert any(w.x_mask >> 32 for w in hq.terms.words())
+        self.assert_matches(ints, ActiveSelection.full(ints), mapping)
+
+    def test_register_wider_than_the_masks_refused(self):
+        n = 33
+        ints = MolecularIntegrals(n, 2, 0, 0.0, np.eye(n), np.zeros((n, n, n, n)),
+                                  OrbitalSymmetry.all_symmetric(n))
+        with pytest.raises(HamiltonianError, match="66 qubits exceed the 64"):
+            build_qubit_hamiltonian(ints, ActiveSelection.full(ints))
+
+
+class TestSpinSectorIndices:
+    @pytest.mark.parametrize("n_spatial", range(1, 7))
+    def test_matches_the_full_register_filter(self, n_spatial):
+        rng = np.random.default_rng(120 + n_spatial)
+        for _ in range(4):
+            mapping = QubitMapping(tuple(int(q) for q in rng.permutation(2 * n_spatial)))
+            orbsym = OrbitalSymmetry.from_labels(rng.integers(1, 9, size=n_spatial).tolist())
+            for n_alpha in range(n_spatial + 2):
+                for n_beta in range(n_spatial + 2):
+                    sector = SpinSector(n_alpha, n_beta)
+                    for sym in (None, orbsym):
+                        got = spin_sector_indices(mapping, sector, sym)
+                        want = spin_sector_indices_by_filter(mapping, sector, sym)
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestQwcGrouping:

@@ -19,6 +19,7 @@ from uccvqe.pauli import (
     PauliSum,
     PauliWord,
     antihermitian_generator,
+    jw_images,
     jw_ladder,
     jw_terms,
     jw_transform,
@@ -244,6 +245,66 @@ class TestProductChainOracle:
             a = PauliSum(n, [random_word(rng, n) for _ in range(int(rng.integers(0, 6)))])
             b = PauliSum(n, [random_word(rng, n) for _ in range(int(rng.integers(0, 6)))])
             assert exact_terms(masks(a.product(b))) == exact_terms(product_by_words(a, b))
+
+
+class TestBatchedImages:
+    """``jw_images`` must give, term by term, the words of ``jw_terms`` with
+    equal coefficients. Signed zeros are compared after adding to 0j, as the
+    Hamiltonian assembly folds them."""
+
+    @staticmethod
+    def assert_matches(modes, daggers, coeffs, n):
+        term, x, z, c = jw_images(modes, daggers, coeffs, n)
+        assert list(term) == sorted(term)
+        daggers = np.broadcast_to(daggers, np.shape(modes))
+        for t in range(len(modes)):
+            ops = tuple((int(m), bool(d)) for m, d in zip(modes[t], daggers[t]))
+            want = jw_terms(FermionTerm(ops, complex(coeffs[t])), n)
+            got = {(int(a), int(b)): v for a, b, v in
+                   zip(x[term == t], z[term == t], c[term == t].tolist())}
+            assert len(got) == (term == t).sum()
+            assert exact_terms({k: 0j + v for k, v in got.items()}) == \
+                exact_terms({k: 0j + v for k, v in want.items()}), ops
+
+    @pytest.mark.parametrize("daggers", [(True, False), (True, True, False, False)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 34, 64])
+    def test_one_and_two_body_sequences(self, daggers, n):
+        # few modes per register repeat modes often; wide registers reach bit 63
+        rng = np.random.default_rng(n + len(daggers))
+        low = max(0, n - 6)
+        modes = rng.integers(low, n, size=(300, len(daggers)))
+        coeffs = rng.normal(size=300) * 10.0 ** rng.uniform(-12.5, 0.5, size=300)
+        self.assert_matches(modes, daggers, coeffs, n)
+
+    def test_any_length_and_daggers_complex_coefficients(self):
+        rng = np.random.default_rng(37)
+        for length in range(6):
+            n = int(rng.integers(1, 7))
+            modes = rng.integers(0, n, size=(60, length))
+            daggers = rng.integers(0, 2, size=(60, length)).astype(bool)
+            coeffs = rng.normal(size=60) + 1j * rng.normal(size=60)
+            self.assert_matches(modes, daggers, coeffs, n)
+
+    def test_coefficients_at_the_prune_threshold(self):
+        # images of 1, 2 and 4 distinct modes sit at COEFF_EPS * 2**(k - d)
+        ops = [(0, 1, 1, 0), (0, 1, 2, 3), (1, 0, 0, 1), (2, 2, 3, 3)]
+        for k in range(-2, 6):
+            self.assert_matches(np.array(ops), (True, True, False, False),
+                                np.full(len(ops), COEFF_EPS * 2.0**k), 4)
+
+    def test_empty_batch(self):
+        term, x, z, c = jw_images(np.zeros((0, 4), dtype=int), (True, True, False, False),
+                                  np.zeros(0), 4)
+        assert len(term) == len(x) == len(z) == len(c) == 0
+
+    @pytest.mark.parametrize("modes, n, match", [
+        ([[0, 4]], 4, "mode 4 out of range for 4 qubits"),
+        ([[-1, 0]], 4, "mode -1 out of range"),
+        ([[0, 1]], 65, "65 qubits exceed the 64-bit Pauli masks"),
+    ])
+    def test_refusals(self, modes, n, match):
+        with pytest.raises(PauliError, match=match):
+            jw_images(modes, (True, False), [1.0], n)
 
 
 class TestGenerators:

@@ -12,7 +12,10 @@ cap). They read dense integrals, every (pq|rs) set as in a real FCIDUMP,
 and report the Pauli term count. The exact-reference rows give the
 dimension of the spin sector and of the Hartree-Fock irrep block under a
 4-irrep ORBSYM, and the time of ``exact_ground_energy`` on that block
-(dense ``eigvalsh``).
+(dense ``eigvalsh``). The histogram rows time what sampling and
+``uccvqe mitigate`` do per measurement group: ``sample_group``, ``to_text``,
+``from_text`` and ``group_outcomes`` over every QWC group of the
+dense-integral Hamiltonian, on a random state.
 
 Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
 """
@@ -164,6 +167,30 @@ def bench_synth(n_orbitals):
             pipe.hamiltonian.term_count)
 
 
+def bench_histograms(n_orbitals, shots=6000):
+    """sample_group -> to_text -> from_text -> group_outcomes over every QWC
+    group of the dense-integral Hamiltonian on 2*n_orbitals qubits, on a
+    seeded random state; returns the time, the group count and the mean
+    number of distinct outcomes per group."""
+    from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian, qwc_group
+    from uccvqe.mapping import QubitMapping
+    from uccvqe.sim import Histogram, Statevector, group_outcomes, sample_group
+
+    ints = dense_integrals(n_orbitals)
+    groups = qwc_group(build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
+                                               QubitMapping.identity(n_orbitals)))
+    state = Statevector(2 * n_orbitals, random_state(2 * n_orbitals, seed=n_orbitals))
+    sizes = []
+
+    def run():
+        sizes.clear()
+        for g in groups:
+            hist = Histogram.from_text(sample_group(state, g, shots, g.index).to_text())
+            sizes.append(len(group_outcomes(g, hist)[0]))
+
+    return timeit(run, repeats=3), len(groups), sum(sizes) / len(sizes)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-qubits", type=int, default=20)
@@ -203,6 +230,14 @@ def main():
         t_ham, t_build, t_hf, n_gates, n_terms = bench_synth(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>7} {n_terms:>12} {t_ham * 1e3:>17.2f} "
               f"{t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
+
+    print("\nhistograms: sample_group -> to_text -> from_text -> group_outcomes, 6000 shots")
+    print(f"{'orbitals':>8} {'qubits':>7} {'groups':>7} {'outcomes/group':>15} "
+          f"{'all groups (ms)':>16} {'per group (ms)':>15}")
+    for n_orb in (6, 8):
+        t_hist, n_groups, n_outcomes = bench_histograms(n_orb)
+        print(f"{n_orb:>8} {2 * n_orb:>7} {n_groups:>7} {n_outcomes:>15.0f} "
+              f"{t_hist * 1e3:>16.1f} {t_hist / n_groups * 1e3:>15.3f}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .mapping import QubitMapping, greedy_map, mapping_cost
 from .mitigate import MitigationReport, PostSelectionPolicy, mitigated_energy, postselect
 from .pauli import FermionTerm, PauliSum, PauliWord, antihermitian_generator, jw_ladder, jw_transform
 from .sim import Histogram, Statevector, apply_circuit, energy_from_histograms, expectation, sample_group
-from .symmetry import Irrep, OrbitalSymmetry, SpinSector, excitation_allowed, irrep_product, sector_of_bitstring
+from .symmetry import Irrep, OrbitalSymmetry, SpinSector, excitation_allowed, irrep_product
 from .vqe import OptimizeConfig, VqeResult, evaluate_sampled, optimize
 
 __version__ = "0.1.0"

@@ -262,6 +262,8 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     pipe.post_select(report, sampled.valued, cfg.policy)
 
     out = _out_dir(cfg)
+    for stale in out.glob("group_*.hist"):
+        stale.unlink()
     for hist in sampled.histograms:
         (out / f"group_{hist.group_id:03d}.hist").write_text(hist.to_text())
     report["timings_seconds"]["total"] = time.perf_counter() - t0
@@ -313,13 +315,13 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
 def _saved_outcomes(pipe: Pipeline, hist_dir: str) -> list:
     """``group_outcomes`` of each group on its saved histogram, paired by
     group id. A file is refused, by name, unless its SEED and SHOTS are what
-    the run's sampling gives its group and its bitstrings span the register."""
+    the run's sampling gives its group and its width is the register's."""
     cfg = pipe.config
     by_id: dict[int, tuple[Path, Histogram]] = {}
     for path in sorted(Path(hist_dir).glob("group_*.hist")):
         try:
             hist = Histogram.from_text(path.read_text())
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: a count past int64
             raise CliError(f"{path}: {exc}") from None
         if hist.group_id in by_id:
             raise CliError(f"{path}: second histogram for group {hist.group_id}")
@@ -337,15 +339,14 @@ def _saved_outcomes(pipe: Pipeline, hist_dir: str) -> list:
     for g, shots in zip(pipe.groups, shot_budget(cfg.shots, len(pipe.groups), cfg.shot_mode)):
         path, hist = by_id[g.index]
         seed = group_seed(cfg.sample_seed, g.index)
-        width = len(next(iter(hist.counts), ""))
         if hist.seed != seed:
             raise CliError(f"{path}: SEED {hist.seed}, but sample seed {cfg.sample_seed} "
                            f"gives group {g.index} the seed {seed}")
         if hist.shots != shots:
             raise CliError(f"{path}: SHOTS {hist.shots}, but {cfg.shots} shots "
                            f"({cfg.shot_mode}) give group {g.index} {shots}")
-        if width != n:
-            raise CliError(f"{path}: bitstrings are {width} bits long, "
+        if hist.n_qubits != n:
+            raise CliError(f"{path}: bitstrings are {hist.n_qubits} bits long, "
                            f"but the register has {n} qubits")
         valued.append(group_outcomes(g, hist))
     return valued

@@ -23,7 +23,6 @@ from .symmetry import OrbitalSymmetry, SpinSector, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
 INTEGRAL_THRESHOLD = 1e-12
-DENSE_QUBIT_LIMIT = 14
 DENSE_BLOCK_LIMIT = 2048  # every spin sector up to 14 qubits and screened CAS(8,8) fit
 
 
@@ -357,22 +356,6 @@ def _mask_table(terms: PauliSum) -> list[tuple[int, int, complex]]:
         xb, zb, ny = word_masks(terms.n, w.x_mask, w.z_mask)
         table.append((xb, zb, w.coefficient * (1j**ny)))
     return table
-
-
-def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
-    """Full 2^n matrix including the offset (testing and small references)."""
-    n = h.n_qubits
-    if n > DENSE_QUBIT_LIMIT:
-        raise HamiltonianError(f"{n} qubits too large for a dense matrix")
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[idx.astype(np.int64), idx.astype(np.int64)] = h.offset
-    for xb, zb, coeff in _mask_table(h.terms):
-        src = idx.astype(np.int64)
-        dst = (idx ^ np.uint64(xb)).astype(np.int64)
-        mat[dst, src] += coeff * kernels.parity_signs(idx, zb)
-    return mat
 
 
 def spin_sector_indices(mapping: QubitMapping, sector: SpinSector,

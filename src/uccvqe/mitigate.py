@@ -52,17 +52,15 @@ class PostSelectionPolicy:
 def postselect(hist: Histogram, policy: PostSelectionPolicy,
                mapping: Optional[QubitMapping] = None) -> Histogram:
     """Filter a computational-basis histogram by the policy's symmetry."""
-    bits = sorted(hist.counts)
-    spin = mapping is not None and policy.kind == "spin"
-    n = mapping.n_qubits if spin else len(next(iter(bits), ""))
-    if any(len(b) != n for b in bits):
-        raise MitigationError(f"group {hist.group_id}: bitstrings are not {n} bits long")
-    idx = np.array([int(b, 2) for b in bits], dtype=np.uint64)
-    kept = {b: hist.counts[b] for b, keep in zip(bits, policy.keeps(idx, mapping)) if keep}
-    retained = sum(kept.values())
+    if policy.kind == "spin" and mapping is not None and hist.n_qubits != mapping.n_qubits:
+        raise MitigationError(f"group {hist.group_id}: bitstrings are not "
+                              f"{mapping.n_qubits} bits long")
+    keep = policy.keeps(hist.outcomes, mapping)
+    retained = int(hist.tallies[keep].sum())
     if retained == 0:
         raise policy.discarded(hist.group_id)
-    return Histogram(kept, retained, hist.group_id, hist.seed)
+    return Histogram.from_outcomes(hist.n_qubits, hist.outcomes[keep], hist.tallies[keep],
+                                   retained, hist.group_id, hist.seed)
 
 
 def mitigated_energy(

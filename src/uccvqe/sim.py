@@ -9,13 +9,13 @@ platforms for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .circuit import Circuit
+from .circuit import Circuit, Gate
 from .symmetry import index_mask
 
 MAX_QUBITS = 24
@@ -166,30 +166,42 @@ def prepared_basis_state(circuit: Circuit) -> str:
     return "".join("1" if sign >> q & 1 else "0" for q in range(n))
 
 
-@dataclass
 class Histogram:
-    """Counts per measured bitstring for one measurement group."""
+    """One group's distinct ``outcomes`` on ``n_qubits`` (1 to 64) as ascending uint64
+    amplitude indices, and their int64 ``tallies``. Bitstrings appear only in the
+    ``{bits: count}`` constructor, the read-only, ascending ``counts`` and the text form."""
 
-    counts: dict[str, int]
-    shots: int
-    group_id: int
-    seed: int
-
-    def __post_init__(self):
-        width = len(next(iter(self.counts), ""))
-        for bits, count in self.counts.items():
+    def __init__(self, counts: dict[str, int], shots: int, group_id: int, seed: int):
+        width = _check_width(len(next(iter(counts), "")))
+        for bits, count in counts.items():
             if bits.strip("01") or len(bits) != width:
                 raise SimulationError(f"bitstring {bits!r} is not {width} characters of 0/1")
             if count < 0:
                 raise SimulationError(f"record '{bits} {count}' has a negative count")
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise SimulationError(f"counts sum to {total}, expected {self.shots}")
+        outcomes, tallies = zip(*sorted((int(b, 2), c) for b, c in counts.items()))
+        self._fill(width, outcomes, tallies, shots, group_id, seed)
+
+    @classmethod
+    def from_outcomes(cls, n_qubits, outcomes, tallies, shots, group_id, seed) -> "Histogram":
+        """From ascending, distinct indices below 2**n_qubits and their counts."""
+        return cls.__new__(cls)._fill(_check_width(n_qubits), outcomes, tallies, shots, group_id, seed)
+
+    def _fill(self, n_qubits, outcomes, tallies, shots, group_id, seed) -> "Histogram":
+        self.n_qubits, self.shots, self.group_id, self.seed = n_qubits, shots, group_id, seed
+        self.outcomes = np.asarray(outcomes, dtype=np.uint64)
+        self.tallies = np.asarray(tallies, dtype=np.int64)
+        if int(self.tallies.sum()) != shots:
+            raise SimulationError(f"counts sum to {self.tallies.sum()}, expected {shots}")
+        return self
+
+    @property
+    def counts(self) -> MappingProxyType:
+        return MappingProxyType({format(i, f"0{self.n_qubits}b"): c for i, c in
+                                 zip(self.outcomes.tolist(), self.tallies.tolist())})
 
     def to_text(self) -> str:
         lines = [f"GROUP {self.group_id}", f"SHOTS {self.shots}", f"SEED {self.seed}"]
-        for bits in sorted(self.counts):
-            lines.append(f"{bits} {self.counts[bits]}")
+        lines += [f"{bits} {count}" for bits, count in self.counts.items()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -217,6 +229,12 @@ class Histogram:
         return cls(counts, shots, group_id, seed)
 
 
+def _check_width(n_qubits: int) -> int:
+    if not 1 <= n_qubits <= 64:
+        raise SimulationError(f"a histogram register has 1 to 64 qubits, not {n_qubits}")
+    return n_qubits
+
+
 def _line_int(line: int, token: str) -> int:
     try:
         return int(token)
@@ -226,8 +244,6 @@ def _line_int(line: int, token: str) -> int:
 
 def basis_change_circuit(group, n: int) -> Circuit:
     """H for X-assigned qubits, Sdg then H for Y-assigned ones."""
-    from .circuit import Gate
-
     gates = []
     for q, axis in enumerate(group.basis):
         if axis == "X":
@@ -247,28 +263,25 @@ def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    counts = {format(idx, f"0{state.n_qubits}b"): int(draws[idx])
-              for idx in np.flatnonzero(draws).tolist()}
-    return Histogram(counts, shots, getattr(group, "index", 0), seed)
+    return Histogram.from_outcomes(state.n_qubits, np.flatnonzero(draws), draws[draws > 0],
+                                   shots, getattr(group, "index", 0), seed)
 
 
 def group_outcomes(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A group's outcomes as uint64 amplitude indices (qubit 0 most
-    significant) in bitstring order, the group's value on each, and counts.
+    """A group's outcomes (the histogram's ascending uint64 indices), the
+    group's value on each, and their counts as floats.
 
     After the basis change every member word is diagonal, so its value on
     an outcome is the parity of the outcome's bits on the word's support.
     """
     n = len(group.basis)
-    items = sorted(histogram.counts.items())
-    if any(len(bits) != n for bits, _ in items):
+    if histogram.n_qubits != n:
         raise SimulationError(f"group {histogram.group_id}: bitstrings are not {n} bits long")
-    idx = np.array([int(bits, 2) for bits, _ in items], dtype=np.uint64)
-    values = np.zeros(len(items))
+    values = np.zeros(len(histogram.outcomes))
     for w in group.words:
         xb, zb, _ = word_masks(n, w.x_mask, w.z_mask)
-        values += w.coefficient.real * kernels.parity_signs(idx, xb | zb)
-    return idx, values, np.array([count for _, count in items], dtype=np.float64)
+        values += w.coefficient.real * kernels.parity_signs(histogram.outcomes, xb | zb)
+    return histogram.outcomes, values, histogram.tallies.astype(np.float64)
 
 
 def estimate_energy(samples, offset: float = 0.0) -> tuple[float, float]:

@@ -134,15 +134,3 @@ def in_symmetry_block(indices: np.ndarray, mapping, sector: SpinSector,
             keep &= count(odd) % 2 == 0
     return keep
 
-
-def sector_of_bitstring(bits: str, mapping) -> SpinSector:
-    """Count measured '1's separately on alpha and beta qubits.
-
-    ``bits`` is a computational-basis outcome with qubit 0 leftmost.
-    """
-    n = mapping.n_qubits
-    if len(bits) != n:
-        raise SymmetryError(f"bitstring length {len(bits)} != qubit count {n}")
-    index = int(bits, 2)
-    return SpinSector((index & index_mask(n, mapping.alpha_qubits())).bit_count(),
-                      (index & index_mask(n, mapping.beta_qubits())).bit_count())

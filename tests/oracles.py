@@ -2,7 +2,9 @@
 
 Everything here is built directly from numpy primitives (kron products,
 occupation-number ladder matrices, scipy expm) so it exercises none of the
-code paths under test. The reference implementations further down (gate
+code paths under test, except ``dense_matrix``: the full 2^n matrix of a
+qubit Hamiltonian from its words' amplitude-index masks, for registers up
+to 14 qubits. The reference implementations further down (gate
 cancellation, QWC grouping, gate kernels, expectation, the Jordan-Wigner
 product chain, the Hamiltonian assembled term by term through that chain,
 the 2^n filter of a symmetry block, greedy mapping, the gate-level
@@ -27,12 +29,14 @@ from uccvqe.circuit import (
     synth_paired_excitation,
     synth_spatial_to_spin,
 )
+from uccvqe import kernels
 from uccvqe.hamio import (
     HERMITICITY_TOL,
     INTEGRAL_THRESHOLD,
     HamiltonianError,
     MeasurementGroup,
     QubitHamiltonian,
+    _mask_table,
     restrict_to_active,
 )
 from uccvqe.mapping import QubitMapping, _best_window
@@ -68,6 +72,26 @@ def sum_matrix(terms: PauliSum) -> np.ndarray:
     for w in terms.words():
         out += word_matrix(w)
     return out
+
+
+DENSE_QUBIT_LIMIT = 14
+
+
+def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
+    """Full 2^n matrix of a qubit Hamiltonian, offset included, from its
+    amplitude-index masks (small references only)."""
+    n = h.n_qubits
+    if n > DENSE_QUBIT_LIMIT:
+        raise HamiltonianError(f"{n} qubits too large for a dense matrix")
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.uint64)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[idx.astype(np.int64), idx.astype(np.int64)] = h.offset
+    for xb, zb, coeff in _mask_table(h.terms):
+        src = idx.astype(np.int64)
+        dst = (idx ^ np.uint64(xb)).astype(np.int64)
+        mat[dst, src] += coeff * kernels.parity_signs(idx, zb)
+    return mat
 
 
 def ladder_matrix(p: int, dagger: bool, n: int) -> np.ndarray:

@@ -205,6 +205,23 @@ class TestVqe:
         hist_files = sorted(tmp_path.glob("group_*.hist"))
         assert len(hist_files) == report["qwc_group_count"]
 
+    def test_rerun_replaces_the_histograms_in_out(self, h2_path, tmp_path):
+        # a wider run first leaves more group files than the H2 run writes
+        wide = tmp_path / "wide.fcidump"
+        write_fcidump(str(wide), pair_integrals(4, 4))
+        out = tmp_path / "out"
+        assert run(["vqe", "--fcidump", str(wide), "--electrons", "4", "--variant", "upccd",
+                    "--shots", "100", "--out", str(out)]) == 0
+        wide_groups = load_report(out / "report.json")["qwc_group_count"]
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "100",
+                    "--out", str(out)]) == 0
+        groups = load_report(out / "report.json")["qwc_group_count"]
+        assert wide_groups > groups
+        assert sorted(p.name for p in out.glob("group_*.hist")) == [
+            f"group_{k:03d}.hist" for k in range(groups)]
+        assert run(["mitigate", "--report", str(out / "report.json"),
+                    "--histograms", str(out), "--policy", "all"]) == 0
+
     def test_repeat_runs_identical_apart_from_timings(self, h2_path, tmp_path):
         run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "500",
              "--sample-seed", "3", "--out", str(tmp_path / "a")])
@@ -438,6 +455,16 @@ class TestMitigateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"uccvqe: error: {path}: ")
         assert message in err
+
+    def test_count_past_int64_rejected_with_file_name(self, h2_path, tmp_path, capsys):
+        self._vqe_run(h2_path, tmp_path)
+        path = tmp_path / "group_000.hist"
+        lines = path.read_text().splitlines()
+        lines[1] = f"SHOTS {1 << 64}"
+        lines[3:] = [f"{lines[3].split()[0]} {1 << 64}"]
+        path.write_text("\n".join(lines) + "\n")
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err.startswith(f"uccvqe: error: {path}: ")
 
     def test_histogram_of_another_sample_seed_rejected(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path / "run")

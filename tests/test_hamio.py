@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_block_mapping, random_integrals
 from oracles import (
     build_qubit_hamiltonian_by_chains,
+    dense_matrix,
     ladder_matrix,
     qwc_group_by_axes,
     spin_sector_indices_by_filter,
@@ -23,7 +24,6 @@ from uccvqe.hamio import (
     HamiltonianError,
     MolecularIntegrals,
     build_qubit_hamiltonian,
-    dense_matrix,
     exact_ground_energy,
     parse_fcidump,
     qwc_group,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import greedy_map_rescanning
+from oracles import dense_matrix, greedy_map_rescanning
 from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
-from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian, dense_matrix
+from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian
 from uccvqe.mapping import MappingError, QubitMapping, greedy_map, mapping_cost, span_cost
 from uccvqe.symmetry import OrbitalSymmetry
 

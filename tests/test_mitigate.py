@@ -22,7 +22,7 @@ from uccvqe.mitigate import (
 )
 from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import Histogram, energy_from_histograms, group_outcomes
-from uccvqe.symmetry import SpinSector
+from uccvqe.symmetry import SpinSector, in_symmetry_block
 from uccvqe.vqe import evaluate_sampled, optimize
 
 SECTOR = SpinSector(1, 1)
@@ -92,10 +92,19 @@ class TestPostselect:
         counts = {format(int(s), "04b"): 1 for s in range(16)}
         hist = Histogram(counts, 16, 0, 0)
         spin = postselect(hist, PostSelectionPolicy("spin", SECTOR), mapping)
-        from uccvqe.symmetry import sector_of_bitstring
+        assert in_symmetry_block(spin.outcomes, mapping, SECTOR).all()
+        assert len(spin.counts) == 4  # one alpha on 2 qubits times one beta on 2
 
-        for bits in spin.counts:
-            assert sector_of_bitstring(bits, mapping) == SECTOR
+    def test_spin_on_another_register_width_rejected(self):
+        hist = Histogram({"001100": 3}, 3, 6, 0)
+        with pytest.raises(MitigationError, match="group 6: bitstrings are not 4 bits long"):
+            postselect(hist, PostSelectionPolicy("spin", SECTOR), QubitMapping.identity(2))
+
+    def test_kept_outcomes_keep_their_arrays(self):
+        hist = Histogram({"0011": 40, "1010": 60, "1110": 5}, 105, 3, 8)
+        kept = postselect(hist, PostSelectionPolicy("particle", SECTOR))
+        assert (kept.n_qubits, kept.shots, kept.group_id, kept.seed) == (4, 100, 3, 8)
+        assert kept.outcomes.tolist() == [0b0011, 0b1010] and kept.tallies.tolist() == [40, 60]
 
     def test_spin_without_mapping_rejected(self):
         hist = Histogram({"0011": 1}, 1, 0, 0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_block_mapping, random_integrals
+from oracles import dense_matrix
 from uccvqe.ansatz import VARIANTS, ActiveSpace, enumerate_excitations
 from uccvqe.circuit import build_ansatz_circuit
 from uccvqe.hamio import (
@@ -17,7 +18,6 @@ from uccvqe.hamio import (
     BlockSizeError,
     QubitHamiltonian,
     build_qubit_hamiltonian,
-    dense_matrix,
     exact_ground_energy,
     sector_indices,
     sector_operator,

@@ -128,6 +128,16 @@ class TestSampling:
         hist = sample_group(state, group, 500, seed=0)
         assert hist.counts == {"0": 500}
 
+    def test_outcomes_are_the_drawn_indices(self):
+        rng = np.random.default_rng(9)
+        state = Statevector(6, random_amplitudes(6, rng))
+        hist = sample_group(state, z_group(6), 500, seed=4)
+        probs = state.probabilities()
+        draws = np.random.default_rng(4).multinomial(500, probs / probs.sum())
+        assert hist.n_qubits == 6
+        assert hist.outcomes.tolist() == np.flatnonzero(draws).tolist()
+        assert hist.tallies.tolist() == draws[draws > 0].tolist()
+
     def test_shots_must_be_positive(self):
         with pytest.raises(SimulationError):
             sample_group(Statevector.zero(1), z_group(1), 0, seed=0)
@@ -192,6 +202,50 @@ class TestHistogram:
             Histogram.from_text("GROUP 0\nSHOTS 5\nSEED 1\n0011 3\n011 2\n")
         with pytest.raises(SimulationError):
             Histogram({"0011": 3, "00111": 2}, 5, 0, 0)
+
+    def test_arrays_and_counts_view(self):
+        hist = Histogram({"10": 7, "01": 3, "11": 0}, 10, 2, 99)
+        assert hist.n_qubits == 2
+        assert hist.outcomes.dtype == np.uint64 and hist.outcomes.tolist() == [1, 2, 3]
+        assert hist.tallies.dtype == np.int64 and hist.tallies.tolist() == [3, 7, 0]
+        assert list(hist.counts.items()) == [("01", 3), ("10", 7), ("11", 0)]
+        assert len(hist.counts) == 3 and hist.counts["10"] == 7
+        for absent in ("00", "1", "010", "0b1", 1):
+            assert absent not in hist.counts
+        with pytest.raises(TypeError):
+            hist.counts["00"] = 1
+
+    @pytest.mark.parametrize("width", [0, 65, 100])
+    def test_width_outside_1_to_64_refused(self, width):
+        with pytest.raises(SimulationError, match=f"1 to 64 qubits, not {width}$"):
+            Histogram({"1" * width: 2}, 2, 0, 0)
+        if width:
+            with pytest.raises(SimulationError, match=f"1 to 64 qubits, not {width}$"):
+                Histogram.from_text(f"GROUP 0\nSHOTS 2\nSEED 1\n{'0' * width} 2\n")
+
+    def test_empty_histogram_has_no_width(self):
+        # its text form would hold a record '' that from_text cannot read
+        with pytest.raises(SimulationError, match="1 to 64 qubits, not 0"):
+            Histogram({"": 0}, 0, 0, 0)
+        with pytest.raises(SimulationError, match="1 to 64 qubits, not 0"):
+            Histogram({}, 0, 0, 0)
+
+    def test_64_qubit_register(self):
+        top = 1 << 63
+        hist = Histogram({"0" * 64: 1, "1" + "0" * 63: 2, "1" * 64: 3}, 6, 4, 0)
+        assert hist.outcomes.tolist() == [0, top, 2 * top - 1]
+        again = Histogram.from_text(hist.to_text())
+        assert again.counts == hist.counts and again.n_qubits == 64
+        group = MeasurementGroup(4, (PauliWord.from_axes("Z" + "I" * 63, 1.0),),
+                                 ("Z",) + ("-",) * 63)
+        _, values, weights = group_outcomes(group, again)
+        assert values.tolist() == [1.0, -1.0, -1.0] and weights.tolist() == [1.0, 2.0, 3.0]
+
+    def test_from_outcomes_refuses_wrong_totals_and_widths(self):
+        with pytest.raises(SimulationError, match="counts sum to 2, expected 3"):
+            Histogram.from_outcomes(2, [0, 3], [1, 1], 3, 0, 0)
+        with pytest.raises(SimulationError, match="not 65"):
+            Histogram.from_outcomes(65, [0], [1], 1, 0, 0)
 
 
 def random_groups(n_qubits: int, rng) -> list[MeasurementGroup]:

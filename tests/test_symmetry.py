@@ -16,7 +16,6 @@ from uccvqe.symmetry import (
     excitation_allowed,
     in_symmetry_block,
     irrep_product,
-    sector_of_bitstring,
 )
 
 
@@ -111,25 +110,26 @@ class TestScreening:
 
 
 class TestSpinSector:
+    @staticmethod
+    def in_block(index, mapping, sector):
+        return bool(in_symmetry_block(np.array([index], dtype=np.uint64), mapping, sector)[0])
+
     def test_all_zero_bitstring(self):
-        assert sector_of_bitstring("0000", QubitMapping.identity(2)) == SpinSector(0, 0)
+        assert self.in_block(0b0000, QubitMapping.identity(2), SpinSector(0, 0))
 
     def test_hartree_fock_occupation(self):
         m = QubitMapping.identity(4)
-        assert sector_of_bitstring("11001100", m) == SpinSector(2, 2)
+        assert self.in_block(0b11001100, m, SpinSector(2, 2))
 
     def test_single_alpha_flip(self):
         m = QubitMapping.identity(4)
-        assert sector_of_bitstring("10001100", m) == SpinSector(1, 2)
+        assert self.in_block(0b10001100, m, SpinSector(1, 2))
+        assert not self.in_block(0b10001100, m, SpinSector(2, 2))
 
     def test_respects_mapping(self):
         m = QubitMapping.from_spatial_order([1, 0])
         # alpha qubits are 1 and 0; "10" on the first two qubits is one alpha
-        assert sector_of_bitstring("1000", m) == SpinSector(1, 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(SymmetryError):
-            sector_of_bitstring("000", QubitMapping.identity(2))
+        assert self.in_block(0b1000, m, SpinSector(1, 0))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(SymmetryError):

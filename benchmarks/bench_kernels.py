@@ -12,7 +12,8 @@ cap). They read dense integrals, every (pq|rs) set as in a real FCIDUMP,
 and report the Pauli term count. The exact-reference rows give the
 dimension of the spin sector and of the Hartree-Fock irrep block under a
 4-irrep ORBSYM, and the time of ``exact_ground_energy`` on that block
-(dense ``eigvalsh``). The histogram rows time what sampling and
+(dense ``eigvalsh``). The grouping rows time ``qwc_group`` on the
+dense-integral Hamiltonians of 16, 20 and 24 qubits. The histogram rows time what sampling and
 ``uccvqe mitigate`` do per measurement group: ``sample_group``, ``to_text``,
 ``from_text`` and ``group_outcomes`` over every QWC group of the
 dense-integral Hamiltonian, on a random state.
@@ -167,6 +168,18 @@ def bench_synth(n_orbitals):
             pipe.hamiltonian.term_count)
 
 
+def bench_grouping(n_orbitals):
+    """qwc_group on the dense-integral Hamiltonian under the identity
+    mapping; returns the time, the Pauli term count and the group count."""
+    from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian, qwc_group
+    from uccvqe.mapping import QubitMapping
+
+    ints = dense_integrals(n_orbitals)
+    ham = build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
+                                  QubitMapping.identity(n_orbitals))
+    return timeit(qwc_group, ham, repeats=3), ham.term_count, len(qwc_group(ham))
+
+
 def bench_histograms(n_orbitals, shots=6000):
     """sample_group -> to_text -> from_text -> group_outcomes over every QWC
     group of the dense-integral Hamiltonian on 2*n_orbitals qubits, on a
@@ -230,6 +243,12 @@ def main():
         t_ham, t_build, t_hf, n_gates, n_terms = bench_synth(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>7} {n_terms:>12} {t_ham * 1e3:>17.2f} "
               f"{t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
+
+    print("\nmeasurement grouping: qwc_group on dense integrals")
+    print(f"{'orbitals':>8} {'qubits':>7} {'pauli terms':>12} {'groups':>7} {'qwc_group (ms)':>15}")
+    for n_orb in (8, 10, 12):
+        t_group, n_terms, n_groups = bench_grouping(n_orb)
+        print(f"{n_orb:>8} {2 * n_orb:>7} {n_terms:>12} {n_groups:>7} {t_group * 1e3:>15.2f}")
 
     print("\nhistograms: sample_group -> to_text -> from_text -> group_outcomes, 6000 shots")
     print(f"{'orbitals':>8} {'qubits':>7} {'groups':>7} {'outcomes/group':>15} "

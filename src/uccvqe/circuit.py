@@ -6,17 +6,20 @@ qubit, Rz, and the mirror. Consecutive rotations of one excitation differ on
 exactly two qubits; their shared ladder structure cancels analytically down
 to a CNOT-H-CNOT interface, which the emitter writes directly in its
 one-CNOT form (the CX-H-CX identity). The assembled circuit then goes
-through one ``cancel_adjacent`` pass. ``rewrite_cx_h_cx`` applies the same
-identity to any circuit; synthesis does not call it.
+through one pass of the ``cancel_adjacent`` rule. Synthesis reads Pauli
+masks, not axis strings, and handles gates as plain tuples until the
+surviving chain becomes ``Gate`` objects. ``rewrite_cx_h_cx`` applies the
+same identity to any circuit; synthesis does not call it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .ansatz import ActiveSpace, AnsatzSpec, Excitation
 from .mapping import QubitMapping
-from .pauli import PauliSum, antihermitian_generator
+from .pauli import PauliSum, PauliWord, antihermitian_generator, axes_rank
 
 GATE_KINDS = ("X", "H", "S", "SDG", "RZ", "CNOT")
 
@@ -82,6 +85,15 @@ class Circuit:
             if any(q < 0 or q >= n_qubits for q in g.qubits):
                 raise CircuitError(f"gate {g} outside {n_qubits}-qubit register")
 
+    @classmethod
+    def _trusted(cls, n_qubits: int, gates: Iterable[Gate]) -> "Circuit":
+        """A circuit over gates already known to fit the register, not
+        validated again."""
+        out = cls.__new__(cls)
+        out.n_qubits = n_qubits
+        out.gates = tuple(gates)
+        return out
+
     @property
     def parameters(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -138,47 +150,62 @@ def count_2qge(circuit: Circuit) -> int:
 
 
 # ---------------------------------------------------------------------------
-# basis-change helpers (temporal gate lists)
+# gate emission on Pauli masks
+#
+# Synthesis emits gates as plain (kind, qubits, angle) tuples, the fields of a
+# ``Gate``, and takes rotations as (x_mask, z_mask, angle) terms in the
+# ``PauliWord`` convention (x bit only: X, z bit only: Z, both: Y). Gates
+# are cancelled as tuples; only the survivors become ``Gate`` objects.
 
-def _open_basis(axis: str, q: int) -> list[Gate]:
-    if axis == "X":
-        return [Gate("H", (q,))]
-    if axis == "Y":
-        return [Gate("SDG", (q,)), Gate("H", (q,))]
-    return []
-
-
-def _close_basis(axis: str, q: int) -> list[Gate]:
-    if axis == "X":
-        return [Gate("H", (q,))]
-    if axis == "Y":
-        return [Gate("H", (q,)), Gate("S", (q,))]
-    return []
+Op = tuple[str, tuple[int, ...], Angle]
 
 
-def _ladder(active: Sequence[int], target: int) -> list[Gate]:
-    return [Gate("CNOT", (q, target)) for q in active if q != target]
+def _bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _rewrite_template(c: int, t: int) -> list[Gate]:
+def _open_ops(x: int, z: int, active: Sequence[int]) -> list[Op]:
+    """Basis changes into the Z eigenbasis: H for X, Sdg then H for Y."""
+    out: list[Op] = []
+    for q in active:
+        if x >> q & 1:
+            if z >> q & 1:
+                out.append(("SDG", (q,), None))
+            out.append(("H", (q,), None))
+    return out
+
+
+def _close_ops(x: int, z: int, active: Sequence[int]) -> list[Op]:
+    """The mirror of ``_open_ops``: H for X, H then S for Y."""
+    out: list[Op] = []
+    for q in active:
+        if x >> q & 1:
+            out.append(("H", (q,), None))
+            if z >> q & 1:
+                out.append(("S", (q,), None))
+    return out
+
+
+def _rewrite_template(c: int, t: int) -> list[Op]:
     """One-CNOT form of CNOT(c,t) H(c) CNOT(c,t): the reversed CNOT dressed
     with S and H gates."""
-    return [
-        Gate("S", (c,)),
-        Gate("H", (t,)),
-        Gate("CNOT", (t, c)),
-        Gate("SDG", (c,)),
-        Gate("S", (t,)),
-        Gate("H", (c,)),
-        Gate("H", (t,)),
-    ]
+    return [("S", (c,), None), ("H", (t,), None), ("CNOT", (t, c), None),
+            ("SDG", (c,), None), ("S", (t,), None), ("H", (c,), None), ("H", (t,), None)]
 
 
-def _interface(prev: str, new: str, active: Sequence[int], target: int) -> list[Gate]:
+def _interface(prev: tuple[int, int], new: tuple[int, int], active: Sequence[int],
+               ladder: list[Op]) -> list[Op]:
     """Gates between two adjacent rotations of a gadget chain, given their
-    full axes strings.
+    (x_mask, z_mask) pairs, the active qubits and the fan-in ``ladder`` onto
+    the target, the last active qubit.
 
-    When the axes differ on exactly one non-target qubit u and the target,
+    When the words differ on exactly one non-target qubit u and the target,
     both flipping X<->Y, the inner ladders cancel except for the residual
     single-qubit change and CNOT(u,t) H(u) CNOT(u,t): on u that residual is
     S,H,S (X->Y) or Sdg,H,Sdg (Y->X) with the S layer commuting out through
@@ -186,60 +213,70 @@ def _interface(prev: str, new: str, active: Sequence[int], target: int) -> list[
     commutes through the fan-in entirely. The CNOT-H-CNOT core is written
     in its one-CNOT form. Anything else falls back to a full close/reopen.
     """
-    changed = [q for q in active if prev[q] != new[q]]
-    if not (len(changed) == 2 and changed[1] == target
-            and all({prev[q], new[q]} == {"X", "Y"} for q in changed)):
-        out = _ladder(active, target)[::-1]
-        for q in active:
-            out.extend(_close_basis(prev[q], q))
-        for q in active:
-            out.extend(_open_basis(new[q], q))
-        out.extend(_ladder(active, target))
-        return out
+    (px, pz), (nx, nz) = prev, new
+    target = active[-1]
+    changed = (px ^ nx) | (pz ^ nz)
+    rest = changed ^ (1 << target)
+    if not (changed >> target & 1 and rest.bit_count() == 1
+            and changed & ~(px & nx & (pz ^ nz)) == 0):
+        return ladder[::-1] + _close_ops(px, pz, active) + _open_ops(nx, nz, active) + ladder
 
-    u = changed[0]
+    u = rest.bit_length() - 1
     # target residual: close(prev)+open(new) = HSH or HSdgH, recoded so the
     # H sits between S-layer gates; the whole triple is an Rx and commutes
     # with every CNOT targeting it.
-    t_kind = "SDG" if prev[target] == "Y" else "S"
-    u_kind = "SDG" if prev[u] == "Y" else "S"
-    return [Gate(t_kind, (target,)), Gate("H", (target,)), Gate(t_kind, (target,)),
-            Gate(u_kind, (u,)), *_rewrite_template(u, target), Gate(u_kind, (u,))]
+    t_kind = "SDG" if pz >> target & 1 else "S"
+    u_kind = "SDG" if pz >> u & 1 else "S"
+    return [(t_kind, (target,), None), ("H", (target,), None), (t_kind, (target,), None),
+            (u_kind, (u,), None), *_rewrite_template(u, target), (u_kind, (u,), None)]
 
 
-def _gadget_chain(terms: Sequence[tuple[str, Angle]]) -> list[Gate]:
+def _gadget_chain(terms: Sequence[tuple[int, int, Angle]]) -> list[Op]:
     """Merged chain of Pauli rotations sharing one active qubit set.
 
-    ``terms`` holds (full axes string, angle) pairs; each implements
+    ``terms`` holds (x_mask, z_mask, angle) triples; each implements
     exp(-i angle/2 P). All terms must act on the same qubits.
     """
-    first_axes = terms[0][0]
-    active = [q for q, a in enumerate(first_axes) if a != "I"]
-    if not active:
+    support = terms[0][0] | terms[0][1]
+    if not support:
         raise CircuitError("rotation with empty support")
-    for axes, _ in terms:
-        if [q for q, a in enumerate(axes) if a != "I"] != active:
-            raise CircuitError("chain terms act on different qubit sets")
+    if any(x | z != support for x, z, _ in terms):
+        raise CircuitError("chain terms act on different qubit sets")
+    active = _bits(support)
     target = active[-1]
+    ladder: list[Op] = [("CNOT", (q, target), None) for q in active[:-1]]
 
-    gates: list[Gate] = []
-    for q in active:
-        gates.extend(_open_basis(first_axes[q], q))
-    gates.extend(_ladder(active, target))
-    gates.append(Gate("RZ", (target,), terms[0][1]))
-    for (prev, _), (axes, angle) in zip(terms, terms[1:]):
-        gates.extend(_interface(prev, axes, active, target))
-        gates.append(Gate("RZ", (target,), angle))
-    gates.extend(_ladder(active, target)[::-1])
-    for q in active:
-        gates.extend(_close_basis(terms[-1][0][q], q))
-    return gates
+    ops = _open_ops(terms[0][0], terms[0][1], active) + ladder
+    ops.append(("RZ", (target,), terms[0][2]))
+    for (px, pz, _), (x, z, angle) in zip(terms, terms[1:]):
+        ops += _interface((px, pz), (x, z), active, ladder)
+        ops.append(("RZ", (target,), angle))
+    ops += ladder[::-1]
+    ops += _close_ops(terms[-1][0], terms[-1][1], active)
+    return ops
+
+
+def _gates(ops: Iterable[Op]) -> list[Gate]:
+    """``Gate`` objects for emitted tuples. Gates without an angle are shared
+    between equal tuples: a ``Gate`` is immutable."""
+    made: dict[Op, Gate] = {}
+    out = []
+    for op in ops:
+        if op[2] is None:
+            g = made.get(op)
+            if g is None:
+                g = made[op] = Gate(*op)
+        else:
+            g = Gate(*op)
+        out.append(g)
+    return out
 
 
 def synth_pauli_rotation(word_axes: str, angle: Angle, n: Optional[int] = None) -> Circuit:
     """Circuit for exp(-i angle/2 P) with P given as an axes string."""
     n = len(word_axes) if n is None else n
-    return Circuit(n, _gadget_chain([(word_axes, angle)]))
+    w = PauliWord.from_axes(word_axes)
+    return Circuit(n, _gates(_gadget_chain([(w.x_mask, w.z_mask, angle)])))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +312,7 @@ def rewrite_cx_h_cx(circuit: Circuit) -> Circuit:
                         continue
                     break
                 if gj.kind == "CNOT" and gj.qubits == (c, t):
-                    replacement = _rewrite_template(c, t)
+                    replacement = _gates(_rewrite_template(c, t))
                     gates[j : j + 1] = []
                     gates[h_at : h_at + 1] = []
                     gates[i : i + 1] = replacement
@@ -290,6 +327,31 @@ def rewrite_cx_h_cx(circuit: Circuit) -> Circuit:
 _INVERSE = {"H": "H", "X": "X", "CNOT": "CNOT", "S": "SDG", "SDG": "S"}
 
 
+def _survivors(n_qubits: int, ops: Sequence[tuple]) -> list[bool]:
+    """Which of ``ops`` (each starting with kind and qubits) survive
+    ``cancel_adjacent``'s pass."""
+    alive = [True] * len(ops)
+    stacks: list[list[int]] = [[] for _ in range(n_qubits)]
+    for i, op in enumerate(ops):
+        kind, qubits = op[0], op[1]
+        inverse = _INVERSE.get(kind)
+        if inverse is not None:
+            stack = stacks[qubits[0]]
+            if stack:
+                top = stack[-1]
+                prev = ops[top]
+                if (prev[0] == inverse and prev[1] == qubits
+                        and all(stacks[q][-1] == top for q in qubits[1:])):
+                    alive[top] = False
+                    for q in qubits:
+                        stacks[q].pop()
+                    alive[i] = False
+                    continue
+        for q in qubits:
+            stacks[q].append(i)
+    return alive
+
+
 def cancel_adjacent(circuit: Circuit) -> Circuit:
     """Drop gate pairs that multiply to identity, walking through gates on
     disjoint qubits. Rz gates are never touched.
@@ -299,36 +361,32 @@ def cancel_adjacent(circuit: Circuit) -> Circuit:
     and that gate is its inverse on the same qubit tuple. Popping the pair
     exposes the gates behind it, so cascades cancel as they arrive.
     """
-    kept: list[Optional[Gate]] = []
-    stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
-    for g in circuit.gates:
-        tops = {stacks[q][-1] if stacks[q] else -1 for q in g.qubits}
-        if len(tops) == 1:
-            top = tops.pop()
-            prev = kept[top] if top >= 0 else None
-            if (prev is not None and _INVERSE.get(prev.kind) == g.kind
-                    and prev.qubits == g.qubits):
-                kept[top] = None
-                for q in g.qubits:
-                    stacks[q].pop()
-                continue
-        for q in g.qubits:
-            stacks[q].append(len(kept))
-        kept.append(g)
-    return Circuit(circuit.n_qubits, [g for g in kept if g is not None])
+    alive = _survivors(circuit.n_qubits, [(g.kind, g.qubits) for g in circuit.gates])
+    return Circuit._trusted(circuit.n_qubits, itertools.compress(circuit.gates, alive))
+
+
+def _cancelled_circuit(n_qubits: int, ops: Sequence[Op]) -> Circuit:
+    """The circuit of emitted ``ops`` after ``cancel_adjacent``'s pass. The
+    emitters only place gates on mapped qubits, so it is not re-validated."""
+    return Circuit._trusted(n_qubits, _gates(itertools.compress(ops, _survivors(n_qubits, ops))))
 
 
 # ---------------------------------------------------------------------------
 # excitation synthesis
 
-def _rotation_terms(generator: PauliSum, param: str) -> list[tuple[str, Angle]]:
+# DOUBLE_TERM_ORDER as Y patterns: bit i set when the i-th X/Y qubit is Y
+_DOUBLE_PATTERNS = tuple(sum((a == "Y") << i for i, a in enumerate(label))
+                         for label in DOUBLE_TERM_ORDER)
+
+
+def _rotation_terms(generator: PauliSum, param: str) -> list[tuple[int, int, Angle]]:
     """Split exp(theta * G) into Pauli rotations: a word i*beta*P becomes
-    exp(-i (-2 beta theta)/2 P)."""
+    exp(-i (-2 beta theta)/2 P), an (x_mask, z_mask, angle) term."""
     terms = []
-    for w in generator.words():
-        if abs(w.coefficient.real) > 1e-9:
+    for (x, z), c in generator.items():
+        if abs(c.real) > 1e-9:
             raise CircuitError("generator coefficients must be purely imaginary")
-        terms.append((w.axes, (-2.0 * w.coefficient.imag, param)))
+        terms.append((x, z, (-2.0 * c.imag, param)))
     return terms
 
 
@@ -336,25 +394,24 @@ def _param_name(exc: Excitation) -> str:
     return f"t{exc.param_id}"
 
 
-def _excitation_chain(exc: Excitation, mapping: QubitMapping, param: str) -> list[Gate]:
+def _excitation_chain(exc: Excitation, mapping: QubitMapping, param: str) -> list[Op]:
     """Uncancelled gadget chain of an unpaired excitation: the two rotations
     of a single in axes order, or the eight of a double in
     ``DOUBLE_TERM_ORDER``."""
     terms = _rotation_terms(antihermitian_generator(exc, mapping), param)
     if exc.kind == "single":
-        return _gadget_chain(sorted(terms, key=lambda t: t[0]))
-    by_label = {}
-    support = None
-    for axes, angle in terms:
-        xy = [q for q, a in enumerate(axes) if a in "XY"]
-        if support is None:
-            support = xy
-        elif xy != support:
+        n = mapping.n_qubits
+        return _gadget_chain(sorted(terms, key=lambda t: axes_rank(t[0], t[1], n)))
+    by_pattern = {}
+    support = terms[0][0]
+    for x, z, angle in terms:
+        if x != support:
             raise CircuitError("double-excitation words disagree on X/Y support")
-        by_label["".join(axes[q] for q in xy)] = (axes, angle)
-    if len(by_label) != 8:
-        raise CircuitError(f"expected 8 rotation terms, got {len(by_label)}")
-    return _gadget_chain([by_label[label] for label in DOUBLE_TERM_ORDER])
+        pattern = sum((z >> q & 1) << i for i, q in enumerate(_bits(x)))
+        by_pattern[pattern] = (x, z, angle)
+    if len(by_pattern) != 8:
+        raise CircuitError(f"expected 8 rotation terms, got {len(by_pattern)}")
+    return _gadget_chain([by_pattern[p] for p in _DOUBLE_PATTERNS])
 
 
 def synth_double_excitation(exc: Excitation, mapping: QubitMapping,
@@ -362,8 +419,8 @@ def synth_double_excitation(exc: Excitation, mapping: QubitMapping,
     """Merged 8-rotation chain for an unpaired double excitation."""
     if exc.kind != "double" or exc.paired:
         raise CircuitError("expected an unpaired double excitation")
-    chain = _excitation_chain(exc, mapping, param or _param_name(exc))
-    return cancel_adjacent(Circuit(mapping.n_qubits, chain))
+    return _cancelled_circuit(mapping.n_qubits,
+                              _excitation_chain(exc, mapping, param or _param_name(exc)))
 
 
 def synth_single_excitation(exc: Excitation, mapping: QubitMapping,
@@ -371,13 +428,28 @@ def synth_single_excitation(exc: Excitation, mapping: QubitMapping,
     """Two-rotation chain for a single excitation."""
     if exc.kind != "single":
         raise CircuitError("expected a single excitation")
-    chain = _excitation_chain(exc, mapping, param or _param_name(exc))
-    return cancel_adjacent(Circuit(mapping.n_qubits, chain))
+    return _cancelled_circuit(mapping.n_qubits,
+                              _excitation_chain(exc, mapping, param or _param_name(exc)))
 
 
-def _rx_gates(q: int, angle: Angle) -> list[Gate]:
+def _paired_ops(exc: Excitation, mapping: QubitMapping, param: str) -> list[Op]:
+    qi = mapping.alpha_qubit(exc.occ[0])
+    qa = mapping.alpha_qubit(exc.virt[0])
+    angle: Angle = (1.0, param)
+    # temporal realization of (I x S) C CX (Rx x Rz) CX Cdag (I x Sdg) with
+    # C = Rx(pi/2) x Rx(pi/2); Rx(pi/2) = Sdg H Sdg, Rx(-pi/2) = S H S, and
     # Rx(theta) = H Rz(theta) H
-    return [Gate("H", (q,)), Gate("RZ", (q,), angle), Gate("H", (q,))]
+    ops: list[Op] = [("SDG", (qa,), None)]
+    for q in (qi, qa):
+        ops += [("S", (q,), None), ("H", (q,), None), ("S", (q,), None)]
+    ops += [("CNOT", (qi, qa), None),
+            ("H", (qi,), None), ("RZ", (qi,), angle), ("H", (qi,), None),
+            ("RZ", (qa,), angle),
+            ("CNOT", (qi, qa), None)]
+    for q in (qi, qa):
+        ops += [("SDG", (q,), None), ("H", (q,), None), ("SDG", (q,), None)]
+    ops.append(("S", (qa,), None))
+    return ops
 
 
 def synth_paired_excitation(exc: Excitation, mapping: QubitMapping,
@@ -391,54 +463,37 @@ def synth_paired_excitation(exc: Excitation, mapping: QubitMapping,
     """
     if not exc.paired:
         raise CircuitError("expected a paired double excitation")
-    param = param or _param_name(exc)
-    qi = mapping.alpha_qubit(exc.occ[0])
-    qa = mapping.alpha_qubit(exc.virt[0])
-    n = mapping.n_qubits
-    angle: Angle = (1.0, param)
-    gates: list[Gate] = []
-    # temporal realization of (I x S) C CX (Rx x Rz) CX Cdag (I x Sdg) with
-    # C = Rx(pi/2) x Rx(pi/2); Rx(pi/2) = Sdg H Sdg, Rx(-pi/2) = S H S
-    gates.append(Gate("SDG", (qa,)))
-    for q in (qi, qa):
-        gates += [Gate("S", (q,)), Gate("H", (q,)), Gate("S", (q,))]
-    gates.append(Gate("CNOT", (qi, qa)))
-    gates += _rx_gates(qi, angle)
-    gates.append(Gate("RZ", (qa,), angle))
-    gates.append(Gate("CNOT", (qi, qa)))
-    for q in (qi, qa):
-        gates += [Gate("SDG", (q,)), Gate("H", (q,)), Gate("SDG", (q,))]
-    gates.append(Gate("S", (qa,)))
-    return Circuit(n, gates)
+    return Circuit(mapping.n_qubits, _gates(_paired_ops(exc, mapping, param or _param_name(exc))))
+
+
+def _fan_out_ops(mapping: QubitMapping, active_space: ActiveSpace) -> list[Op]:
+    return [("CNOT", (mapping.alpha_qubit(k), mapping.beta_qubit(k)), None)
+            for k in range(active_space.n_orbitals)]
 
 
 def synth_spatial_to_spin(mapping: QubitMapping, active_space: ActiveSpace) -> Circuit:
     """Fan the alpha-register occupations out onto the beta register: one
     CNOT per spatial orbital."""
-    gates = [
-        Gate("CNOT", (mapping.alpha_qubit(k), mapping.beta_qubit(k)))
-        for k in range(active_space.n_orbitals)
-    ]
-    return Circuit(mapping.n_qubits, gates)
+    return Circuit(mapping.n_qubits, _gates(_fan_out_ops(mapping, active_space)))
 
 
 def build_ansatz_circuit(spec: AnsatzSpec, mapping: QubitMapping) -> Circuit:
     """Full state-preparation circuit: X gates loading the Hartree-Fock
     pairs on the alpha register, all paired-excitation blocks, the
-    spatial-to-spin fan-out, then every unpaired excitation chain."""
+    spatial-to-spin fan-out, then every unpaired excitation chain, with one
+    ``cancel_adjacent`` pass over the whole."""
     if mapping.n_qubits != spec.active_space.n_qubits:
         raise CircuitError(
             f"mapping register ({mapping.n_qubits}) != ansatz register "
             f"({spec.active_space.n_qubits})"
         )
-    gates: list[Gate] = []
-    for k in range(spec.active_space.n_occupied):
-        gates.append(Gate("X", (mapping.alpha_qubit(k),)))
+    ops: list[Op] = [("X", (mapping.alpha_qubit(k),), None)
+                     for k in range(spec.active_space.n_occupied)]
     for exc in spec.excitations:
         if exc.paired:
-            gates.extend(synth_paired_excitation(exc, mapping).gates)
-    gates.extend(synth_spatial_to_spin(mapping, spec.active_space).gates)
+            ops += _paired_ops(exc, mapping, _param_name(exc))
+    ops += _fan_out_ops(mapping, spec.active_space)
     for exc in spec.excitations:
         if not exc.paired:
-            gates.extend(_excitation_chain(exc, mapping, _param_name(exc)))
-    return cancel_adjacent(Circuit(mapping.n_qubits, gates))
+            ops += _excitation_chain(exc, mapping, _param_name(exc))
+    return _cancelled_circuit(mapping.n_qubits, ops)

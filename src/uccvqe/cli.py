@@ -302,6 +302,9 @@ def cmd_sweep(cfg: RunConfig, shot_list: Sequence[int]) -> dict:
 def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
     """Re-run post-selection on the saved histograms of a previous vqe run."""
     report = load_report(report_path)
+    if report["command"] != "vqe":
+        raise CliError(f"{report_path}: a '{report['command']}' report; mitigate needs the "
+                       "report of a 'vqe' run")
     cfg = RunConfig(**{**report["config"], "orbitals": tuple(report["config"]["orbitals"]),
                        "policy": policy, "out_dir": str(Path(report_path).parent)})
     pipe = Pipeline(cfg)

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
-from .pauli import MASK_QUBIT_LIMIT, PauliSum, PauliWord, jw_images
+from .pauli import MASK_QUBIT_LIMIT, PauliSum, PauliWord, jw_images, mask_bits
 from .symmetry import OrbitalSymmetry, SpinSector, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
@@ -316,33 +316,56 @@ class MeasurementGroup:
 
 
 def qwc_group(h: QubitHamiltonian) -> list[MeasurementGroup]:
-    """Greedy first-fit grouping, words in descending coefficient magnitude.
+    """Greedy first-fit grouping, words in descending coefficient magnitude
+    and then in axes order: the sorted-insertion rule of Crawford et al.,
+    Quantum 5, 385 (2021). A word joins the first group that agrees with it
+    on every qubit both act on.
 
-    A group is three qubit masks: its basis in the words' x/z convention and
-    the qubits that basis fixes. A word joins the first group that agrees
-    with it on every qubit both act on.
+    The scan over groups is an OR of bitsets: ``clash[3q + a]`` holds bit k
+    when group k fixes qubit q to an axis other than a (a = 0, 1, 2 for X,
+    Y, Z). The lowest bit clear in the OR over a word's support is its
+    group; joining sets that bit in the other two axes' bitsets of each
+    qubit the word acts on.
     """
-    order = sorted(h.terms.words(), key=lambda w: (-abs(w.coefficient), w.axes))
-    masks: list[list[int]] = []   # [x, z, used] per group
+    n = h.n_qubits
+    words = list(h.terms.words())
+    xb = mask_bits([w.x_mask for w in words], n)
+    zb = mask_bits([w.z_mask for w in words], n)
+    digits = 2 * zb + (xb ^ zb)   # the axes order, I < X < Y < Z per qubit
+    order = np.lexsort((*digits.T[::-1], [-abs(w.coefficient) for w in words]))
+    xb, zb = xb[order], zb[order]
+    rows, qs = np.nonzero(xb | zb)
+    axis = zb[rows, qs] * (2 - xb[rows, qs])   # X 0, Y 1, Z 2
+    slots = (3 * qs + axis).tolist()
+    others = (3 * qs + (axis + 1) % 3).tolist(), (3 * qs + (axis + 2) % 3).tolist()
+    bounds = np.searchsorted(rows, np.arange(len(words) + 1)).tolist()
+
+    clash = [0] * (3 * n)
     members: list[list[PauliWord]] = []
-    for w in order:
-        wx, wz = w.x_mask, w.z_mask
-        support = wx | wz
-        for m, group in zip(masks, members):
-            if ((m[0] ^ wx) | (m[1] ^ wz)) & m[2] & support == 0:
-                m[0] |= wx
-                m[1] |= wz
-                m[2] |= support
-                group.append(w)
-                break
-        else:
-            masks.append([wx, wz, support])
+    group_x: list[int] = []
+    group_z: list[int] = []
+    for i, lo, hi in zip(order.tolist(), bounds, bounds[1:]):
+        w = words[i]
+        taken = 0
+        for s in slots[lo:hi]:
+            taken |= clash[s]
+        bit = ~taken & (taken + 1)
+        k = bit.bit_length() - 1
+        if k == len(members):
             members.append([w])
-    return [
-        MeasurementGroup(i, tuple(ws), tuple(
-            PauliWord(h.n_qubits, x, z).axes.replace("I", "-")))
-        for i, (ws, (x, z, _)) in enumerate(zip(members, masks))
-    ]
+            group_x.append(w.x_mask)
+            group_z.append(w.z_mask)
+        else:
+            members[k].append(w)
+            group_x[k] |= w.x_mask
+            group_z[k] |= w.z_mask
+        for s in others[0][lo:hi]:
+            clash[s] |= bit
+        for s in others[1][lo:hi]:
+            clash[s] |= bit
+    bases = np.array(list("-XZY"))[mask_bits(group_x, n) + 2 * mask_bits(group_z, n)]
+    return [MeasurementGroup(k, tuple(ws), tuple(basis))
+            for k, (ws, basis) in enumerate(zip(members, bases.tolist()))]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,22 @@ def _axis_of(x: int, z: int) -> str:
     return _BIT_AXES[(x, z)]
 
 
+def axes_rank(x: int, z: int, n: int) -> int:
+    """An integer that orders words as their axes strings do: base-4 digits
+    I=0 < X=1 < Y=2 < Z=3, qubit 0 most significant. The digit of qubit q is
+    2 z_q + (x_q ^ z_q); each bit string, reversed, reads as base-4 digits."""
+    return (2 * int(format(z, f"0{n}b")[::-1], 4)
+            + int(format(x ^ z, f"0{n}b")[::-1], 4))
+
+
+def mask_bits(masks, n: int) -> np.ndarray:
+    """(len(masks), n) uint8 array holding bit q of each mask in column q.
+    Works for masks of any width, through their little-endian bytes."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+
+
 def _product_phase(x1: int, z1: int, x2: int, z2: int) -> complex:
     """i**k with w1 w2 = i**k w3, from recanonicalizing Y = iXZ on every qubit."""
     k = (
@@ -162,6 +178,10 @@ class PauliSum:
     def words(self) -> Iterator[PauliWord]:
         for (x, z), c in sorted(self._terms.items()):
             yield PauliWord(self.n, x, z, c)
+
+    def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
+        """``((x_mask, z_mask), coefficient)`` pairs in ``words`` order."""
+        return iter(sorted(self._terms.items()))
 
     def coefficient(self, axes: str) -> complex:
         w = PauliWord.from_axes(axes)

@@ -196,12 +196,13 @@ class Histogram:
 
     @property
     def counts(self) -> MappingProxyType:
-        return MappingProxyType({format(i, f"0{self.n_qubits}b"): c for i, c in
-                                 zip(self.outcomes.tolist(), self.tallies.tolist())})
+        return MappingProxyType(dict(zip(bitstrings(self.outcomes, self.n_qubits),
+                                         self.tallies.tolist())))
 
     def to_text(self) -> str:
         lines = [f"GROUP {self.group_id}", f"SHOTS {self.shots}", f"SEED {self.seed}"]
-        lines += [f"{bits} {count}" for bits, count in self.counts.items()]
+        lines += [f"{bits} {count}" for bits, count in
+                  zip(bitstrings(self.outcomes, self.n_qubits), self.tallies.tolist())]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -227,6 +228,14 @@ class Histogram:
             counts[tok[0]] = _line_int(k, tok[1])
         group_id, shots, seed = header
         return cls(counts, shots, group_id, seed)
+
+
+def bitstrings(outcomes: np.ndarray, n_qubits: int) -> list[str]:
+    """``format(i, f"0{n_qubits}b")`` of each uint64 outcome, from bit planes:
+    one ASCII '0'/'1' byte per bit, most significant first, read as strings."""
+    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.uint64)
+    chars = ((outcomes[:, None] >> shifts) & np.uint64(1)).astype(np.uint8) + np.uint8(48)
+    return [b.decode() for b in chars.view(f"S{n_qubits}").ravel().tolist()]
 
 
 def _check_width(n_qubits: int) -> int:

@@ -10,8 +10,9 @@ product chain, the Hamiltonian assembled term by term through that chain,
 the 2^n filter of a symmetry block, greedy mapping, the gate-level
 Hartree-Fock check,
 post-selection on bitstrings, ansatz assembly block by block through the
-rewrite pass) are the simple earlier forms of optimized
-library routines, kept to pin those routines' output exactly.
+rewrite pass, ansatz assembly as ``Gate`` lists on axis strings) are the
+simple earlier forms of optimized library routines, kept to pin those
+routines' output exactly.
 """
 import numpy as np
 from scipy.linalg import expm
@@ -19,11 +20,8 @@ from scipy.linalg import expm
 from uccvqe.circuit import (
     DOUBLE_TERM_ORDER,
     Circuit,
+    CircuitError,
     Gate,
-    _close_basis,
-    _ladder,
-    _open_basis,
-    _rotation_terms,
     cancel_adjacent,
     rewrite_cx_h_cx,
     synth_paired_excitation,
@@ -512,3 +510,119 @@ def d2h_product_label(a: int, b: int) -> int:
         if row == chars:
             return label
     raise AssertionError(f"no irrep with characters {chars}")
+
+
+# Ansatz synthesis as ``Gate`` lists on axis strings: every rotation carries
+# its full axes string, every emitted gate is a ``Gate``, and the assembled
+# chain goes through one ``cancel_adjacent`` on a validated ``Circuit``.
+
+def _open_basis(axis: str, q: int) -> list:
+    if axis == "X":
+        return [Gate("H", (q,))]
+    if axis == "Y":
+        return [Gate("SDG", (q,)), Gate("H", (q,))]
+    return []
+
+
+def _close_basis(axis: str, q: int) -> list:
+    if axis == "X":
+        return [Gate("H", (q,))]
+    if axis == "Y":
+        return [Gate("H", (q,)), Gate("S", (q,))]
+    return []
+
+
+def _ladder(active, target: int) -> list:
+    return [Gate("CNOT", (q, target)) for q in active if q != target]
+
+
+def _rewrite_template(c: int, t: int) -> list:
+    return [Gate("S", (c,)), Gate("H", (t,)), Gate("CNOT", (t, c)), Gate("SDG", (c,)),
+            Gate("S", (t,)), Gate("H", (c,)), Gate("H", (t,))]
+
+
+def _rotation_terms(generator: PauliSum, param: str) -> list:
+    """(axes string, angle) per word of an anti-hermitian generator."""
+    terms = []
+    for w in generator.words():
+        if abs(w.coefficient.real) > 1e-9:
+            raise CircuitError("generator coefficients must be purely imaginary")
+        terms.append((w.axes, (-2.0 * w.coefficient.imag, param)))
+    return terms
+
+
+def _interface_on_axes(prev: str, new: str, active, target: int) -> list:
+    changed = [q for q in active if prev[q] != new[q]]
+    if not (len(changed) == 2 and changed[1] == target
+            and all({prev[q], new[q]} == {"X", "Y"} for q in changed)):
+        out = _ladder(active, target)[::-1]
+        for q in active:
+            out.extend(_close_basis(prev[q], q))
+        for q in active:
+            out.extend(_open_basis(new[q], q))
+        out.extend(_ladder(active, target))
+        return out
+    u = changed[0]
+    t_kind = "SDG" if prev[target] == "Y" else "S"
+    u_kind = "SDG" if prev[u] == "Y" else "S"
+    return [Gate(t_kind, (target,)), Gate("H", (target,)), Gate(t_kind, (target,)),
+            Gate(u_kind, (u,)), *_rewrite_template(u, target), Gate(u_kind, (u,))]
+
+
+def gadget_chain_on_axes(terms) -> list:
+    """Gate list of a chain of (axes string, angle) rotations on one support."""
+    first_axes = terms[0][0]
+    active = [q for q, a in enumerate(first_axes) if a != "I"]
+    if not active:
+        raise CircuitError("rotation with empty support")
+    for axes, _ in terms:
+        if [q for q, a in enumerate(axes) if a != "I"] != active:
+            raise CircuitError("chain terms act on different qubit sets")
+    target = active[-1]
+    gates = []
+    for q in active:
+        gates.extend(_open_basis(first_axes[q], q))
+    gates.extend(_ladder(active, target))
+    gates.append(Gate("RZ", (target,), terms[0][1]))
+    for (prev, _), (axes, angle) in zip(terms, terms[1:]):
+        gates.extend(_interface_on_axes(prev, axes, active, target))
+        gates.append(Gate("RZ", (target,), angle))
+    gates.extend(_ladder(active, target)[::-1])
+    for q in active:
+        gates.extend(_close_basis(terms[-1][0][q], q))
+    return gates
+
+
+def excitation_chain_on_axes(exc, mapping, param: str) -> list:
+    """Uncancelled chain of an unpaired excitation: a single's two rotations
+    in axes order, a double's eight in ``DOUBLE_TERM_ORDER``."""
+    terms = _rotation_terms(antihermitian_generator(exc, mapping), param)
+    if exc.kind == "single":
+        return gadget_chain_on_axes(sorted(terms, key=lambda t: t[0]))
+    by_label = {}
+    support = None
+    for axes, angle in terms:
+        xy = [q for q, a in enumerate(axes) if a in "XY"]
+        if support is None:
+            support = xy
+        elif xy != support:
+            raise CircuitError("double-excitation words disagree on X/Y support")
+        by_label["".join(axes[q] for q in xy)] = (axes, angle)
+    if len(by_label) != 8:
+        raise CircuitError(f"expected 8 rotation terms, got {len(by_label)}")
+    return gadget_chain_on_axes([by_label[label] for label in DOUBLE_TERM_ORDER])
+
+
+def build_ansatz_on_axes(spec, mapping) -> Circuit:
+    """Reference ansatz assembly: Hartree-Fock X gates, paired blocks,
+    fan-out and every unpaired chain as ``Gate`` lists, then one
+    ``cancel_adjacent`` over the whole circuit."""
+    gates = [Gate("X", (mapping.alpha_qubit(k),)) for k in range(spec.active_space.n_occupied)]
+    for exc in spec.excitations:
+        if exc.paired:
+            gates += synth_paired_excitation(exc, mapping).gates
+    gates += synth_spatial_to_spin(mapping, spec.active_space).gates
+    for exc in spec.excitations:
+        if not exc.paired:
+            gates += excitation_chain_on_axes(exc, mapping, f"t{exc.param_id}")
+    return cancel_adjacent(Circuit(mapping.n_qubits, gates))

@@ -7,6 +7,7 @@ from conftest import random_block_mapping, random_integrals
 from oracles import (
     INVERSE_KIND,
     build_ansatz_by_blocks,
+    build_ansatz_on_axes,
     cancel_adjacent_restarting,
     circuit_unitary,
     equal_up_to_phase,
@@ -58,6 +59,23 @@ class TestGateAndCircuit:
     def test_rz_needs_angle(self):
         with pytest.raises(CircuitError):
             Gate("RZ", (0,))
+
+    @pytest.mark.parametrize("kind, qubits, angle, message", [
+        ("CZ", (0, 1), None, "unknown gate kind 'CZ'"),
+        ("H", (0, 1), None, "H is a single-qubit gate"),
+        ("RZ", (), 0.5, "RZ is a single-qubit gate"),
+        ("CNOT", (2,), None, "CNOT needs distinct control and target"),
+    ])
+    def test_bad_gate_refused(self, kind, qubits, angle, message):
+        with pytest.raises(CircuitError, match=message):
+            Gate(kind, qubits, angle)
+
+    @pytest.mark.parametrize("gate", [Gate("H", (2,)), Gate("CNOT", (0, 2)), Gate("X", (-1,))])
+    def test_gate_outside_register_refused(self, gate):
+        with pytest.raises(CircuitError, match="outside 2-qubit register"):
+            Circuit(2, [Gate("H", (0,)), gate])
+        with pytest.raises(CircuitError, match="outside 2-qubit register"):
+            Circuit.from_text(f"QUBITS 2\n{gate.to_line()}\n")
 
     def test_unbound_parameter(self):
         g = Gate("RZ", (0,), (0.5, "t0"))
@@ -180,7 +198,7 @@ class TestGadgetChains:
         ]
         for terms in chains:
             n = len(terms[0][0])
-            got = circuit_unitary(Circuit(n, _gadget_chain(terms)))
+            got = circuit_unitary(_op_circuit(n, _gadget_chain(_mask_terms(terms))))
             want = np.eye(1 << n, dtype=complex)
             for axes, angle in terms:
                 mat = sum_matrix(PauliSum(n, [PauliWord.from_axes(axes, 1.0)]))
@@ -192,7 +210,21 @@ class TestGadgetChains:
         from uccvqe.circuit import _gadget_chain
 
         with pytest.raises(CircuitError, match="different qubit sets"):
-            _gadget_chain([("XY", 0.1), ("XI", 0.2)])
+            _gadget_chain(_mask_terms([("XY", 0.1), ("XI", 0.2)]))
+
+
+def _mask_terms(terms):
+    """(axes string, angle) rotations as the (x_mask, z_mask, angle) terms
+    that synthesis takes."""
+    from uccvqe.pauli import PauliWord
+
+    words = [(PauliWord.from_axes(axes), angle) for axes, angle in terms]
+    return [(w.x_mask, w.z_mask, angle) for w, angle in words]
+
+
+def _op_circuit(n, ops):
+    """A validated circuit of emitted (kind, qubits, angle) tuples."""
+    return Circuit(n, [Gate(*op) for op in ops])
 
 
 class TestRewrite:
@@ -426,17 +458,16 @@ class TestCancelAdjacent:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_ansatz_circuits_match_restarting_reference(self, variant, monkeypatch):
-        import uccvqe.circuit as circuit_module
+        # the reference assembly on axis strings, cancelled by the restarting pass
+        import oracles
 
+        monkeypatch.setattr(oracles, "cancel_adjacent", cancel_adjacent_restarting)
         rng = np.random.default_rng(101)
         for _ in range(2):
             spec = enumerate_excitations(variant, ActiveSpace(4, 4))
             mapping = random_block_mapping(4, rng)
             got = build_ansatz_circuit(spec, mapping)
-            with monkeypatch.context() as m:
-                m.setattr(circuit_module, "cancel_adjacent", cancel_adjacent_restarting)
-                want = build_ansatz_circuit(spec, mapping)
-            assert got.gates == want.gates
+            assert got.gates == build_ansatz_on_axes(spec, mapping).gates
 
 
 def _case_grid(rng):
@@ -475,23 +506,73 @@ class TestOneCnotInterface:
         for spec, mapping in _case_grid(rng):
             for exc in spec.excitations:
                 if not exc.paired:
-                    chain = Circuit(mapping.n_qubits, _excitation_chain(exc, mapping, "t"))
+                    chain = _op_circuit(mapping.n_qubits, _excitation_chain(exc, mapping, "t"))
                     assert rewrite_cx_h_cx(chain).gates == chain.gates, exc
                     chains += 1
         assert chains > 3000
 
     def test_one_build_cancels_once_and_never_rewrites(self, monkeypatch):
+        # the build cancels its emitted gate tuples in one pass of the
+        # cancel_adjacent core, and never calls the rewrite pass
         import uccvqe.circuit as circuit_module
 
-        calls = {"cancel_adjacent": 0, "rewrite_cx_h_cx": 0}
+        calls = {"_survivors": 0, "cancel_adjacent": 0, "rewrite_cx_h_cx": 0}
         for name in calls:
-            def counted(circuit, fn=getattr(circuit_module, name), name=name):
+            def counted(*args, fn=getattr(circuit_module, name), name=name):
                 calls[name] += 1
-                return fn(circuit)
+                return fn(*args)
             monkeypatch.setattr(circuit_module, name, counted)
         spec = enumerate_excitations("uccsd", ActiveSpace(4, 4))
         build_ansatz_circuit(spec, random_block_mapping(4, np.random.default_rng(131)))
-        assert calls == {"cancel_adjacent": 1, "rewrite_cx_h_cx": 0}
+        assert calls == {"_survivors": 1, "cancel_adjacent": 0, "rewrite_cx_h_cx": 0}
+
+
+class TestSynthesisOnMasks:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_build_equals_gate_list_reference(self, variant):
+        # block mappings and unconstrained permutations of the spin orbitals
+        rng = np.random.default_rng(137)
+        for n in range(2, 7):
+            for n_occ in range(1, n):
+                sym = OrbitalSymmetry.from_labels(rng.integers(1, 5, size=n))
+                spec = enumerate_excitations(variant, ActiveSpace(2 * n_occ, n), sym)
+                for mapping in (random_block_mapping(n, rng),
+                                QubitMapping(tuple(int(q) for q in rng.permutation(2 * n)))):
+                    got = build_ansatz_circuit(spec, mapping)
+                    want = build_ansatz_on_axes(spec, mapping)
+                    assert got.gates == want.gates, (variant, n, n_occ, mapping.perm)
+                    assert got.n_qubits == want.n_qubits
+                    assert Circuit(got.n_qubits, got.gates).gates == got.gates
+
+    def test_random_chains_equal_gate_list_reference(self):
+        # random axes on one support reach both the one-CNOT interface and
+        # the close/reopen fallback
+        from oracles import gadget_chain_on_axes
+
+        from uccvqe.circuit import _gadget_chain
+
+        rng = np.random.default_rng(149)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            support = rng.random(n) < 0.7
+            support[int(rng.integers(n))] = True
+            terms = [("".join(rng.choice(list("XYZ")) if on else "I" for on in support),
+                      (float(rng.normal()), "t"))
+                     for _ in range(int(rng.integers(1, 6)))]
+            got = _op_circuit(n, _gadget_chain(_mask_terms(terms))).gates
+            assert got == tuple(gadget_chain_on_axes(terms)), [t[0] for t in terms]
+
+    def test_pauli_rotation_equals_gate_list_reference(self):
+        from oracles import gadget_chain_on_axes
+
+        rng = np.random.default_rng(139)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            axes = "".join(rng.choice(list("IXYZ"), size=n))
+            if set(axes) == {"I"}:
+                continue
+            assert synth_pauli_rotation(axes, 0.5).gates == tuple(
+                gadget_chain_on_axes([(axes, 0.5)]))
 
 
 # SHA-256 of build_ansatz_circuit(...).to_text() as produced by the

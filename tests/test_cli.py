@@ -502,6 +502,17 @@ class TestMitigateCommand:
         assert capsys.readouterr().err == (f"uccvqe: error: {path}: bitstrings are 5 bits long, "
                                            "but the register has 4 qubits\n")
 
+    def test_synth_report_rejected_and_left_unchanged(self, h2_path, tmp_path, capsys):
+        # histograms of a vqe run, then a synth report written over its report
+        self._vqe_run(h2_path, tmp_path)
+        run(["synth", "--fcidump", h2_path, "--electrons", "2", "--out", str(tmp_path)])
+        before = (tmp_path / "report.json").read_text()
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err.endswith(
+            f"{tmp_path / 'report.json'}: a 'synth' report; mitigate needs the report "
+            "of a 'vqe' run\n")
+        assert (tmp_path / "report.json").read_text() == before
+
     def test_report_missing_config_key_is_a_clean_error(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())

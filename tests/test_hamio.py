@@ -456,6 +456,39 @@ class TestQwcGrouping:
         for h in cases:
             assert qwc_group(h) == qwc_group_by_axes(h)
 
+    @staticmethod
+    def _random_sum(rng, n, count, coefficients, weights=(0.4, 0.2, 0.2, 0.2)):
+        words = [PauliWord.from_axes("".join(rng.choice(list("IXYZ"), size=n, p=weights)),
+                                     float(rng.choice(coefficients)))
+                 for _ in range(count)]
+        return _wrap(PauliSum(n, [w for w in words if not w.is_identity()]))
+
+    def test_tied_coefficients_match_reference(self):
+        # few distinct magnitudes, so the axes order decides most placements
+        rng = np.random.default_rng(79)
+        ties = (0.25, -0.25, 0.5, -0.5, 1.0, -1.0)
+        for _ in range(40):
+            h = self._random_sum(rng, int(rng.integers(1, 11)), int(rng.integers(1, 90)), ties)
+            assert qwc_group(h) == qwc_group_by_axes(h)
+
+    def test_wide_words_match_reference(self):
+        rng = np.random.default_rng(83)
+        for n in (33, 40, 63, 64):
+            for weights in ((0.9, 0.03, 0.03, 0.04), (0.4, 0.2, 0.2, 0.2)):
+                h = self._random_sum(rng, n, 120, (0.25, -0.5, 1.0, 0.125), weights)
+                groups = qwc_group(h)
+                assert groups == qwc_group_by_axes(h)
+                assert sum(len(g.words) for g in groups) == h.term_count
+
+    def test_empty_and_one_qubit_sums(self):
+        empty = _wrap(PauliSum(4))
+        assert qwc_group(empty) == qwc_group_by_axes(empty) == []
+        one = _wrap(PauliSum(1, [PauliWord.from_axes(a, c) for a, c in
+                                 (("X", 0.5), ("Y", -0.5), ("Z", 0.25))]))
+        groups = qwc_group(one)
+        assert groups == qwc_group_by_axes(one)
+        assert [g.basis for g in groups] == [("X",), ("Y",), ("Z",)]
+
 def _wrap(terms: PauliSum):
     from uccvqe.hamio import QubitHamiltonian
 

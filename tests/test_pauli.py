@@ -19,10 +19,12 @@ from uccvqe.pauli import (
     PauliSum,
     PauliWord,
     antihermitian_generator,
+    axes_rank,
     jw_images,
     jw_ladder,
     jw_terms,
     jw_transform,
+    mask_bits,
 )
 
 PAPER_DOUBLE_AXES = {"XXXY", "XXYX", "YXYY", "YXXX", "YYXY", "YYYX", "XYYY", "XYXX"}
@@ -78,6 +80,23 @@ class TestPauliWord:
 
     def test_str_formats_with_full_precision(self):
         assert str(PauliWord.from_axes("XXIY", 0.25)) == "+2.500000000000e-01 XXIY"
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 70])
+    def test_axes_rank_orders_as_axes_strings(self, n):
+        rng = np.random.default_rng(n)
+        words = [PauliWord.from_axes("".join(rng.choice(list("IXYZ"), size=n)))
+                 for _ in range(300)]
+        by_rank = sorted(words, key=lambda w: axes_rank(w.x_mask, w.z_mask, n))
+        assert [w.axes for w in by_rank] == sorted(w.axes for w in words)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 64, 70])
+    def test_mask_bits_columns_are_qubits(self, n):
+        rng = np.random.default_rng(n + 1)
+        masks = [int(rng.integers(0, 2**62)) << max(0, n - 62) & ((1 << n) - 1)
+                 for _ in range(20)] + [(1 << n) - 1, 0]
+        bits = mask_bits(masks, n)
+        assert bits.shape == (len(masks), n)
+        assert bits.tolist() == [[m >> q & 1 for q in range(n)] for m in masks]
 
 
 class TestPauliSum:

@@ -21,6 +21,7 @@ from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import (
     MAX_QUBITS,
     Histogram,
+    bitstrings,
     SimulationError,
     Statevector,
     apply_circuit,
@@ -168,6 +169,23 @@ class TestHistogram:
     def test_malformed_file(self):
         with pytest.raises(SimulationError):
             Histogram.from_text("oops\n")
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_bit_plane_strings_match_format(self, n):
+        rng = np.random.default_rng(n)
+        top = (1 << n) - 1
+        picks = {0, top, 1, 1 << (n - 1)} | {int(v) & top for v in
+                                             rng.integers(0, 2**63, size=200, dtype=np.uint64)}
+        picks |= {v | (1 << (n - 1)) for v in list(picks)}
+        outcomes = np.array(sorted(picks), dtype=np.uint64)
+        want = [format(int(i), f"0{n}b") for i in outcomes]
+        assert bitstrings(outcomes, n) == want
+        tallies = np.arange(1, len(outcomes) + 1)
+        h = Histogram.from_outcomes(n, outcomes, tallies, int(tallies.sum()), 4, 11)
+        lines = [f"{bits} {c}" for bits, c in zip(want, tallies.tolist())]
+        assert h.to_text() == "\n".join(["GROUP 4", f"SHOTS {tallies.sum()}", "SEED 11",
+                                          *lines]) + "\n"
+        assert list(h.counts) == want
 
     @pytest.mark.parametrize("bits", ["0201", "0b01", "1_01", "+101", "011x"])
     def test_non_binary_bitstring_rejected(self, bits):

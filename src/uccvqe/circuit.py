@@ -19,7 +19,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .ansatz import ActiveSpace, AnsatzSpec, Excitation
 from .mapping import QubitMapping
-from .pauli import PauliSum, PauliWord, antihermitian_generator, axes_rank
+from .pauli import (MASK_QUBIT_LIMIT, PauliSum, PauliWord, antihermitian_generator, axes_rank,
+                    excitation_generators)
 
 GATE_KINDS = ("X", "H", "S", "SDG", "RZ", "CNOT")
 
@@ -394,13 +395,13 @@ def _param_name(exc: Excitation) -> str:
     return f"t{exc.param_id}"
 
 
-def _excitation_chain(exc: Excitation, mapping: QubitMapping, param: str) -> list[Op]:
-    """Uncancelled gadget chain of an unpaired excitation: the two rotations
-    of a single in axes order, or the eight of a double in
-    ``DOUBLE_TERM_ORDER``."""
-    terms = _rotation_terms(antihermitian_generator(exc, mapping), param)
+def _generator_chain(exc: Excitation, generator: PauliSum, param: str) -> list[Op]:
+    """Uncancelled gadget chain of an unpaired excitation with generator
+    ``generator``: the two rotations of a single in axes order, or the eight
+    of a double in ``DOUBLE_TERM_ORDER``."""
+    terms = _rotation_terms(generator, param)
     if exc.kind == "single":
-        n = mapping.n_qubits
+        n = generator.n
         return _gadget_chain(sorted(terms, key=lambda t: axes_rank(t[0], t[1], n)))
     by_pattern = {}
     support = terms[0][0]
@@ -412,6 +413,11 @@ def _excitation_chain(exc: Excitation, mapping: QubitMapping, param: str) -> lis
     if len(by_pattern) != 8:
         raise CircuitError(f"expected 8 rotation terms, got {len(by_pattern)}")
     return _gadget_chain([by_pattern[p] for p in _DOUBLE_PATTERNS])
+
+
+def _excitation_chain(exc: Excitation, mapping: QubitMapping, param: str) -> list[Op]:
+    """``_generator_chain`` of one excitation under ``mapping``."""
+    return _generator_chain(exc, antihermitian_generator(exc, mapping), param)
 
 
 def synth_double_excitation(exc: Excitation, mapping: QubitMapping,
@@ -481,19 +487,24 @@ def build_ansatz_circuit(spec: AnsatzSpec, mapping: QubitMapping) -> Circuit:
     """Full state-preparation circuit: X gates loading the Hartree-Fock
     pairs on the alpha register, all paired-excitation blocks, the
     spatial-to-spin fan-out, then every unpaired excitation chain, with one
-    ``cancel_adjacent`` pass over the whole."""
+    ``cancel_adjacent`` pass over the whole. The generators of the unpaired
+    excitations are built in one batch, so the register is capped at
+    ``MASK_QUBIT_LIMIT`` qubits."""
     if mapping.n_qubits != spec.active_space.n_qubits:
         raise CircuitError(
             f"mapping register ({mapping.n_qubits}) != ansatz register "
             f"({spec.active_space.n_qubits})"
         )
+    if mapping.n_qubits > MASK_QUBIT_LIMIT:
+        raise CircuitError(f"{mapping.n_qubits} qubits exceed the {MASK_QUBIT_LIMIT} that the "
+                           "uint64 Pauli masks of the excitation generators hold")
     ops: list[Op] = [("X", (mapping.alpha_qubit(k),), None)
                      for k in range(spec.active_space.n_occupied)]
     for exc in spec.excitations:
         if exc.paired:
             ops += _paired_ops(exc, mapping, _param_name(exc))
     ops += _fan_out_ops(mapping, spec.active_space)
-    for exc in spec.excitations:
-        if not exc.paired:
-            ops += _excitation_chain(exc, mapping, _param_name(exc))
+    unpaired = [exc for exc in spec.excitations if not exc.paired]
+    for exc, generator in zip(unpaired, excitation_generators(unpaired, mapping)):
+        ops += _generator_chain(exc, generator, _param_name(exc))
     return _cancelled_circuit(mapping.n_qubits, ops)

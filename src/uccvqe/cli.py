@@ -161,9 +161,9 @@ class Pipeline:
             )
         occupied = int(prepared[::-1], 2)  # bit q is qubit q, as in the word masks
         measured = self.hamiltonian.offset
-        for w in self.hamiltonian.terms.words():
-            if w.x_mask == 0:
-                measured += w.coefficient.real * (-1) ** (w.z_mask & occupied).bit_count()
+        for (x, z), c in self.hamiltonian.terms.items():
+            if x == 0:
+                measured += c.real * (-1) ** (z & occupied).bit_count()
         if not abs(measured - reference) <= 1e-8:
             raise CliError(
                 f"internal consistency failure: HF energy {measured:.10f} != "

@@ -288,11 +288,11 @@ def build_qubit_hamiltonian(
               for s1 in spins for s2 in spins],
              (True, True, False, False), 0.5 * g_act[p, q, r, s])
 
-    for w in PauliSum.from_masks(n, merged).words():
-        if abs(w.coefficient.imag) > HERMITICITY_TOL:
+    for (x, z), c in PauliSum.from_masks(n, merged).items():
+        if abs(c.imag) > HERMITICITY_TOL:
             raise HamiltonianError(
-                f"non-hermitian assembly: term {w.axes} has imaginary part "
-                f"{w.coefficient.imag:.3e}"
+                f"non-hermitian assembly: term {PauliWord(n, x, z).axes} has imaginary part "
+                f"{c.imag:.3e}"
             )
     real_terms = PauliSum.from_masks(n, {key: complex(c.real) for key, c in merged.items()})
     offset = core + real_terms.identity_part().real

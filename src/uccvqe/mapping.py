@@ -81,18 +81,34 @@ def span_cost(support: Iterable[int]) -> int:
     return qs[-1] - qs[0] + 1 - len(qs)
 
 
-def _scorer(excs: Sequence, n_qubits: int):
-    """perm -> total span cost, from each excitation's spin orbitals taken once."""
-    sets = [exc.spin_orbitals(n_qubits // 2) for exc in excs]
+def _spin_orbital_table(excs: Sequence, n_qubits: int) -> tuple[np.ndarray, int]:
+    """Each excitation's spin orbitals as one row of an (excitations x 4)
+    array, padded by repeating the row's first entry (which moves neither
+    its minimum nor its maximum), and the total count of distinct entries."""
+    sets = [sorted({so for pair in exc.spin_orbital_pairs(n_qubits // 2) for so in pair})
+            for exc in excs]
     for exc, sos in zip(excs, sets):
-        if max(sos) >= n_qubits:
+        if sos[-1] >= n_qubits:
             raise MappingError(f"excitation {exc} not covered by mapping")
-    return lambda perm: sum(span_cost(perm[so] for so in sos) for sos in sets)
+    width = max((len(sos) for sos in sets), default=1)
+    table = np.array([sos + sos[:1] * (width - len(sos)) for sos in sets],
+                     dtype=np.int64).reshape(len(sets), width)
+    return table, sum(len(sos) for sos in sets)
+
+
+def _costs(table: np.ndarray, size: int, perms: np.ndarray) -> np.ndarray:
+    """Total span cost of every row of ``perms`` (candidates x qubits) over
+    the excitations of ``_spin_orbital_table``: summed (max - min + 1 -
+    distinct count) of each excitation's mapped spin orbitals."""
+    mapped = perms[:, table]
+    spans = (mapped.max(axis=2) - mapped.min(axis=2)).sum(axis=1)
+    return spans + len(table) - size
 
 
 def mapping_cost(excs: Sequence, mapping: QubitMapping) -> int:
     """Total Z-chain length proxy over all excitations under a mapping."""
-    return _scorer(excs, mapping.n_qubits)(mapping.perm)
+    table, size = _spin_orbital_table(excs, mapping.n_qubits)
+    return int(_costs(table, size, np.array([mapping.perm]))[0])
 
 
 def _best_window(free: list[int], k: int, anchor: list[int]) -> list[int]:
@@ -110,52 +126,58 @@ def _best_window(free: list[int], k: int, anchor: list[int]) -> list[int]:
     return best[1]
 
 
-def _greedy_run(orbitals: Sequence[list[int]], sharers: dict[int, list[int]],
-                order: list[int], n_spatial: int, rng: np.random.Generator) -> QubitMapping:
-    """One greedy placement. ``orbitals[k]`` lists excitation k's sorted
-    spatial orbitals, ``sharers[o]`` the excitations touching orbital o, and
-    ``order`` the excitation indices in sort-key order."""
+def _greedy_run(orbitals: Sequence[list[int]], group_of: Sequence[int],
+                sharers: dict[int, list[int]], n_spatial: int,
+                rng: np.random.Generator) -> list[int]:
+    """One greedy placement; returns each spatial orbital's position.
+
+    Excitations that touch the same orbitals are placed, shared and picked
+    alike, so a run works on their groups: ``orbitals[g]`` lists group g's
+    sorted spatial orbitals, ``group_of`` gives the group of each excitation
+    in sort-key order (groups are numbered by first appearance there), and
+    ``sharers[o]`` the groups touching orbital o. The first excitation in
+    sort order with the largest share is then the first member of the first
+    group with that share.
+
+    A group whose orbitals are all placed drops out (its share becomes -1):
+    picking it would place nothing, and its share, at least 1, keeps it out
+    of the random draw, which happens only when every remaining share is 0.
+    So every pick places an orbital, and a run picks at most ``n_spatial``
+    times."""
     placed: dict[int, int] = {}
     free = list(range(n_spatial))
-    todo = list(order)
-    share = [0] * len(orbitals)   # placed orbitals per excitation
-    current = int(rng.integers(len(todo)))
+    share = [0] * len(orbitals)   # placed orbitals per group, -1 once all are
+    idx = group_of[int(rng.integers(len(group_of)))]
 
-    while todo:
-        idx = todo.pop(current)
+    while True:
         unplaced = [o for o in orbitals[idx] if o not in placed]
         anchor = [placed[o] for o in orbitals[idx] if o in placed]
-        if unplaced:
-            if anchor:
-                for o in unplaced:
-                    pos = min(free, key=lambda p: (sum(abs(p - a) for a in anchor), p))
-                    placed[o] = pos
-                    free.remove(pos)
-                    anchor.append(pos)
-            else:
-                win = _best_window(free, len(unplaced), sorted(placed.values()))
-                for o, pos in zip(unplaced, win):
-                    placed[o] = pos
-                    free.remove(pos)
+        if anchor:
             for o in unplaced:
-                for k in sharers[o]:
-                    share[k] += 1
-        if not todo:
+                _, pos = min((sum([abs(p - a) for a in anchor]), p) for p in free)
+                placed[o] = pos
+                free.remove(pos)
+                anchor.append(pos)
+        else:
+            win = _best_window(free, len(unplaced), sorted(placed.values()))
+            for o, pos in zip(unplaced, win):
+                placed[o] = pos
+                free.remove(pos)
+        for o in unplaced:
+            for g in sharers[o]:
+                placed_g = share[g] + 1
+                share[g] = placed_g if placed_g < len(orbitals[g]) else -1
+        most = max(share)
+        if most > 0:
+            idx = share.index(most)
+        elif most == 0:
+            # drawn over the remaining excitations, not groups
+            todo = [g for g in group_of if share[g] == 0]
+            idx = todo[int(rng.integers(len(todo)))]
+        else:
             break
-        # the most-similar excitation; ties fall to sort order (max keeps the first)
-        best = max(todo, key=share.__getitem__)
-        if share[best] > 0:
-            current = todo.index(best)
-        else:
-            current = int(rng.integers(len(todo)))
 
-    positions = [0] * n_spatial
-    for orbital in range(n_spatial):
-        if orbital in placed:
-            positions[orbital] = placed[orbital]
-        else:
-            positions[orbital] = free.pop(0)
-    return QubitMapping.from_spatial_order(positions)
+    return [placed[o] if o in placed else free.pop(0) for o in range(n_spatial)]
 
 
 def greedy_map(excs: Sequence, n_qubits: int, seed: int = 0, restarts: int = 32) -> QubitMapping:
@@ -164,23 +186,34 @@ def greedy_map(excs: Sequence, n_qubits: int, seed: int = 0, restarts: int = 32)
     Each run seeds from one shared PRNG stream, so a larger restart budget
     extends (never replaces) a smaller one with the same seed. The identity
     mapping always competes, so the result is never worse than no mapping.
+    All candidates are scored in one pass; ties go to the smaller perm.
     """
     if not excs:
         raise MappingError("need at least one excitation")
     if n_qubits % 2:
         raise MappingError("qubit count must be even (2 per spatial orbital)")
+    if restarts < 0:
+        raise MappingError(f"restart budget must be non-negative, got {restarts}")
     n_spatial = n_qubits // 2
+    table, n_spin_orbitals = _spin_orbital_table(excs, n_qubits)
     rng = np.random.default_rng(seed)
 
-    orbitals = [sorted(exc.spatial_orbitals()) for exc in excs]
+    groups: dict[frozenset[int], int] = {}
+    group_of = [groups.setdefault(exc.spatial_orbitals(), len(groups))
+                for exc in sorted(excs, key=lambda exc: exc.sort_key())]
+    orbitals = [sorted(orbs) for orbs in groups]
     sharers: dict[int, list[int]] = {}
-    for k, orbs in enumerate(orbitals):
+    for g, orbs in enumerate(orbitals):
         for o in orbs:
-            sharers.setdefault(o, []).append(k)
-    order = sorted(range(len(excs)), key=lambda k: excs[k].sort_key())
+            sharers.setdefault(o, []).append(g)
 
-    candidates = [QubitMapping.identity(n_spatial)]
+    # spatial positions; a block mapping's perm is these followed by N + these,
+    # so comparing positions compares perms
+    candidates = [list(range(n_spatial))]
     for _ in range(restarts):
-        candidates.append(_greedy_run(orbitals, sharers, order, n_spatial, rng))
-    cost = _scorer(excs, n_qubits)
-    return min(candidates, key=lambda m: (cost(m.perm), m.perm))
+        candidates.append(_greedy_run(orbitals, group_of, sharers, n_spatial, rng))
+    positions = np.array(candidates)
+    perms = np.concatenate([positions, positions + n_spatial], axis=1)
+    costs = _costs(table, n_spin_orbitals, perms).tolist()
+    best = min(range(len(candidates)), key=lambda i: (costs[i], candidates[i]))
+    return QubitMapping.from_spatial_order(candidates[best])

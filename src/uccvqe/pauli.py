@@ -359,18 +359,52 @@ def jw_transform(term: FermionTerm, n: int) -> PauliSum:
     return PauliSum.from_masks(n, jw_terms(term, n))
 
 
-def antihermitian_generator(exc, mapping) -> PauliSum:
-    """Generator t - t^dag of one cluster-operator excitation, unit amplitude.
+def excitation_generators(excs, mapping) -> list[PauliSum]:
+    """Generators t - t^dag of cluster-operator excitations, unit amplitude,
+    in the order of ``excs``.
 
-    ``exc`` supplies the spin orbitals via ``exc.spin_orbital_pairs(n_spatial)``
-    (a creation/annihilation pair list, outermost first) and ``mapping`` sends
-    spin orbitals to qubits. Coefficients of the result are purely imaginary:
-    8 words for a double excitation, 2 for a single.
+    Each ``exc`` supplies its spin orbitals via
+    ``exc.spin_orbital_pairs(n_spatial)`` (a creation/annihilation pair
+    list, outermost first) and ``mapping`` sends spin orbitals to qubits.
+    The images of t and of t^dag (the same pairs reversed, creation and
+    annihilation swapped, so the same dagger pattern) of every excitation
+    of one ladder length come from one ``jw_images`` call; each generator
+    is then summed as ``jw_transform(t) - jw_transform(t^dag)``, with the
+    same coefficients. Coefficients are purely imaginary: 8 words for a
+    double excitation, 2 for a single.
     """
     n = mapping.n_qubits
-    ops: list[tuple[int, bool]] = []
-    for create_so, annihilate_so in exc.spin_orbital_pairs(mapping.n_spatial):
-        ops.append((mapping.qubit_of(create_so), True))
-        ops.append((mapping.qubit_of(annihilate_so), False))
-    t = FermionTerm(tuple(ops))
-    return jw_transform(t, n) - jw_transform(t.adjoint(), n)
+    if n > MASK_QUBIT_LIMIT:
+        raise PauliError(f"{n} qubits exceed the {MASK_QUBIT_LIMIT}-bit Pauli masks "
+                         "of the batched excitation generators")
+    qubit = mapping.perm
+    by_length: dict[int, list[int]] = {}
+    rows: list[list[int]] = []
+    for k, exc in enumerate(excs):
+        row = [qubit[so] for pair in exc.spin_orbital_pairs(mapping.n_spatial) for so in pair]
+        by_length.setdefault(len(row), []).append(k)
+        rows.append(row)
+
+    out: list = [None] * len(rows)
+    for length, ks in by_length.items():
+        t = [rows[k] for k in ks]
+        # rows of t, then rows of t^dag
+        modes = np.array(t + [row[::-1] for row in t], dtype=np.int64)
+        term, x, z, c = jw_images(modes, (True, False) * (length // 2),
+                                  np.ones(len(modes)), n)
+        bounds = np.searchsorted(term, np.arange(len(modes) + 1)).tolist()
+        keys = list(zip(x.tolist(), z.tolist()))
+        cs = c.tolist()
+        for i, k in enumerate(ks):
+            lo, hi = bounds[i], bounds[i + 1]
+            terms = dict(zip(keys[lo:hi], cs[lo:hi]))
+            lo, hi = bounds[len(ks) + i], bounds[len(ks) + i + 1]
+            for key, ci in zip(keys[lo:hi], cs[lo:hi]):
+                terms[key] = terms.get(key, 0j) + ci * -1.0
+            out[k] = PauliSum.from_masks(n, terms)
+    return out
+
+
+def antihermitian_generator(exc, mapping) -> PauliSum:
+    """Generator t - t^dag of one excitation (``excitation_generators``)."""
+    return excitation_generators([exc], mapping)[0]

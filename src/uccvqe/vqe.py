@@ -35,7 +35,7 @@ from .hamio import (
     spin_sector_indices,
 )
 from .mapping import QubitMapping
-from .pauli import antihermitian_generator
+from .pauli import excitation_generators
 from .sim import Histogram, Statevector, apply_circuit, estimate_energy, group_outcomes, sample_group
 from .symmetry import SpinSector
 
@@ -82,10 +82,8 @@ class SectorAnsatz:
         self.reference[np.searchsorted(self.basis, hf)] = 1.0
         order = [k for k, e in enumerate(spec.excitations) if e.paired]
         order += [k for k, e in enumerate(spec.excitations) if not e.paired]
-        self.generators = [
-            (k, sector_operator(antihermitian_generator(spec.excitations[k], mapping), self.basis))
-            for k in order
-        ]
+        generators = excitation_generators(spec.excitations, mapping)
+        self.generators = [(k, sector_operator(generators[k], self.basis)) for k in order]
 
     def state(self, theta: Sequence[float]) -> np.ndarray:
         psi = self.reference

@@ -7,8 +7,9 @@ qubit Hamiltonian from its words' amplitude-index masks, for registers up
 to 14 qubits. The reference implementations further down (gate
 cancellation, QWC grouping, gate kernels, expectation, the Jordan-Wigner
 product chain, the Hamiltonian assembled term by term through that chain,
-the 2^n filter of a symmetry block, greedy mapping, the gate-level
-Hartree-Fock check,
+the 2^n filter of a symmetry block, greedy mapping and its candidate
+cost, excitation generators one ladder-product chain at a time, the
+gate-level Hartree-Fock check,
 post-selection on bitstrings, ansatz assembly block by block through the
 rewrite pass, ansatz assembly as ``Gate`` lists on axis strings) are the
 simple earlier forms of optimized library routines, kept to pin those
@@ -46,6 +47,7 @@ from uccvqe.pauli import (
     PauliWord,
     antihermitian_generator,
     jw_terms,
+    jw_transform,
 )
 from uccvqe.sim import Histogram, Statevector, apply_circuit, word_masks
 from uccvqe.symmetry import in_symmetry_block
@@ -470,6 +472,29 @@ def greedy_map_rescanning(excs, n_qubits: int, seed: int = 0, restarts: int = 32
 
     candidates = [QubitMapping.identity(n_spatial)] + [run() for _ in range(restarts)]
     return min(candidates, key=lambda m: (cost(m), m.perm))
+
+
+def mapping_cost_by_sets(excs, mapping) -> int:
+    """The candidate cost of ``greedy_map_rescanning``: every excitation's
+    span slack from a freshly built spin-orbital set."""
+    n_spatial = mapping.n_spatial
+    total = 0
+    for exc in excs:
+        qs = sorted(mapping.qubit_of(so) for so in exc.spin_orbitals(n_spatial))
+        total += qs[-1] - qs[0] + 1 - len(qs)
+    return total
+
+
+def antihermitian_generator_by_chains(exc, mapping) -> PauliSum:
+    """Generator t - t^dag of one excitation from two ladder-product chains
+    (``jw_transform``) and a ``PauliSum`` subtraction."""
+    n = mapping.n_qubits
+    ops: list[tuple[int, bool]] = []
+    for create_so, annihilate_so in exc.spin_orbital_pairs(mapping.n_spatial):
+        ops.append((mapping.qubit_of(create_so), True))
+        ops.append((mapping.qubit_of(annihilate_so), False))
+    t = FermionTerm(tuple(ops))
+    return jw_transform(t, n) - jw_transform(t.adjoint(), n)
 
 
 def postselect_by_string(hist, kind: str, n_alpha: int, n_beta: int, mapping=None):

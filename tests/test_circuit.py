@@ -388,6 +388,16 @@ class TestBuildAnsatz:
         with pytest.raises(CircuitError):
             build_ansatz_circuit(spec, QubitMapping.identity(3))
 
+    @pytest.mark.parametrize("variant", ["upccd", "uccsd"])
+    def test_registers_past_the_pauli_masks_rejected(self, variant):
+        # the generators are built on uint64 masks: 66 qubits are refused by
+        # name, whether or not the ansatz has unpaired excitations
+        spec = enumerate_excitations(variant, ActiveSpace(2, 33))
+        with pytest.raises(CircuitError, match="66 qubits exceed the 64"):
+            build_ansatz_circuit(spec, QubitMapping.identity(33))
+        spec = enumerate_excitations(variant, ActiveSpace(2, 32))
+        assert count_2qge(build_ansatz_circuit(spec, QubitMapping.identity(32))) > 0
+
 
 def _sector_mask(mapping, sector):
     n = mapping.n_qubits

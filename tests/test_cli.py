@@ -68,6 +68,13 @@ class TestSynth:
                     "--orbitals", "0;1", "--out", str(tmp_path)])
         assert code == 1
 
+    def test_negative_restart_budget_rejected(self, h2_path, tmp_path, capsys):
+        code = run(["synth", "--fcidump", h2_path, "--electrons", "2",
+                    "--map-restarts", "-3", "--out", str(tmp_path)])
+        assert code == 1
+        assert "uccvqe: error: restart budget must be non-negative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["synth", "vqe"])
     def test_nonzero_ms2_rejected_with_file_name(self, command, h2_path, tmp_path, capsys):
         # the closed-shell pipeline would otherwise run a triplet file as a singlet

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import dense_matrix, greedy_map_rescanning
+from oracles import dense_matrix, greedy_map_rescanning, mapping_cost_by_sets
 from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
 from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian
-from uccvqe.mapping import MappingError, QubitMapping, greedy_map, mapping_cost, span_cost
+from uccvqe.mapping import (MappingError, QubitMapping, _costs, _spin_orbital_table, greedy_map,
+                            mapping_cost, span_cost)
 from uccvqe.symmetry import OrbitalSymmetry
 
 
@@ -50,6 +51,22 @@ class TestMappingCost:
     def test_unmapped_index(self):
         with pytest.raises(MappingError):
             mapping_cost([ab_double(0, 0, 4, 4)], QubitMapping.identity(2))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_vectorized_score_matches_oracle_on_random_permutations(self, variant):
+        rng = np.random.default_rng(VARIANTS.index(variant) + 70)
+        for n_elec, n_orb in ((2, 2), (4, 4), (4, 6), (6, 8)):
+            excs = list(enumerate_excitations(variant, ActiveSpace(n_elec, n_orb)).excitations)
+            excs += [Excitation("single", "aa", (0,), (n_orb - 1,), 0),
+                     ab_double(0, 0, 1, n_orb - 1)]
+            perms = [tuple(int(q) for q in rng.permutation(2 * n_orb)) for _ in range(12)]
+            want = [mapping_cost_by_sets(excs, QubitMapping(p)) for p in perms]
+            assert [mapping_cost(excs, QubitMapping(p)) for p in perms] == want
+            table, size = _spin_orbital_table(excs, 2 * n_orb)
+            assert _costs(table, size, np.array(perms)).tolist() == want
+
+    def test_no_excitations_cost_nothing(self):
+        assert mapping_cost([], QubitMapping.identity(3)) == 0
 
 
 class TestGreedyMap:
@@ -117,9 +134,56 @@ class TestGreedyMap:
             assert (greedy_map(excs, 2 * n_spatial, seed=trial, restarts=8).perm
                     == greedy_map_rescanning(excs, 2 * n_spatial, seed=trial, restarts=8).perm)
 
+    @pytest.mark.parametrize("restarts", [0, 1, 32])
+    def test_matches_rescanning_reference_across_restart_budgets(self, restarts):
+        rng = np.random.default_rng(restarts + 17)
+        for variant in VARIANTS:
+            for n_elec, n_orb in ((2, 3), (4, 4), (4, 6), (6, 6)):
+                sym = OrbitalSymmetry.from_labels(rng.integers(1, 5, size=n_orb))
+                for screen in (None, sym):
+                    excs = enumerate_excitations(variant, ActiveSpace(n_elec, n_orb),
+                                                 screen).excitations
+                    if not excs:
+                        continue
+                    seed = int(rng.integers(1 << 30))
+                    assert (greedy_map(excs, 2 * n_orb, seed=seed, restarts=restarts).perm
+                            == greedy_map_rescanning(excs, 2 * n_orb, seed=seed,
+                                                     restarts=restarts).perm)
+
+    def test_matches_rescanning_reference_on_uccsd_cas1010(self):
+        excs = enumerate_excitations("uccsd", ActiveSpace(10, 10)).excitations
+        assert (greedy_map(excs, 20, seed=29, restarts=1).perm
+                == greedy_map_rescanning(excs, 20, seed=29, restarts=1).perm)
+
+    def test_matches_rescanning_reference_with_idle_orbitals(self):
+        # excitations of a smaller space spread over a larger one, some
+        # dropped, so some orbitals belong to no excitation
+        rng = np.random.default_rng(83)
+        for trial in range(24):
+            variant = VARIANTS[trial % len(VARIANTS)]
+            n_elec, n_orb = ((2, 3), (4, 4), (4, 5))[trial % 3]
+            n_spatial = n_orb + int(rng.integers(1, 5))
+            spread = [int(o) for o in np.sort(rng.choice(n_spatial, n_orb, replace=False))]
+            excs = [Excitation(e.kind, e.spin_pattern, tuple(spread[o] for o in e.occ),
+                               tuple(spread[o] for o in e.virt), e.param_id)
+                    for e in enumerate_excitations(variant, ActiveSpace(n_elec, n_orb)).excitations
+                    if rng.random() < 0.6]
+            if not excs:
+                continue
+            used = set().union(*(e.spatial_orbitals() for e in excs))
+            assert len(used) < n_spatial
+            for restarts in (1, 8):
+                assert (greedy_map(excs, 2 * n_spatial, seed=trial, restarts=restarts).perm
+                        == greedy_map_rescanning(excs, 2 * n_spatial, seed=trial,
+                                                 restarts=restarts).perm)
+
     def test_empty_excitations_rejected(self):
         with pytest.raises(MappingError):
             greedy_map([], 4)
+
+    def test_negative_restart_budget_rejected(self):
+        with pytest.raises(MappingError, match="-3"):
+            greedy_map([ab_double(0, 1, 2, 3)], 8, restarts=-3)
 
 
 class TestEnergyInvariance:

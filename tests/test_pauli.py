@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_block_mapping
 from oracles import (
+    antihermitian_generator_by_chains,
     fermion_matrix,
     jw_transform_by_products,
     product_by_words,
     sum_matrix,
     word_matrix,
 )
-from uccvqe.ansatz import Excitation
+from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import (
     COEFF_EPS,
@@ -20,6 +22,7 @@ from uccvqe.pauli import (
     PauliWord,
     antihermitian_generator,
     axes_rank,
+    excitation_generators,
     jw_images,
     jw_ladder,
     jw_terms,
@@ -367,3 +370,46 @@ class TestGenerators:
         ]:
             words = list(antihermitian_generator(exc, mapping).words())
             assert all(a.commutes_with(b) for a in words for b in words)
+
+
+class TestBatchedGenerators:
+    """``excitation_generators`` must give each excitation the words and
+    coefficients of two ladder-product chains and a subtraction."""
+
+    @staticmethod
+    def exact_words(s: PauliSum) -> list[tuple[int, int, str]]:
+        return [(w.x_mask, w.z_mask, repr(w.coefficient)) for w in s.words()]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_chains_under_block_and_random_mappings(self, variant):
+        rng = np.random.default_rng(VARIANTS.index(variant) + 51)
+        checked = 0
+        for n_elec, n_orb in ((2, 2), (2, 3), (4, 4), (4, 6), (6, 6), (6, 8)):
+            excs = list(enumerate_excitations(variant, ActiveSpace(n_elec, n_orb)).excitations)
+            # singles and 3-orbital doubles whatever the variant enumerates
+            excs += [Excitation("single", "aa", (0,), (n_orb - 1,), 0),
+                     Excitation("single", "bb", (n_orb - 1,), (0,), 0),
+                     Excitation("double", "ab", (0, 0), (n_orb - 1, 1), 0),
+                     Excitation("double", "ab", (1, 0), (n_orb - 1, n_orb - 1), 0)]
+            for mapping in (random_block_mapping(n_orb, rng),
+                            QubitMapping(tuple(int(q) for q in rng.permutation(2 * n_orb)))):
+                got = excitation_generators(excs, mapping)
+                assert len(got) == len(excs)
+                for exc, gen in zip(excs, got):
+                    want = self.exact_words(antihermitian_generator_by_chains(exc, mapping))
+                    assert self.exact_words(gen) == want, (exc, mapping)
+                    assert self.exact_words(antihermitian_generator(exc, mapping)) == want
+                    checked += 1
+        assert checked > 100
+
+    def test_empty_batch(self):
+        assert excitation_generators([], QubitMapping.identity(3)) == []
+
+    def test_refuses_registers_past_the_masks(self):
+        exc = Excitation("single", "aa", (0,), (32,), 0)
+        with pytest.raises(PauliError, match="66 qubits exceed the 64-bit Pauli masks"):
+            excitation_generators([exc], QubitMapping.identity(33))
+        # 64 qubits still fit: the top mode sits on bit 63
+        top = Excitation("single", "bb", (0,), (31,), 0)
+        [gen] = excitation_generators([top], QubitMapping.identity(32))
+        assert all(w.x_mask >> 63 for w in gen.words())

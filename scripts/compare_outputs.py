@@ -14,8 +14,10 @@ copy of its ``vqe`` directory, so both reports are compared.
 
 Compared byte for byte: every ``report.json`` (timings dropped, the FCIDUMP
 path cut to its file name), every ``group_*.hist`` and every
-``circuit.txt``. Prints the file count and the paths that differ; exits 1 on
-any difference, and on any command that fails in either tree.
+``circuit.txt``. Prints the file count and the paths that differ, and
+under each differing ``report.json`` every leaf that differs, as
+``energies_hartree.sampled_raw: <rev value> -> <value here>``; exits 1 on any
+difference, and on any command that fails in either tree.
 """
 from __future__ import annotations
 
@@ -104,6 +106,24 @@ def normalized(path: Path) -> bytes:
     return json.dumps(report, indent=2, sort_keys=True).encode()
 
 
+def leaves(node, prefix: str = "") -> dict[str, object]:
+    """A report's scalar leaves by dotted path; list items are numbered."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {path: value for key, child in items
+                for path, value in leaves(child, f"{prefix}.{key}" if prefix else str(key)).items()}
+    return {prefix: node}
+
+
+def report_changes(rev: Path, here: Path) -> list[str]:
+    """``path: <rev value> -> <value here>`` for each leaf that differs
+    between two normalized reports; '-' stands for an absent leaf."""
+    old, new = (leaves(json.loads(normalized(p))) for p in (rev, here))
+    show = lambda d, k: json.dumps(d[k]) if k in d else "-"
+    return [f"{k}: {show(old, k)} -> {show(new, k)}"
+            for k in sorted(old.keys() | new.keys()) if show(old, k) != show(new, k)]
+
+
 def compared_files(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for pattern in ("report.json", "group_*.hist", "circuit.txt")
             for p in root.rglob(pattern)}
@@ -131,12 +151,17 @@ def main() -> int:
         differ = sorted(rel for rel in files_rev | files_here
                         if rel not in files_rev or rel not in files_here
                         or normalized(tmp / "out-rev" / rel) != normalized(tmp / "out-here" / rel))
+        changes = {rel: report_changes(tmp / "out-rev" / rel, tmp / "out-here" / rel)
+                   for rel in differ if Path(rel).name == "report.json"
+                   and rel in files_rev and rel in files_here}
     print(f"{len(cmds)} commands per tree, {len(files_rev | files_here)} files compared, "
           f"{len(differ)} differ")
     for argv, a, b in failed:
         print(f"exit codes {a} (rev) and {b} (here): uccvqe {' '.join(argv)}")
     for rel in differ:
         print(f"differs: {rel}")
+        for line in changes.get(rel, ()):
+            print(f"    {line}")
     return 1 if differ or failed else 0
 
 

@@ -120,12 +120,17 @@ class Excitation:
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """A variant plus its screened, ordered excitation list."""
+    """A variant plus its screened, ordered excitation list and the orbital
+    irreps it was screened with (``None`` when unscreened)."""
 
     variant: str
     active_space: ActiveSpace
     excitations: tuple[Excitation, ...]
-    symmetry_screened: bool
+    orbsym: Optional[OrbitalSymmetry]
+
+    @property
+    def symmetry_screened(self) -> bool:
+        return self.orbsym is not None
 
     @property
     def parameter_count(self) -> int:
@@ -186,7 +191,8 @@ def enumerate_excitations(
 
     Paired doubles come first, then unpaired doubles, then singles. When a
     symmetry table is given, terms whose irrep product is not totally
-    symmetric are dropped; parameter ids are assigned after screening.
+    symmetric are dropped and the spec keeps the table; parameter ids are
+    assigned after screening.
     """
     variant = variant.lower()
     if variant not in VARIANTS:
@@ -215,7 +221,7 @@ def enumerate_excitations(
             if sym is None or excitation_allowed(exc, sym):
                 selected.append(exc.with_param(len(selected)))
 
-    return AnsatzSpec(variant, active_space, tuple(selected), sym is not None)
+    return AnsatzSpec(variant, active_space, tuple(selected), sym)
 
 
 def hf_occupation(active_space: ActiveSpace) -> str:

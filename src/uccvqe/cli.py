@@ -116,7 +116,6 @@ class Pipeline:
     circuit: object = field(init=False)
     groups: list = field(init=False)
     sector: SpinSector = field(init=False)
-    orbsym: Optional[OrbitalSymmetry] = field(init=False)  # None: screening off
 
     def __post_init__(self):
         cfg = self.config
@@ -127,12 +126,17 @@ class Pipeline:
         if cfg.n_electrons > self.ints.n_electrons:
             raise CliError(f"{cfg.fcidump}: --electrons {cfg.n_electrons} exceeds the "
                            f"header's NELEC={self.ints.n_electrons}")
-        orbitals = cfg.orbitals or tuple(range(self.ints.n_orbitals))
+        norb = self.ints.n_orbitals
+        orbitals = cfg.orbitals or tuple(range(norb))
+        for o in orbitals:
+            if not 0 <= o < norb:
+                raise CliError(f"{cfg.fcidump}: --orbitals names orbital {o}, outside "
+                               f"0..{norb - 1} of the header's NORB={norb}")
         self.selection = ActiveSelection(cfg.n_electrons, orbitals)
         space = self.selection.active_space()
-        self.orbsym = (OrbitalSymmetry(tuple(self.ints.orbsym[o] for o in orbitals))
-                       if cfg.symmetry else None)
-        self.spec = enumerate_excitations(cfg.variant, space, self.orbsym)
+        orbsym = (OrbitalSymmetry(tuple(self.ints.orbsym[o] for o in orbitals))
+                  if cfg.symmetry else None)
+        self.spec = enumerate_excitations(cfg.variant, space, orbsym)
         if self.spec.excitations:
             self.mapping = greedy_map(
                 self.spec.excitations, space.n_qubits,
@@ -247,7 +251,7 @@ def cmd_vqe(cfg: RunConfig) -> dict:
 
     try:
         report["energies_hartree"]["exact_ground"] = exact_ground_energy(
-            pipe.hamiltonian, pipe.sector, pipe.orbsym
+            pipe.hamiltonian, pipe.sector, pipe.spec.orbsym
         )
     except BlockSizeError:
         pass  # the block is past the dense cap; the report leaves exact_ground out

@@ -74,9 +74,9 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
     sym_match = re.search(r"ORBSYM\s*=\s*([0-9,\s]+)", header, re.IGNORECASE)
     if sym_match:
         labels = [int(tok) for tok in sym_match.group(1).replace(",", " ").split()]
-        if len(labels) < norb:
-            raise FcidumpError(f"{path}: ORBSYM lists {len(labels)} of {norb} orbitals")
-        orbsym = OrbitalSymmetry.from_labels(labels[:norb])
+        if len(labels) != norb:
+            raise FcidumpError(f"{path}: ORBSYM lists {len(labels)} labels for NORB={norb}")
+        orbsym = OrbitalSymmetry.from_labels(labels)
     else:
         orbsym = OrbitalSymmetry.all_symmetric(norb)
 

@@ -7,8 +7,9 @@ summed index-interval slack of every excitation's mapped spin orbitals.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,12 @@ class QubitMapping:
     perm: tuple[int, ...]
 
     def __post_init__(self):
+        # plain ints: numpy integers would leak into masks and reports, and
+        # operator.index refuses a float rather than truncating it
+        try:
+            object.__setattr__(self, "perm", tuple(operator.index(q) for q in self.perm))
+        except TypeError:
+            raise MappingError(f"perm entries must be integers, got {self.perm!r}") from None
         if sorted(self.perm) != list(range(len(self.perm))) or len(self.perm) % 2:
             raise MappingError("perm must be a permutation of an even-size register")
 
@@ -71,14 +78,6 @@ class QubitMapping:
     def is_block_structured(self) -> bool:
         n = self.n_spatial
         return all(self.perm[n + k] == self.perm[k] + n for k in range(n))
-
-
-def span_cost(support: Iterable[int]) -> int:
-    """Interval slack of one mapped index set: span minus support size."""
-    qs = sorted(support)
-    if not qs:
-        return 0
-    return qs[-1] - qs[0] + 1 - len(qs)
 
 
 def _spin_orbital_table(excs: Sequence, n_qubits: int) -> tuple[np.ndarray, int]:

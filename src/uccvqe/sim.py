@@ -16,7 +16,6 @@ import numpy as np
 
 from . import kernels
 from .circuit import Circuit, Gate
-from .symmetry import index_mask
 
 MAX_QUBITS = 24
 
@@ -71,8 +70,9 @@ class Statevector:
 
 def word_masks(n: int, x_mask: int, z_mask: int) -> tuple[int, int, int]:
     """Convert qubit-indexed Pauli masks to amplitude-index masks; returns
-    (x_bits, z_bits, y_count)."""
-    xb, zb = (index_mask(n, [q for q in range(n) if mask >> q & 1]) for mask in (x_mask, z_mask))
+    (x_bits, z_bits, y_count). Qubit q is bit q of a word mask and bit
+    n - 1 - q of an index mask, so the conversion reverses the n bits."""
+    xb, zb = (int(format(mask, f"0{n}b")[::-1], 2) for mask in (x_mask, z_mask))
     return xb, zb, (x_mask & z_mask).bit_count()
 
 

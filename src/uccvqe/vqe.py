@@ -11,10 +11,12 @@ order (paired excitations first) applied to the Hartree-Fock determinant.
 Every G_k satisfies G^3 = -G, so exp(theta G) = 1 + sin(theta) G +
 (1 - cos(theta)) G^2 (Yordanov, Arvidsson-Shukur and Barnes, PRA 102,
 062612). The reference determinant and every G_k conserve the alpha and
-beta electron counts, so the state lives on that sector's amplitudes only,
-and <psi|H|psi> needs only H's sector block. Each evaluation returns the
-energy and its exact gradient from one reverse (adjoint) sweep (Jones and
-Gacon, arXiv:2009.02823). Sampling still runs the compiled circuit.
+beta electron counts and, on a screened ansatz, the Hartree-Fock irrep, so
+the state lives on the amplitudes of that symmetry block only
+(``symmetry.in_symmetry_block``), and <psi|H|psi> needs only H's block.
+Each evaluation returns the energy and its exact gradient from one reverse
+(adjoint) sweep (Jones and Gacon, arXiv:2009.02823). Sampling still runs
+the compiled circuit.
 """
 from __future__ import annotations
 
@@ -66,16 +68,19 @@ def _exp_step(g: SectorOperator, theta: float, v: np.ndarray, gv: np.ndarray) ->
 
 
 class SectorAnsatz:
-    """The ansatz as generator exponentials on the reference spin sector.
+    """The ansatz as generator exponentials on the symmetry block of the
+    reference: its spin sector and, when ``spec`` was screened, its irrep.
 
-    ``basis`` lists the sector's amplitude indices (ascending), ``reference``
+    ``basis`` lists the block's amplitude indices (ascending), ``reference``
     is the Hartree-Fock determinant over them, and ``generators`` pairs each
     parameter index with its restricted generator, in circuit build order.
+    Every screened generator has a totally symmetric irrep product, so it
+    maps the block into itself and the restriction is exact.
     """
 
     def __init__(self, spec: AnsatzSpec, mapping: QubitMapping):
         n, n_occ = mapping.n_qubits, spec.active_space.n_occupied
-        self.basis = spin_sector_indices(mapping, SpinSector(n_occ, n_occ))
+        self.basis = spin_sector_indices(mapping, SpinSector(n_occ, n_occ), spec.orbsym)
         hf = sum((1 << (n - 1 - mapping.alpha_qubit(k))) | (1 << (n - 1 - mapping.beta_qubit(k)))
                  for k in range(n_occ))
         self.reference = np.zeros(len(self.basis))
@@ -109,7 +114,7 @@ class SectorAnsatz:
 
 
 def _objective(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping):
-    """theta -> (energy, gradient), both exact, on the reference sector."""
+    """theta -> (energy, gradient), both exact, on the reference block."""
     ansatz = SectorAnsatz(spec, mapping)
     hop = sector_operator(h.terms, ansatz.basis)
     return lambda theta: ansatz.energy_and_gradient(hop, h.offset, theta)

@@ -361,7 +361,7 @@ class TestBuildAnsatz:
         relabeled = type(spec)(
             spec.variant, spec.active_space,
             tuple(e.with_param(spec.parameter_count - 1 - e.param_id) for e in spec.excitations),
-            spec.symmetry_screened,
+            spec.orbsym,
         )
         a = build_ansatz_circuit(spec, mapping)
         b = build_ansatz_circuit(relabeled, mapping)

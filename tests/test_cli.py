@@ -68,6 +68,16 @@ class TestSynth:
                     "--orbitals", "0;1", "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("symmetry", [[], ["--no-symmetry"]])
+    def test_orbital_past_norb_rejected_with_file_name(self, h2_path, tmp_path, capsys, symmetry):
+        # the screened run used to die with an IndexError from the irrep table
+        code = run(["synth", "--fcidump", h2_path, "--electrons", "2", "--orbitals", "0,5",
+                    *symmetry, "--out", str(tmp_path)])
+        assert code == 1
+        assert (f"{h2_path}: --orbitals names orbital 5, outside 0..1 of the header's NORB=2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "report.json").exists()
+
     def test_negative_restart_budget_rejected(self, h2_path, tmp_path, capsys):
         code = run(["synth", "--fcidump", h2_path, "--electrons", "2",
                     "--map-restarts", "-3", "--out", str(tmp_path)])

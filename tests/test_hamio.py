@@ -76,6 +76,16 @@ class TestParse:
         path = write(tmp_path, " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n 0.0 0 0 0 0\n")
         assert parse_fcidump(path).orbsym.labels() == (1, 1)
 
+    @pytest.mark.parametrize("labels", ["1,5,1", "1"], ids=["extra", "missing"])
+    def test_orbsym_count_must_match_norb(self, tmp_path, labels):
+        # extra labels used to be cut to the first NORB without a word
+        path = write(tmp_path, f" &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM={labels},\n &END\n"
+                               " 0.0 0 0 0 0\n", name="sym.fcidump")
+        count = len(labels.split(","))
+        with pytest.raises(FcidumpError, match=rf"sym\.fcidump: ORBSYM lists {count} labels "
+                                               "for NORB=2"):
+            parse_fcidump(path)
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(FcidumpError, match="header"):
             parse_fcidump(write(tmp_path, "1.0 1 1 0 0\n"))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from oracles import dense_matrix, greedy_map_rescanning, mapping_cost_by_sets
 from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
 from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian
 from uccvqe.mapping import (MappingError, QubitMapping, _costs, _spin_orbital_table, greedy_map,
-                            mapping_cost, span_cost)
+                            mapping_cost)
 from uccvqe.symmetry import OrbitalSymmetry
 
 
@@ -31,14 +33,31 @@ class TestQubitMapping:
         with pytest.raises(MappingError):
             QubitMapping((0, 0, 1, 2))
 
+    def test_numpy_positions_become_python_ints(self):
+        m = QubitMapping.from_spatial_order(np.random.default_rng(0).permutation(4))
+        assert all(type(q) is int for q in m.perm)
+        assert json.loads(json.dumps(list(m.perm))) == list(m.perm)
+
+    def test_rejects_float_entries(self):
+        with pytest.raises(MappingError, match="integers"):
+            QubitMapping((0.0, 1.0, 2.0, 3.0))
+
 
 class TestMappingCost:
     def test_adjacent_pair_costs_nothing(self):
-        assert span_cost([0, 1]) == 0
+        # an alpha single 0 -> 1 sits on adjacent qubits 0 and 1
+        assert mapping_cost([Excitation("single", "aa", (0,), (1,), 0)],
+                            QubitMapping.identity(2)) == 0
 
     def test_interval_slack(self):
-        assert span_cost([0, 3]) == 2
-        assert span_cost([0, 3, 5]) == 3
+        # a beta single 0 -> 2 on qubits 3 and 5: span 3, two qubits
+        single = Excitation("single", "bb", (0,), (2,), 0)
+        assert mapping_cost([single], QubitMapping.identity(3)) == 1
+        # a paired double 0 -> 2 on qubits 0, 2, 3 and 5: span 6, four qubits;
+        # the costs of several excitations add
+        paired = ab_double(0, 0, 2, 2)
+        assert mapping_cost([paired], QubitMapping.identity(3)) == 2
+        assert mapping_cost([single, paired], QubitMapping.identity(3)) == 3
 
     def test_recount_after_permutation(self):
         # an alpha single (0 -> 1) is adjacent under the identity; swapping

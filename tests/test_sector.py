@@ -1,10 +1,13 @@
-"""Agreement of the spin-sector fast path with the gate-level circuit.
+"""Agreement of the symmetry-block fast path with the gate-level circuit.
 
 The optimizer evaluates energies and gradients from generator exponentials
-on the reference sector; sampling and the HF check run the compiled
+on the reference block: the spin sector, cut to the Hartree-Fock irrep when
+the ansatz was screened; sampling and the HF check run the compiled
 circuit. These tests pin the two to each other for every variant, random
-block mappings and random parameters.
+block mappings, random irreps and random parameters.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from uccvqe.hamio import (
     exact_ground_energy,
     sector_indices,
     sector_operator,
+    spin_sector_indices,
 )
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import PauliSum, PauliWord
@@ -79,6 +83,15 @@ def test_sector_state_and_energy_match_circuit(space, variant):
             assert energy == pytest.approx(expectation(gate_level, ham), abs=1e-10)
 
 
+def central_differences(objective, theta: np.ndarray) -> np.ndarray:
+    fd = np.zeros_like(theta)
+    for k in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[k] = FD_STEP
+        fd[k] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * FD_STEP)
+    return fd
+
+
 @pytest.mark.parametrize("space,variant", cases())
 def test_adjoint_gradient_matches_central_differences(space, variant):
     for seed in range(2):
@@ -86,12 +99,7 @@ def test_adjoint_gradient_matches_central_differences(space, variant):
         for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
             objective = _objective(ham, spec, mapping)
             _, grad = objective(theta)
-            fd = np.zeros_like(theta)
-            for k in range(len(theta)):
-                step = np.zeros_like(theta)
-                step[k] = FD_STEP
-                fd[k] = (objective(theta + step)[0] - objective(theta - step)[0]) / (2 * FD_STEP)
-            assert np.max(np.abs(grad - fd)) < 1e-8
+            assert np.max(np.abs(grad - central_differences(objective, theta))) < 1e-8
 
 
 @pytest.mark.parametrize("n_orbitals,n_electrons", [(2, 2), (3, 2), (4, 4), (5, 4)])
@@ -156,3 +164,59 @@ def test_block_cap_is_a_named_error():
         exact_ground_energy(h, SpinSector(4, 4))
     labels = OrbitalSymmetry.from_labels([1, 1, 1, 2, 3, 3, 4, 4])
     assert len(sector_indices(h, SpinSector(4, 4), labels)) <= DENSE_BLOCK_LIMIT
+
+
+SCREENED_SPACES = (ActiveSpace(4, 4), ActiveSpace(6, 6))
+
+
+def screened_cases():
+    for space in SCREENED_SPACES:
+        for variant in VARIANTS:
+            yield pytest.param(space, variant,
+                               id=f"cas{space.n_electrons}{space.n_orbitals}-{variant}")
+
+
+def setup_screened_case(space: ActiveSpace, variant: str, seed: int):
+    """An ansatz screened with random irreps, on integrals that respect them."""
+    rng = np.random.default_rng(60 + seed)
+    labels = [int(l) for l in rng.integers(1, 5, size=space.n_orbitals)]
+    ints = symmetry_adapted_integrals(space.n_orbitals, space.n_electrons, labels, rng)
+    spec = enumerate_excitations(variant, space, ints.orbsym)
+    mapping = random_block_mapping(space.n_orbitals, rng)
+    h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+    theta = rng.normal(scale=0.4, size=spec.parameter_count)
+    return rng, spec, mapping, h, theta
+
+
+@pytest.mark.parametrize("space,variant", screened_cases())
+def test_screened_ansatz_lives_on_the_irrep_block(space, variant):
+    for seed in range(2):
+        rng, spec, mapping, h, theta = setup_screened_case(space, variant, seed)
+        sector = SpinSector(space.n_occupied, space.n_occupied)
+        ansatz = SectorAnsatz(spec, mapping)
+        assert np.array_equal(ansatz.basis, spin_sector_indices(mapping, sector, spec.orbsym))
+        assert len(ansatz.basis) < len(spin_sector_indices(mapping, sector))
+        gate_level = circuit_state(spec, mapping, theta).amplitudes
+        assert np.sum(np.abs(np.delete(gate_level, ansatz.basis)) ** 2) < 1e-20
+        embedded = np.zeros(1 << mapping.n_qubits, dtype=complex)
+        embedded[ansatz.basis] = ansatz.state(theta)
+        phase = np.vdot(embedded, gate_level)
+        assert abs(phase) == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(gate_level - phase * embedded)) < 1e-10
+        on_sector = dataclasses.replace(spec, orbsym=None)
+        for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
+            energy, grad = _objective(ham, spec, mapping)(theta)
+            assert energy == pytest.approx(
+                expectation(Statevector(mapping.n_qubits, gate_level), ham), abs=1e-10)
+            sector_energy, sector_grad = _objective(ham, on_sector, mapping)(theta)
+            assert energy == pytest.approx(sector_energy, abs=1e-10)
+            assert np.max(np.abs(grad - sector_grad), initial=0.0) < 1e-10
+
+
+@pytest.mark.parametrize("space,variant", screened_cases())
+def test_screened_adjoint_gradient_matches_central_differences(space, variant):
+    rng, spec, mapping, h, theta = setup_screened_case(space, variant, 0)
+    for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
+        objective = _objective(ham, spec, mapping)
+        _, grad = objective(theta)
+        assert np.max(np.abs(grad - central_differences(objective, theta)), initial=0.0) < 1e-8

@@ -30,7 +30,9 @@ from uccvqe.sim import (
     group_outcomes,
     prepared_basis_state,
     sample_group,
+    word_masks,
 )
+from uccvqe.symmetry import index_mask
 
 
 def make_hamiltonian(terms: PauliSum, offset=0.0):
@@ -99,6 +101,18 @@ class TestExpectation:
             dense = sum_matrix(terms) + h.offset * np.eye(1 << n)
             want = float(np.real(state.amplitudes.conj() @ dense @ state.amplitudes))
             assert expectation(state, h) == pytest.approx(want, abs=1e-10)
+
+
+class TestWordMasks:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_bit_reversal_matches_per_qubit_scan(self, n):
+        rng = np.random.default_rng(n)
+        full = (1 << n) - 1
+        for _ in range(20):
+            x, z = (int.from_bytes(rng.bytes(8), "little") & full for _ in range(2))
+            want = tuple(index_mask(n, [q for q in range(n) if m >> q & 1]) for m in (x, z))
+            assert word_masks(n, x, z) == (*want, (x & z).bit_count())
+        assert word_masks(n, full, 1) == (full, 1 << (n - 1), 1)
 
 
 def z_group(n):

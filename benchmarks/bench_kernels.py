@@ -14,9 +14,10 @@ dimension of the spin sector and of the Hartree-Fock irrep block under a
 4-irrep ORBSYM, and the time of ``exact_ground_energy`` on that block
 (dense ``eigvalsh``). The grouping rows time ``qwc_group`` on the
 dense-integral Hamiltonians of 16, 20 and 24 qubits. The histogram rows time what sampling and
-``uccvqe mitigate`` do per measurement group: ``sample_group``, ``to_text``,
-``from_text`` and ``group_outcomes`` over every QWC group of the
-dense-integral Hamiltonian, on a random state.
+``uccvqe vqe`` then ``uccvqe mitigate`` do with the histograms: ``sample_group``
+on every QWC group of the dense-integral Hamiltonian, on a random state,
+``format_sections`` and ``parse_sections`` over all groups at once, and
+``group_outcomes`` per group.
 
 Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
 """
@@ -181,13 +182,15 @@ def bench_grouping(n_orbitals):
 
 
 def bench_histograms(n_orbitals, shots=6000):
-    """sample_group -> to_text -> from_text -> group_outcomes over every QWC
-    group of the dense-integral Hamiltonian on 2*n_orbitals qubits, on a
-    seeded random state; returns the time, the group count and the mean
-    number of distinct outcomes per group."""
+    """sample_group per group -> format_sections -> parse_sections ->
+    group_outcomes per group, over every QWC group of the dense-integral
+    Hamiltonian on 2*n_orbitals qubits, on a seeded random state; returns
+    the time, the group count and the mean number of distinct outcomes per
+    group."""
     from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian, qwc_group
     from uccvqe.mapping import QubitMapping
-    from uccvqe.sim import Histogram, Statevector, group_outcomes, sample_group
+    from uccvqe.sim import (Statevector, format_sections, group_outcomes, parse_sections,
+                            sample_group)
 
     ints = dense_integrals(n_orbitals)
     groups = qwc_group(build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
@@ -196,10 +199,10 @@ def bench_histograms(n_orbitals, shots=6000):
     sizes = []
 
     def run():
-        sizes.clear()
-        for g in groups:
-            hist = Histogram.from_text(sample_group(state, g, shots, g.index).to_text())
-            sizes.append(len(group_outcomes(g, hist)[0]))
+        hists = [sample_group(state, g, shots, g.index) for g in groups]
+        text = format_sections(hists, ["".join(g.basis) for g in groups])
+        sections = parse_sections(text, with_basis=True, width=state.n_qubits)
+        sizes[:] = [len(group_outcomes(g, s.histogram)[0]) for g, s in zip(groups, sections)]
 
     return timeit(run, repeats=3), len(groups), sum(sizes) / len(sizes)
 
@@ -250,7 +253,8 @@ def main():
         t_group, n_terms, n_groups = bench_grouping(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_terms:>12} {n_groups:>7} {t_group * 1e3:>15.2f}")
 
-    print("\nhistograms: sample_group -> to_text -> from_text -> group_outcomes, 6000 shots")
+    print("\nhistograms: sample_group -> format_sections -> parse_sections -> group_outcomes, "
+          "6000 shots")
     print(f"{'orbitals':>8} {'qubits':>7} {'groups':>7} {'outcomes/group':>15} "
           f"{'all groups (ms)':>16} {'per group (ms)':>15}")
     for n_orb in (6, 8):

@@ -13,11 +13,17 @@ every anchor and workload command of the three perfbench workloads at seeds
 copy of its ``vqe`` directory, so both reports are compared.
 
 Compared byte for byte: every ``report.json`` (timings dropped, the FCIDUMP
-path cut to its file name), every ``group_*.hist`` and every
-``circuit.txt``. Prints the file count and the paths that differ, and
-under each differing ``report.json`` every leaf that differs, as
-``energies_hartree.sampled_raw: <rev value> -> <value here>``; exits 1 on any
-difference, and on any command that fails in either tree.
+path cut to its file name), every ``circuit.txt``, every ``histograms.txt``
+that both trees wrote, and each measurement group's histogram in one
+canonical text, its one-group ``Histogram.to_text`` form (group, shots,
+seed, outcomes and tallies). That text is read from the ``histograms.txt``
+of a ``vqe`` directory, or from its ``group_*.hist`` files, one per group,
+in revisions that wrote those, so the two layouts compare equal when their
+histograms do. Prints the counts of files and group histograms compared and
+the outputs that differ, and under each differing ``report.json`` every leaf
+that differs, as ``energies_hartree.sampled_raw: <rev value> -> <value
+here>``; exits 1 on any difference, and on any command that fails in either
+tree.
 """
 from __future__ import annotations
 
@@ -36,6 +42,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads as wl  # noqa: E402
+from uccvqe.cli import HISTOGRAM_FILE, read_histograms  # noqa: E402
+from uccvqe.sim import Histogram  # noqa: E402
 
 SEEDS = (3, 7)
 THREADS = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -115,18 +123,27 @@ def leaves(node, prefix: str = "") -> dict[str, object]:
     return {prefix: node}
 
 
-def report_changes(rev: Path, here: Path) -> list[str]:
+def report_changes(rev: bytes, here: bytes) -> list[str]:
     """``path: <rev value> -> <value here>`` for each leaf that differs
     between two normalized reports; '-' stands for an absent leaf."""
-    old, new = (leaves(json.loads(normalized(p))) for p in (rev, here))
+    old, new = (leaves(json.loads(text)) for text in (rev, here))
     show = lambda d, k: json.dumps(d[k]) if k in d else "-"
     return [f"{k}: {show(old, k)} -> {show(new, k)}"
             for k in sorted(old.keys() | new.keys()) if show(old, k) != show(new, k)]
 
 
-def compared_files(root: Path) -> set[str]:
-    return {str(p.relative_to(root)) for pattern in ("report.json", "group_*.hist", "circuit.txt")
-            for p in root.rglob(pattern)}
+def outputs(root: Path) -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """A tree's compared files, normalized, and its group histograms in
+    their canonical text, under '<directory>/group <id>'; both keyed by
+    paths relative to ``root``."""
+    files = {str(p.relative_to(root)): normalized(p)
+             for pattern in ("report.json", "circuit.txt", HISTOGRAM_FILE)
+             for p in root.rglob(pattern)}
+    saved = [(p.parent, s.histogram) for p in root.rglob(HISTOGRAM_FILE)
+             for s in read_histograms(str(p.parent)).sections]
+    saved += [(p.parent, Histogram.from_text(p.read_text())) for p in root.rglob("group_*.hist")]
+    groups = {f"{d.relative_to(root)}/group {h.group_id}": h.to_text().encode() for d, h in saved}
+    return files, groups
 
 
 def main() -> int:
@@ -147,14 +164,19 @@ def main() -> int:
             codes[name] = run_tree(src, tmp / f"out-{name}", cmds)
         failed = [(argv, a, b) for (argv, _), a, b in zip(cmds, codes["rev"], codes["here"])
                   if a != 0 or b != 0]
-        files_rev, files_here = compared_files(tmp / "out-rev"), compared_files(tmp / "out-here")
-        differ = sorted(rel for rel in files_rev | files_here
-                        if rel not in files_rev or rel not in files_here
-                        or normalized(tmp / "out-rev" / rel) != normalized(tmp / "out-here" / rel))
-        changes = {rel: report_changes(tmp / "out-rev" / rel, tmp / "out-here" / rel)
-                   for rel in differ if Path(rel).name == "report.json"
-                   and rel in files_rev and rel in files_here}
-    print(f"{len(cmds)} commands per tree, {len(files_rev | files_here)} files compared, "
+        (files_rev, groups_rev), (files_here, groups_here) = (outputs(tmp / "out-rev"),
+                                                              outputs(tmp / "out-here"))
+        # a histograms.txt is compared only where both trees wrote one
+        files_rev, files_here = ({rel: text for rel, text in files.items()
+                                  if Path(rel).name != HISTOGRAM_FILE or rel in other}
+                                 for files, other in ((files_rev, files_here),
+                                                      (files_here, files_rev)))
+        rev, here = {**files_rev, **groups_rev}, {**files_here, **groups_here}
+        differ = sorted(rel for rel in rev.keys() | here.keys() if rev.get(rel) != here.get(rel))
+        changes = {rel: report_changes(rev[rel], here[rel]) for rel in differ
+                   if Path(rel).name == "report.json" and rel in rev and rel in here}
+    print(f"{len(cmds)} commands per tree, {len(files_rev.keys() | files_here.keys())} files "
+          f"and {len(groups_rev.keys() | groups_here.keys())} group histograms compared, "
           f"{len(differ)} differ")
     for argv, a, b in failed:
         print(f"exit codes {a} (rev) and {b} (here): uccvqe {' '.join(argv)}")

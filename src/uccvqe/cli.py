@@ -7,6 +7,7 @@ configurations are identical apart from timings.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -29,11 +30,17 @@ from .hamio import (
 )
 from .mapping import QubitMapping, greedy_map, mapping_cost
 from .mitigate import run_policies
-from .sim import MAX_QUBITS, Histogram, group_outcomes, prepared_basis_state
+from .sim import (MAX_QUBITS, Histogram, Section, SimulationError, format_sections,
+                  group_outcomes, parse_sections, prepared_basis_state)
 from .symmetry import OrbitalSymmetry, SpinSector
 from .vqe import evaluate_sampled, group_seed, optimize, shot_budget
 
 SCHEMA_VERSION = 1
+# one file per vqe run holds the histograms of every measurement group
+HISTOGRAM_FILE = "histograms.txt"
+HISTOGRAM_FORMAT = 1
+# the file header: one '<key> <value>' line each, in this order
+_HEADER_KEYS = ("HISTOGRAMS", "QUBITS", "SAMPLE_SEED", "SHOT_MODE", "FCIDUMP_SHA256")
 
 _REPORT_KEYS = {
     "schema_version", "command", "config", "qubits", "parameter_count",
@@ -266,10 +273,8 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     pipe.post_select(report, sampled.valued, cfg.policy)
 
     out = _out_dir(cfg)
-    for stale in out.glob("group_*.hist"):
-        stale.unlink()
-    for hist in sampled.histograms:
-        (out / f"group_{hist.group_id:03d}.hist").write_text(hist.to_text())
+    write_histograms(out / HISTOGRAM_FILE, cfg, pipe.mapping.n_qubits, sampled.histograms,
+                     ["".join(g.basis) for g in pipe.groups])
     report["timings_seconds"]["total"] = time.perf_counter() - t0
     write_report(out / "report.json", report)
     return report
@@ -311,51 +316,122 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
                        "report of a 'vqe' run")
     cfg = RunConfig(**{**report["config"], "orbitals": tuple(report["config"]["orbitals"]),
                        "policy": policy, "out_dir": str(Path(report_path).parent)})
+    saved = read_histograms(hist_dir)
+    line, digest = saved.header["FCIDUMP_SHA256"]
+    actual = _sha256(cfg.fcidump)
+    if digest != actual:
+        raise CliError(f"{saved.path}: line {line}: FCIDUMP_SHA256 {digest}, but "
+                       f"{cfg.fcidump} has the SHA-256 {actual}")
     pipe = Pipeline(cfg)
     if list(pipe.mapping.perm) != report["mapping_perm"]:
         raise CliError("reconstructed mapping differs from the report; config mismatch")
-    pipe.post_select(report, _saved_outcomes(pipe, hist_dir), policy)
+    pipe.post_select(report, _saved_outcomes(pipe, saved), policy)
     write_report(Path(report_path), report)
     return report
 
 
-def _saved_outcomes(pipe: Pipeline, hist_dir: str) -> list:
-    """``group_outcomes`` of each group on its saved histogram, paired by
-    group id. A file is refused, by name, unless its SEED and SHOTS are what
-    the run's sampling gives its group and its width is the register's."""
-    cfg = pipe.config
-    by_id: dict[int, tuple[Path, Histogram]] = {}
-    for path in sorted(Path(hist_dir).glob("group_*.hist")):
-        try:
-            hist = Histogram.from_text(path.read_text())
-        except (ValueError, OverflowError) as exc:  # OverflowError: a count past int64
-            raise CliError(f"{path}: {exc}") from None
-        if hist.group_id in by_id:
-            raise CliError(f"{path}: second histogram for group {hist.group_id}")
-        by_id[hist.group_id] = path, hist
-    wanted = [g.index for g in pipe.groups]
-    missing = sorted(set(wanted) - set(by_id))
-    unknown = sorted(set(by_id) - set(wanted))
-    if missing or unknown:
-        raise CliError(
-            f"{hist_dir}: histograms do not match the {len(wanted)} groups "
-            f"(missing ids {missing[:10]}, unknown ids {unknown[:10]})"
-        )
-    n = pipe.mapping.n_qubits
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_histograms(path: Path, cfg: RunConfig, n_qubits: int, histograms: Sequence[Histogram],
+                     bases: Sequence[str]) -> None:
+    """Write one run's histograms as one file: the header, then one
+    ``sim.format_sections`` section per group, in group order. An existing
+    file is removed first; a new file is faster to write than an old one
+    rewritten in place."""
+    header = (HISTOGRAM_FORMAT, n_qubits, cfg.sample_seed, cfg.shot_mode, _sha256(cfg.fcidump))
+    lines = [f"{key} {value}" for key, value in zip(_HEADER_KEYS, header)]
+    path.unlink(missing_ok=True)
+    path.write_text("\n".join(lines) + "\n" + format_sections(histograms, bases))
+
+
+@dataclass
+class SavedHistograms:
+    """A histogram file as read: its ``header`` values with their line
+    numbers, by key, and its sections in file order."""
+
+    path: Path
+    header: dict[str, tuple[int, str]]
+    sections: list[Section]
+
+
+def read_histograms(hist_dir: str) -> SavedHistograms:
+    """Read the histogram file in ``hist_dir`` in one pass. The header is
+    refused, by file name and line, unless it has every key in order and
+    this format version; a section is refused as ``sim.parse_sections``
+    refuses it."""
+    path = Path(hist_dir) / HISTOGRAM_FILE
+    if not path.exists() and any(Path(hist_dir).glob("group_*.hist")):
+        raise CliError(f"{hist_dir}: holds group_*.hist files of the old one-file-per-group "
+                       f"format and no {HISTOGRAM_FILE}; run `uccvqe vqe` again to write it")
+    lines = path.read_text().split("\n", len(_HEADER_KEYS))
+    if len(lines) <= len(_HEADER_KEYS):
+        raise CliError(f"{path}: the file ends inside its {len(_HEADER_KEYS)}-line header")
+    *head, body = lines
+    header = {}
+    for k, (key, line) in enumerate(zip(_HEADER_KEYS, head), 1):
+        tok = line.split()
+        if len(tok) != 2 or tok[0] != key:
+            raise CliError(f"{path}: line {k}: expected '{key} <value>', got {line!r}")
+        header[key] = k, tok[1]
+    if header["HISTOGRAMS"][1] != str(HISTOGRAM_FORMAT):
+        raise CliError(f"{path}: line 1: histogram format {header['HISTOGRAMS'][1]}, "
+                       f"but this version reads format {HISTOGRAM_FORMAT}")
+    line, width = header["QUBITS"]
+    if not width.isdigit():
+        raise CliError(f"{path}: line {line}: {width!r} is not a register width")
+    try:
+        sections = parse_sections(body, with_basis=True, width=int(width),
+                                  first_line=len(_HEADER_KEYS) + 1)
+    except SimulationError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    return SavedHistograms(path, header, sections)
+
+
+def _saved_outcomes(pipe: Pipeline, saved: SavedHistograms) -> list:
+    """``group_outcomes`` of each group on its saved section. The file is
+    refused, by name and line, unless its header states the register width,
+    sample seed and shot mode of the run, section i is ``GROUP`` i for
+    each of the run's groups and no more, and each section's ``BASIS``,
+    ``SEED`` and ``SHOTS`` are the basis of the rebuilt group and what the
+    run's sampling gives it."""
+    cfg, path, groups = pipe.config, saved.path, pipe.groups
+    line, width = saved.header["QUBITS"]
+    if width != str(pipe.mapping.n_qubits):
+        raise CliError(f"{path}: line {line}: bitstrings are {width} bits long, "
+                       f"but the register has {pipe.mapping.n_qubits} qubits")
+    for key, want in (("SAMPLE_SEED", cfg.sample_seed), ("SHOT_MODE", cfg.shot_mode)):
+        line, value = saved.header[key]
+        if value != str(want):
+            raise CliError(f"{path}: line {line}: {key} {value}, but the report's is {want}")
+    budget = shot_budget(cfg.shots, len(groups), cfg.shot_mode)
     valued = []
-    for g, shots in zip(pipe.groups, shot_budget(cfg.shots, len(pipe.groups), cfg.shot_mode)):
-        path, hist = by_id[g.index]
-        seed = group_seed(cfg.sample_seed, g.index)
+    for i, (g, shots, section) in enumerate(zip(groups, budget, saved.sections)):
+        hist, lines = section.histogram, section.lines
+        if hist.group_id != i:
+            raise CliError(f"{path}: line {lines['GROUP']}: section {i} is GROUP "
+                           f"{hist.group_id}, not GROUP {i}")
+        basis = "".join(g.basis)
+        if section.basis != basis:
+            raise CliError(f"{path}: line {lines['BASIS']}: BASIS {section.basis}, but group "
+                           f"{i} is measured in the basis {basis}")
+        seed = group_seed(cfg.sample_seed, i)
         if hist.seed != seed:
-            raise CliError(f"{path}: SEED {hist.seed}, but sample seed {cfg.sample_seed} "
-                           f"gives group {g.index} the seed {seed}")
+            raise CliError(f"{path}: line {lines['SEED']}: SEED {hist.seed}, but sample seed "
+                           f"{cfg.sample_seed} gives group {i} the seed {seed}")
         if hist.shots != shots:
-            raise CliError(f"{path}: SHOTS {hist.shots}, but {cfg.shots} shots "
-                           f"({cfg.shot_mode}) give group {g.index} {shots}")
-        if hist.n_qubits != n:
-            raise CliError(f"{path}: bitstrings are {hist.n_qubits} bits long, "
-                           f"but the register has {n} qubits")
+            raise CliError(f"{path}: line {lines['SHOTS']}: SHOTS {hist.shots}, but {cfg.shots} "
+                           f"shots ({cfg.shot_mode}) give group {i} {shots}")
         valued.append(group_outcomes(g, hist))
+    if len(saved.sections) > len(groups):
+        extra = saved.sections[len(groups)]
+        raise CliError(f"{path}: line {extra.lines['GROUP']}: section {len(groups)} is GROUP "
+                       f"{extra.histogram.group_id}, but the run has {len(groups)} groups")
+    if len(saved.sections) < len(groups):
+        last = saved.sections[-1]
+        raise CliError(f"{path}: line {last.lines['GROUP']}: section {len(saved.sections) - 1} "
+                       f"is the last, but the run has {len(groups)} groups")
     return valued
 
 
@@ -425,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mit = sub.add_parser("mitigate", help="re-run post-selection on saved histograms")
     p_mit.add_argument("--report", required=True, help="report.json of a previous vqe run")
-    p_mit.add_argument("--histograms", required=True, help="directory holding group_*.hist")
+    p_mit.add_argument("--histograms", required=True,
+                       help=f"directory holding the {HISTOGRAM_FILE} of the vqe run")
     p_mit.add_argument("--policy", default=RunConfig.policy, choices=["particle", "spin", "all"])
     return parser
 

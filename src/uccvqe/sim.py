@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -190,6 +190,8 @@ class Histogram:
         self.n_qubits, self.shots, self.group_id, self.seed = n_qubits, shots, group_id, seed
         self.outcomes = np.asarray(outcomes, dtype=np.uint64)
         self.tallies = np.asarray(tallies, dtype=np.int64)
+        if (self.tallies < 0).any():
+            raise SimulationError(f"a count is negative: {self.tallies.min()}")
         if int(self.tallies.sum()) != shots:
             raise SimulationError(f"counts sum to {self.tallies.sum()}, expected {shots}")
         return self
@@ -200,42 +202,244 @@ class Histogram:
                                          self.tallies.tolist())))
 
     def to_text(self) -> str:
-        lines = [f"GROUP {self.group_id}", f"SHOTS {self.shots}", f"SEED {self.seed}"]
-        lines += [f"{bits} {count}" for bits, count in
-                  zip(bitstrings(self.outcomes, self.n_qubits), self.tallies.tolist())]
-        return "\n".join(lines) + "\n"
+        """The one section of ``format_sections`` for this histogram alone."""
+        return format_sections([self])
 
     @classmethod
     def from_text(cls, text: str) -> "Histogram":
-        """Read the ``to_text`` form: ``GROUP``, ``SHOTS`` and ``SEED`` lines
-        with one integer each, then one ``<bits> <count>`` record per
-        bitstring. Blank lines are skipped; anything else is refused with
-        its line number."""
-        lines = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-        header = []
-        for key, (k, tok) in zip(("GROUP", "SHOTS", "SEED"), lines):
-            if len(tok) != 2 or tok[0] != key:
-                raise SimulationError(f"line {k}: expected '{key} <integer>', got {' '.join(tok)!r}")
-            header.append(_line_int(k, tok[1]))
-        if len(header) < 3:
-            raise SimulationError("malformed histogram file: needs GROUP, SHOTS and SEED lines")
-        counts: dict[str, int] = {}
-        for k, tok in lines[3:]:
-            if len(tok) != 2:
-                raise SimulationError(f"line {k}: expected '<bits> <count>', got {' '.join(tok)!r}")
-            if tok[0] in counts:
-                raise SimulationError(f"line {k}: bitstring {tok[0]!r} repeats an earlier record")
-            counts[tok[0]] = _line_int(k, tok[1])
-        group_id, shots, seed = header
-        return cls(counts, shots, group_id, seed)
+        """Read the ``to_text`` form: the one section of ``parse_sections``."""
+        first, *more = parse_sections(text)
+        if more:
+            raise SimulationError(f"line {more[0].lines['GROUP']}: a second GROUP; "
+                                  "the text of one histogram holds one section")
+        return first.histogram
+
+
+class Section(NamedTuple):
+    """One parsed section: its histogram, its ``BASIS`` (None when the
+    section has none) and the line number of each header key."""
+
+    histogram: Histogram
+    basis: Optional[str]
+    lines: dict[str, int]
+
+
+def format_sections(histograms: Sequence[Histogram],
+                    bases: Optional[Sequence[str]] = None) -> str:
+    """One section per histogram: ``GROUP``, then ``BASIS`` when ``bases``
+    is given, ``SHOTS`` and ``SEED`` lines, then one ``<bits> <count>``
+    record per outcome, ascending. All histograms share one width; the
+    records of all of them are laid out as ASCII bytes in one pass."""
+    if not histograms:
+        return ""
+    width = histograms[0].n_qubits
+    if any(h.n_qubits != width for h in histograms):
+        raise SimulationError("histograms of different widths cannot share one text")
+    records = _record_bytes(np.concatenate([h.outcomes for h in histograms]),
+                            np.concatenate([h.tallies for h in histograms]), width)
+    parts, end = [], 0
+    for k, h in enumerate(histograms):
+        head = [f"GROUP {h.group_id}", *([f"BASIS {bases[k]}"] if bases is not None else []),
+                f"SHOTS {h.shots}", f"SEED {h.seed}"]
+        rows = records[end:end + len(h.outcomes)]
+        parts += ["\n".join(head), "\n", rows[rows != 0].tobytes().decode()]
+        end += len(h.outcomes)
+    return "".join(parts)
+
+
+def _record_bytes(outcomes: np.ndarray, tallies: np.ndarray, width: int) -> np.ndarray:
+    """Row i holds the ASCII bytes of record i, ``<bits> <count>`` and a
+    newline; the count is right-aligned after zero bytes, which hold no text."""
+    digits = len(str(int(tallies.max(initial=0))))
+    out = np.zeros((len(outcomes), width + digits + 2), dtype=np.uint8)
+    _bit_chars(outcomes, width, out[:, :width])
+    out[:, width] = ord(" ")
+    rest = tallies.copy()
+    for j in range(width + digits, width, -1):  # the last digit always, leading zeros never
+        out[:, j] = np.where((rest > 0) | (j == width + digits), rest % 10 + ord("0"), 0)
+        rest //= 10
+    out[:, -1] = ord("\n")
+    return out
+
+
+def parse_sections(text: str, with_basis: bool = False, width: Optional[int] = None,
+                   first_line: int = 1) -> list[Section]:
+    """Read the ``format_sections`` form, numbering lines from ``first_line``.
+
+    A section is a ``GROUP`` line, the ``BASIS`` line when ``with_basis``,
+    ``SHOTS`` and ``SEED`` lines, then records: each ``width`` characters of
+    0/1 (by default the length of the first record's bitstring), one space
+    and a decimal count below 2**63. Blank lines are skipped. The bit and
+    count fields of every record are sliced out of one byte array. Anything
+    else, and a bitstring repeated within a section, is refused with its
+    line number.
+    """
+    keys = ("GROUP", "BASIS", "SHOTS", "SEED") if with_basis else ("GROUP", "SHOTS", "SEED")
+    lines = _Lines(text, first_line)
+    record = ~lines.blank
+    if not record.any():
+        raise SimulationError(f"no histogram: a section needs {_listed(keys)} lines")
+    first = int(np.argmax(record))  # the first line that is not blank
+    heads = [i for i in np.flatnonzero(record & (lines.first == ord("G"))).tolist()
+             if lines[i].split()[0] == "GROUP"]
+    if not heads or heads[0] != first:
+        raise SimulationError(f"line {lines.number(first)}: expected 'GROUP <integer>', "
+                              f"got {lines[first]!r}")
+    headers = []
+    for head, stop in zip(heads, heads[1:] + [len(lines)]):
+        own = np.flatnonzero(record[head:stop])[:len(keys)] + head
+        if len(own) < len(keys):
+            raise SimulationError(f"line {lines.number(head)}: a section needs "
+                                  f"{_listed(keys)} lines")
+        record[own] = False
+        headers.append(_section_header(lines, keys, own))
+    rows = np.flatnonzero(record)
+    if width is None:
+        width = len(lines[rows[0]].split()[0]) if len(rows) else 0
+    outcomes, tallies = _records(lines, rows, _check_width(width))
+
+    section = np.searchsorted(heads, rows, side="right") - 1
+    if not ((section[1:] != section[:-1]) | (outcomes[1:] > outcomes[:-1])).all():
+        # records out of ascending order, or repeated: sort each section's
+        order = np.lexsort((outcomes, section))
+        outcomes, tallies, section = outcomes[order], tallies[order], section[order]
+        repeats = np.flatnonzero((section[1:] == section[:-1]) & (outcomes[1:] == outcomes[:-1]))
+        if len(repeats):
+            bad = rows[order[repeats + 1].min()]
+            raise SimulationError(f"line {lines.number(bad)}: bitstring "
+                                  f"{lines[bad].split()[0]!r} repeats an earlier record")
+    bounds = np.searchsorted(section, np.arange(len(heads) + 1))
+    out = []
+    for begin, end, (header, numbers) in zip(bounds, bounds[1:], headers):
+        try:
+            hist = Histogram.from_outcomes(width, outcomes[begin:end], tallies[begin:end],
+                                           header["SHOTS"], header["GROUP"], header["SEED"])
+        except SimulationError as exc:
+            raise SimulationError(f"line {numbers['SHOTS']}: {exc}") from None
+        out.append(Section(hist, header.get("BASIS"), numbers))
+    return out
+
+
+class _Lines:
+    """The lines of a text as byte ranges of its UTF-8 encoding: ``lines[i]``
+    is line i as text, ``first`` holds each line's first byte (0 when it is
+    empty) and ``blank`` says which lines hold only whitespace."""
+
+    def __init__(self, text: str, first_line: int):
+        self.data, self.first_line = text.encode(), first_line
+        self.buf = np.frombuffer(self.data, dtype=np.uint8)
+        breaks = np.flatnonzero(self.buf == 10)
+        self.starts, self.ends = np.r_[0, breaks + 1], np.r_[breaks, len(self.buf)]
+        empty = self.starts == self.ends
+        self.first = np.zeros(len(self.starts), dtype=np.uint8)
+        self.first[~empty] = self.buf[self.starts[~empty]]
+        # only an empty line or one that starts with whitespace can be blank
+        self.blank = empty | _WHITESPACE[self.first]
+        for i in np.flatnonzero(self.blank & ~empty).tolist():
+            self.blank[i] = not self.data[self.starts[i]:self.ends[i]].strip()
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i) -> str:
+        return self.data[self.starts[i]:self.ends[i]].decode()
+
+    def number(self, i) -> int:
+        return int(i) + self.first_line
+
+
+def _section_header(lines: _Lines, keys: Sequence[str], own: np.ndarray):
+    """The header values of a section, read from its lines ``own`` (one per
+    key), by key, and the line number of each key."""
+    values, numbers = {}, {}
+    for key, i in zip(keys, own):
+        tok = lines[i].split()
+        numbers[key] = k = lines.number(i)
+        if len(tok) != 2 or tok[0] != key:
+            kind = "axes" if key == "BASIS" else "integer"
+            raise SimulationError(f"line {k}: expected '{key} <{kind}>', got {' '.join(tok)!r}")
+        values[key] = tok[1] if key == "BASIS" else _line_int(k, tok[1])
+    return values, numbers
+
+
+def _records(lines: _Lines, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome and the count of each record on ``rows``, read in blocks
+    of ``_BLOCK`` records, which bounds the temporaries of a large file."""
+    outcomes = np.empty(len(rows), dtype=np.uint64)
+    counts = np.empty(len(rows), dtype=np.int64)
+    for a in range(0, len(rows), _BLOCK):
+        outcomes[a:a + _BLOCK], counts[a:a + _BLOCK] = _record_block(lines, rows[a:a + _BLOCK],
+                                                                     width)
+    return outcomes, counts
+
+
+def _record_block(lines: _Lines, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome and the count of each record on ``rows``, read one byte
+    column at a time from fixed-width fields: bits at 0..width-1, a space at
+    ``width``, then the count's digits to the end of the line."""
+    buf, starts, ends = lines.buf, lines.starts[rows], lines.ends[rows]
+    lengths = ends - starts
+    good = (lengths > width + 1) & (lengths <= width + 1 + _COUNT_DIGITS)
+    column = lambda j: buf[np.minimum(starts + j, len(buf) - 1)]
+    outcomes = np.zeros(len(rows), dtype=np.uint64)
+    for j in range(width):
+        bit = column(j)
+        good &= (bit | 1) == ord("1")
+        outcomes = (outcomes << np.uint64(1)) | (bit & 1)
+    good &= column(width) == ord(" ")
+    counts = np.zeros(len(rows), dtype=np.uint64)
+    for j in range(width + 1, min(int(lengths.max(initial=0)), width + 1 + _COUNT_DIGITS)):
+        inside = starts + j < ends
+        digit = column(j) - ord("0")
+        good &= ~inside | (digit <= 9)
+        counts = np.where(inside, counts * np.uint64(10) + digit, counts)
+    good &= counts <= _INT64_MAX
+    if not good.all():
+        bad = rows[np.argmin(good)]
+        raise SimulationError(_bad_record(lines.number(bad), lines[bad], width))
+    return outcomes, counts
+
+
+_BLOCK = 4096
+_WHITESPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 32])
+_COUNT_DIGITS = 19  # every count below 2**63 has at most 19 digits
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _listed(keys: Sequence[str]) -> str:
+    return f"{', '.join(keys[:-1])} and {keys[-1]}"
+
+
+def _bad_record(k: int, line: str, width: int) -> str:
+    """Why the record on line ``k`` does not read as ``<bits> <count>``."""
+    tok = line.split()
+    if len(tok) != 2:
+        return f"line {k}: expected '<bits> <count>', got {' '.join(tok)!r}"
+    bits, count = tok
+    if bits.strip("01") or len(bits) != width:
+        return f"line {k}: bitstring {bits!r} is not {width} characters of 0/1"
+    value = _line_int(k, count)
+    if value < 0:
+        return f"line {k}: record '{bits} {count}' has a negative count"
+    if value > _INT64_MAX:
+        return f"line {k}: count {value} does not fit in int64"
+    return f"line {k}: expected '<bits> <count>' with one space and decimal digits, got {line!r}"
 
 
 def bitstrings(outcomes: np.ndarray, n_qubits: int) -> list[str]:
-    """``format(i, f"0{n_qubits}b")`` of each uint64 outcome, from bit planes:
-    one ASCII '0'/'1' byte per bit, most significant first, read as strings."""
-    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.uint64)
-    chars = ((outcomes[:, None] >> shifts) & np.uint64(1)).astype(np.uint8) + np.uint8(48)
+    """``format(i, f"0{n_qubits}b")`` of each uint64 outcome, from its bit
+    planes (``_bit_chars``) read as strings."""
+    chars = _bit_chars(outcomes, n_qubits, np.empty((len(outcomes), n_qubits), dtype=np.uint8))
     return [b.decode() for b in chars.view(f"S{n_qubits}").ravel().tolist()]
+
+
+def _bit_chars(outcomes: np.ndarray, n_qubits: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with one ASCII '0'/'1' byte per bit of each uint64
+    outcome, most significant first, one bit plane at a time."""
+    for j in range(n_qubits):
+        out[:, j] = (outcomes >> np.uint64(n_qubits - 1 - j)) & np.uint64(1)
+    out += np.uint8(ord("0"))
+    return out
 
 
 def _check_width(n_qubits: int) -> int:

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_block_mapping, random_integrals
 from oracles import hf_check_by_statevector
 from uccvqe.circuit import Circuit, Gate, build_ansatz_circuit
-from uccvqe import hamio, sim
+from uccvqe import cli, hamio, sim, vqe
 from uccvqe.cli import CliError, Pipeline, RunConfig, load_report, main, validate_report
 from uccvqe.hamio import (
     ActiveSelection,
@@ -23,6 +27,22 @@ from uccvqe.symmetry import OrbitalSymmetry
 
 def run(args):
     return main(args)
+
+
+def histogram_sections(path):
+    """A histogram file's header lines and each section's lines, GROUP first."""
+    lines = path.read_text().splitlines()
+    heads = [k for k, line in enumerate(lines) if line.startswith("GROUP ")]
+    return lines[:heads[0]], [lines[a:b] for a, b in zip(heads, heads[1:] + [len(lines)])]
+
+
+def write_sections(path, header, sections):
+    path.write_text("\n".join(header + [line for s in sections for line in s]) + "\n")
+
+
+def line_number(header, sections, i, j):
+    """The file line of line j of section i."""
+    return len(header) + sum(map(len, sections[:i])) + j + 1
 
 
 def strip_timings(report):
@@ -219,11 +239,12 @@ class TestVqe:
             assert key in report["standard_errors_hartree"]
         retained = report["retained_shots"]
         assert retained["spin"] <= retained["particle"] <= retained["z_basis_total"]
-        hist_files = sorted(tmp_path.glob("group_*.hist"))
-        assert len(hist_files) == report["qwc_group_count"]
+        assert not list(tmp_path.glob("group_*.hist"))
+        _, sections = histogram_sections(tmp_path / "histograms.txt")
+        assert [s[0] for s in sections] == [f"GROUP {k}" for k in range(report["qwc_group_count"])]
 
     def test_rerun_replaces_the_histograms_in_out(self, h2_path, tmp_path):
-        # a wider run first leaves more group files than the H2 run writes
+        # a wider run first writes more sections than the H2 run
         wide = tmp_path / "wide.fcidump"
         write_fcidump(str(wide), pair_integrals(4, 4))
         out = tmp_path / "out"
@@ -234,8 +255,8 @@ class TestVqe:
                     "--out", str(out)]) == 0
         groups = load_report(out / "report.json")["qwc_group_count"]
         assert wide_groups > groups
-        assert sorted(p.name for p in out.glob("group_*.hist")) == [
-            f"group_{k:03d}.hist" for k in range(groups)]
+        assert sorted(p.name for p in out.iterdir()) == ["histograms.txt", "report.json"]
+        assert len(histogram_sections(out / "histograms.txt")[1]) == groups
         assert run(["mitigate", "--report", str(out / "report.json"),
                     "--histograms", str(out), "--policy", "all"]) == 0
 
@@ -409,89 +430,208 @@ class TestMitigateCommand:
         return run(["mitigate", "--report", str(tmp_path / "report.json"),
                     "--histograms", str(tmp_path), "--policy", "all"])
 
-    def test_histograms_paired_by_group_id_not_file_name(self, h2_path, tmp_path):
-        # Names that sort out of id order, as group_1000 sorts before group_101.
-        before = self._vqe_run(h2_path, tmp_path)
-        files = sorted(tmp_path.glob("group_*.hist"))
-        texts = [p.read_text() for p in files]
-        for p in files:
-            p.unlink()
-        for k, text in enumerate(reversed(texts)):
-            (tmp_path / f"group_{k:03d}.hist").write_text(text)
-        assert self._mitigate(tmp_path) == 0
-        after = load_report(tmp_path / "report.json")
-        for key in ("sampled_raw", "sampled_particle", "sampled_spin"):
-            assert after["energies_hartree"][key] == before["energies_hartree"][key]
+    def _edit(self, tmp_path, edit):
+        """Apply ``edit(header, sections)`` to the run's histogram file; returns
+        the file's path and what ``edit`` returned."""
+        path = tmp_path / "histograms.txt"
+        header, sections = histogram_sections(path)
+        result = edit(header, sections)
+        write_sections(path, header, sections)
+        return path, result
 
     def test_duplicate_group_id_rejected(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path)
-        (tmp_path / "group_001.hist").write_text((tmp_path / "group_000.hist").read_text())
+
+        def edit(header, sections):
+            sections[1] = list(sections[0])
+            return line_number(header, sections, 1, 0)
+
+        path, line = self._edit(tmp_path, edit)
         assert self._mitigate(tmp_path) == 1
-        assert "second histogram for group 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"uccvqe: error: {path}: line {line}: section 1 is GROUP 0, not GROUP 1\n")
 
     def test_missing_group_id_rejected(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path)
-        text = (tmp_path / "group_002.hist").read_text()
-        (tmp_path / "group_002.hist").write_text(text.replace("GROUP 2", "GROUP 9", 1))
+
+        def edit(header, sections):
+            sections[2][0] = "GROUP 9"
+            return line_number(header, sections, 2, 0)
+
+        path, line = self._edit(tmp_path, edit)
         assert self._mitigate(tmp_path) == 1
-        assert "missing ids [2], unknown ids [9]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"uccvqe: error: {path}: line {line}: section 2 is GROUP 9, not GROUP 2\n")
+
+    @pytest.mark.parametrize("case, message", [
+        ("swapped", "section 1 is GROUP 2, not GROUP 1"),
+        ("dropped-last", "section 3 is the last, but the run has 5 groups"),
+        ("extra", "section 5 is GROUP 4, but the run has 5 groups"),
+    ])
+    def test_sections_out_of_group_order_rejected(self, h2_path, tmp_path, capsys, case,
+                                                  message):
+        self._vqe_run(h2_path, tmp_path)
+
+        def edit(header, sections):
+            if case == "swapped":
+                sections[1], sections[2] = sections[2], sections[1]
+                return line_number(header, sections, 1, 0)
+            if case == "dropped-last":
+                del sections[-1]
+                return line_number(header, sections, len(sections) - 1, 0)
+            sections.append(list(sections[-1]))
+            return line_number(header, sections, len(sections) - 1, 0)
+
+        path, line = self._edit(tmp_path, edit)
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err == f"uccvqe: error: {path}: line {line}: {message}\n"
+
+    def test_section_in_another_basis_rejected(self, h2_path, tmp_path, capsys):
+        # Groups 1 and 2 trade their measured records and BASIS lines but
+        # keep their GROUP, SHOTS and SEED lines: per-group files of the
+        # same edit carried no basis and were valued in the wrong one.
+        self._vqe_run(h2_path, tmp_path)
+
+        def edit(header, sections):
+            one, two = sections[1], sections[2]
+            sections[1] = one[:1] + two[1:2] + one[2:4] + two[4:]
+            sections[2] = two[:1] + one[1:2] + two[2:4] + one[4:]
+            return one[1].split()[1], two[1].split()[1], line_number(header, sections, 1, 1)
+
+        path, (basis1, basis2, line) = self._edit(tmp_path, edit)
+        assert basis1 != basis2
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err == (f"uccvqe: error: {path}: line {line}: BASIS {basis2}, "
+                                           f"but group 1 is measured in the basis {basis1}\n")
+
+    def test_histograms_of_another_fcidump_rejected_before_rebuilding(self, h2_path, tmp_path,
+                                                                      capsys, monkeypatch):
+        # Another FCIDUMP with the same header under the same path: a shifted
+        # core energy keeps every group, seed and shot count.
+        fcidump = tmp_path / "h2.fcidump"
+        fcidump.write_text(Path(h2_path).read_text())
+        run(["vqe", "--fcidump", str(fcidump), "--electrons", "2", "--shots", "800",
+             "--sample-seed", "5", "--out", str(tmp_path)])
+        *records, core = fcidump.read_text().splitlines()
+        value, *indices = core.split()
+        fcidump.write_text("\n".join(records + [" ".join([repr(float(value) + 0.5), *indices])])
+                           + "\n")
+
+        def rebuilt(config):
+            raise AssertionError("the pipeline was rebuilt before the hash was checked")
+
+        monkeypatch.setattr(cli, "Pipeline", rebuilt)
+        assert self._mitigate(tmp_path) == 1
+        path = tmp_path / "histograms.txt"
+        saved = path.read_text().splitlines()[4].split()[1]
+        digest = hashlib.sha256(fcidump.read_bytes()).hexdigest()
+        assert saved != digest
+        assert capsys.readouterr().err == (f"uccvqe: error: {path}: line 5: FCIDUMP_SHA256 "
+                                           f"{saved}, but {fcidump} has the SHA-256 {digest}\n")
+
+    @pytest.mark.parametrize("line, edited, message", [
+        (1, "HISTOGRAMS 2", "line 1: histogram format 2, but this version reads format 1"),
+        (2, "QUBITS four", "line 2: 'four' is not a register width"),
+        (3, "SAMPLE_SEED 6", "line 3: SAMPLE_SEED 6, but the report's is 5"),
+        (4, "SHOT_MODE total", "line 4: SHOT_MODE total, but the report's is per-group"),
+        (4, "SHOT-MODE per-group",
+         "line 4: expected 'SHOT_MODE <value>', got 'SHOT-MODE per-group'"),
+    ])
+    def test_header_refused_by_line(self, h2_path, tmp_path, capsys, line, edited, message):
+        self._vqe_run(h2_path, tmp_path)
+
+        def edit(header, sections):
+            header[line - 1] = edited
+
+        path, _ = self._edit(tmp_path, edit)
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err == f"uccvqe: error: {path}: {message}\n"
+
+    def test_old_per_group_files_refused_without_reading_them(self, h2_path, tmp_path, capsys,
+                                                             monkeypatch):
+        self._vqe_run(h2_path, tmp_path)
+        (tmp_path / "histograms.txt").unlink()
+        (tmp_path / "group_000.hist").write_text("GROUP 0\nSHOTS 1\nSEED 0\n0000 1\n")
+        read = []
+        original = Path.read_text
+
+        def recorded(path, *args, **kwargs):
+            read.append(path.name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recorded)
+        assert self._mitigate(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"uccvqe: error: {tmp_path}: holds group_*.hist files of the old")
+        assert "group_000.hist" not in read
 
     def test_non_binary_bitstring_rejected_with_file_name(self, h2_path, tmp_path, capsys):
         # A scorer that only looks for '1' reads "0201" as "0001"; the file
-        # must be refused instead, naming the file.
+        # must be refused instead, naming the file and line.
         self._vqe_run(h2_path, tmp_path)
-        path = tmp_path / "group_000.hist"
-        lines = path.read_text().splitlines()
-        bits, count = lines[3].split()
-        lines[3] = f"{bits[0]}2{bits[2:]} {count}"
-        path.write_text("\n".join(lines) + "\n")
+
+        def edit(header, sections):
+            bits, count = sections[0][4].split()
+            sections[0][4] = f"{bits[0]}2{bits[2:]} {count}"
+            return line_number(header, sections, 0, 4)
+
+        path, line = self._edit(tmp_path, edit)
         assert self._mitigate(tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"uccvqe: error: {path}: ")
+        assert err.startswith(f"uccvqe: error: {path}: line {line}: ")
         assert "characters of 0/1" in err
 
     @pytest.mark.parametrize("case, message", [
         ("negative", "has a negative count"),
         ("repeat", "repeats an earlier record"),
-        ("bare-shots", "line 2: expected 'SHOTS <integer>'"),
+        ("bare-shots", "line 8: expected 'SHOTS <integer>'"),
     ])
     def test_unreadable_histogram_named(self, h2_path, tmp_path, capsys, case, message):
         self._vqe_run(h2_path, tmp_path)
-        path = tmp_path / "group_000.hist"
-        lines = path.read_text().splitlines()
-        header, records = lines[:3], lines[3:]
-        (b0, c0), (b1, c1) = (r.split() for r in records[:2])
-        edited = {
-            # the counts still sum to SHOTS; only the sign check refuses them
-            "negative": header + [f"{b0} {int(c0) + int(c1) + 6}", f"{b1} -6"] + records[2:],
-            "repeat": header + records + records[:1],
-            "bare-shots": [header[0], "SHOTS", header[2]] + records,
-        }[case]
-        path.write_text("\n".join(edited) + "\n")
+
+        def edit(header, sections):
+            head, records = sections[0][:4], sections[0][4:]
+            (b0, c0), (b1, c1) = (r.split() for r in records[:2])
+            sections[0] = {
+                # the counts still sum to SHOTS; only the sign check refuses them
+                "negative": head + [f"{b0} {int(c0) + int(c1) + 6}", f"{b1} -6"] + records[2:],
+                "repeat": head + records + records[:1],
+                "bare-shots": head[:2] + ["SHOTS"] + head[3:] + records,
+            }[case]
+
+        path, _ = self._edit(tmp_path, edit)
         assert self._mitigate(tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"uccvqe: error: {path}: ")
+        assert err.startswith(f"uccvqe: error: {path}: line ")
         assert message in err
 
     def test_count_past_int64_rejected_with_file_name(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path)
-        path = tmp_path / "group_000.hist"
-        lines = path.read_text().splitlines()
-        lines[1] = f"SHOTS {1 << 64}"
-        lines[3:] = [f"{lines[3].split()[0]} {1 << 64}"]
-        path.write_text("\n".join(lines) + "\n")
+
+        def edit(header, sections):
+            sections[0][2] = f"SHOTS {1 << 64}"
+            sections[0][4:] = [f"{sections[0][4].split()[0]} {1 << 64}"]
+            return line_number(header, sections, 0, 4)
+
+        path, line = self._edit(tmp_path, edit)
         assert self._mitigate(tmp_path) == 1
-        assert capsys.readouterr().err.startswith(f"uccvqe: error: {path}: ")
+        assert capsys.readouterr().err == (
+            f"uccvqe: error: {path}: line {line}: count {1 << 64} does not fit in int64\n")
 
     def test_histogram_of_another_sample_seed_rejected(self, h2_path, tmp_path, capsys):
         self._vqe_run(h2_path, tmp_path / "run")
         run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "800",
              "--sample-seed", "9", "--out", str(tmp_path / "other")])
-        path = tmp_path / "run" / "group_002.hist"
-        path.write_text((tmp_path / "other" / "group_002.hist").read_text())
+        _, other = histogram_sections(tmp_path / "other" / "histograms.txt")
+
+        def edit(header, sections):
+            sections[2] = other[2]
+            return line_number(header, sections, 2, 3)
+
+        path, line = self._edit(tmp_path / "run", edit)
         assert self._mitigate(tmp_path / "run") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"uccvqe: error: {path}: SEED ")
+        assert err.startswith(f"uccvqe: error: {path}: line {line}: SEED ")
         assert "sample seed 5 gives group 2 the seed" in err
 
     @pytest.mark.parametrize("shot_mode, shots, group_shots", [
@@ -501,23 +641,31 @@ class TestMitigateCommand:
         run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", shots,
              "--shot-mode", shot_mode, "--out", str(tmp_path)])
         assert self._mitigate(tmp_path) == 0  # the budget the run spent is accepted
-        path = tmp_path / "group_000.hist"
-        group, _, seed, first = path.read_text().splitlines()[:4]
-        path.write_text(f"{group}\nSHOTS 2\n{seed}\n{first.split()[0]} 2\n")
+
+        def edit(header, sections):
+            group, basis, _, seed, first = sections[0][:5]
+            sections[0] = [group, basis, "SHOTS 2", seed, f"{first.split()[0]} 2"]
+            return line_number(header, sections, 0, 2)
+
+        path, line = self._edit(tmp_path, edit)
         assert self._mitigate(tmp_path) == 1
         assert capsys.readouterr().err.startswith(
-            f"uccvqe: error: {path}: SHOTS 2, but {shots} shots ({shot_mode}) "
+            f"uccvqe: error: {path}: line {line}: SHOTS 2, but {shots} shots ({shot_mode}) "
             f"give group 0 {group_shots}")
 
     def test_bitstrings_wider_than_the_register_rejected_with_file_name(self, h2_path, tmp_path,
                                                                          capsys):
         self._vqe_run(h2_path, tmp_path)
-        path = tmp_path / "group_000.hist"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3] + ["0" + rec for rec in lines[3:]]) + "\n")
+
+        def edit(header, sections):
+            header[1] = "QUBITS 5"
+            for s in sections:
+                s[4:] = ["0" + rec for rec in s[4:]]
+
+        path, _ = self._edit(tmp_path, edit)
         assert self._mitigate(tmp_path) == 1
-        assert capsys.readouterr().err == (f"uccvqe: error: {path}: bitstrings are 5 bits long, "
-                                           "but the register has 4 qubits\n")
+        assert capsys.readouterr().err == (f"uccvqe: error: {path}: line 2: bitstrings are 5 bits "
+                                           "long, but the register has 4 qubits\n")
 
     def test_synth_report_rejected_and_left_unchanged(self, h2_path, tmp_path, capsys):
         # histograms of a vqe run, then a synth report written over its report
@@ -537,6 +685,44 @@ class TestMitigateCommand:
         (tmp_path / "report.json").write_text(json.dumps(data))
         assert self._mitigate(tmp_path) == 1
         assert "missing keys ['shot_mode']" in capsys.readouterr().err
+
+
+class TestHistogramFile:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_writer_and_reader_round_trip(self, data, h2_path, tmp_path_factory):
+        width = data.draw(st.sampled_from([1, 2, 63, 64]))
+        n_groups = data.draw(st.integers(1, 4))
+        shot_mode = data.draw(st.sampled_from(["per-group", "total"]))
+        shots = data.draw(st.integers(n_groups, 300))
+        cfg = RunConfig(h2_path, 2, (), shots=shots, shot_mode=shot_mode,
+                        sample_seed=data.draw(st.integers(0, 2**32)))
+        top = (1 << width) - 1
+        outcome = st.one_of(st.integers(0, top), st.just(top), st.just(1 << (width - 1)))
+        histograms, bases = [], []
+        for i, budget in enumerate(vqe.shot_budget(shots, n_groups, shot_mode)):
+            outcomes = sorted(data.draw(st.sets(outcome, min_size=1, max_size=min(budget, 6))))
+            cuts = sorted(data.draw(st.lists(st.integers(0, budget), min_size=len(outcomes) - 1,
+                                             max_size=len(outcomes) - 1)))
+            tallies = np.diff([0, *cuts, budget])
+            histograms.append(sim.Histogram.from_outcomes(
+                width, outcomes, tallies, budget, i, vqe.group_seed(cfg.sample_seed, i)))
+            bases.append(data.draw(st.text("XYZ-", min_size=width, max_size=width)))
+        out = tmp_path_factory.mktemp("histograms")
+        cli.write_histograms(out / cli.HISTOGRAM_FILE, cfg, width, histograms, bases)
+        saved = cli.read_histograms(str(out))
+        assert {key: value for key, (_, value) in saved.header.items()} == {
+            "HISTOGRAMS": "1", "QUBITS": str(width), "SAMPLE_SEED": str(cfg.sample_seed),
+            "SHOT_MODE": shot_mode,
+            "FCIDUMP_SHA256": hashlib.sha256(Path(h2_path).read_bytes()).hexdigest()}
+        assert len(saved.sections) == n_groups
+        for want, basis, section in zip(histograms, bases, saved.sections):
+            got = section.histogram
+            assert got.outcomes.dtype == np.uint64 and got.tallies.dtype == np.int64
+            assert got.outcomes.tolist() == want.outcomes.tolist()
+            assert got.tallies.tolist() == want.tallies.tolist()
+            assert (got.n_qubits, got.shots, got.group_id, got.seed, section.basis) == (
+                width, want.shots, want.group_id, want.seed, basis)
 
 
 class TestReportSchema:

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_block_mapping, random_integrals
 from oracles import (
@@ -28,6 +30,7 @@ from uccvqe.sim import (
     energy_from_histograms,
     expectation,
     group_outcomes,
+    parse_sections,
     prepared_basis_state,
     sample_group,
     word_masks,
@@ -272,6 +275,34 @@ class TestHistogram:
                                  ("Z",) + ("-",) * 63)
         _, values, weights = group_outcomes(group, again)
         assert values.tolist() == [1.0, -1.0, -1.0] and weights.tolist() == [1.0, 2.0, 3.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sections_read_as_their_records_one_by_one(self, data):
+        # records in any order and blank lines anywhere; the reference is the
+        # {bits: count} constructor, fed one record at a time
+        width = data.draw(st.sampled_from([1, 3, 63, 64]))
+        text, want = [], []
+        for group in range(data.draw(st.integers(1, 3))):
+            records = data.draw(st.dictionaries(
+                st.integers(0, (1 << width) - 1), st.integers(0, 1 << 60), min_size=1, max_size=5))
+            counts = {format(o, f"0{width}b"): c for o, c in records.items()}
+            shots, seed = sum(counts.values()), data.draw(st.integers(0, 2**64))
+            want.append(Histogram(counts, shots, group, seed))
+            lines = [f"GROUP {group}", f"SHOTS {shots}", f"SEED {seed}"]
+            lines += data.draw(st.permutations([f"{b} {c}" for b, c in counts.items()]))
+            for _ in range(data.draw(st.integers(0, 2))):
+                lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(
+                    ["", "  ", "\t"])))
+            text += lines
+        got = parse_sections("\n".join(text))
+        assert len(got) == len(want)
+        for section, hist in zip(got, want):
+            assert section.basis is None
+            assert section.histogram.outcomes.tolist() == hist.outcomes.tolist()
+            assert section.histogram.tallies.tolist() == hist.tallies.tolist()
+            assert (section.histogram.shots, section.histogram.group_id, section.histogram.seed) \
+                == (hist.shots, hist.group_id, hist.seed)
 
     def test_from_outcomes_refuses_wrong_totals_and_widths(self):
         with pytest.raises(SimulationError, match="counts sum to 2, expected 3"):

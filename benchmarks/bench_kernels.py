@@ -19,7 +19,10 @@ on every QWC group of the dense-integral Hamiltonian, on a random state,
 ``format_sections`` and ``parse_sections`` over all groups at once, and
 ``group_outcomes`` per group.
 
-Usage: python benchmarks/bench_kernels.py [--max-qubits 20]
+Every table skips the sizes past ``--max-qubits`` (default 24, which runs
+every row). The kernel sweep stops at 20 qubits in any case.
+
+Usage: python benchmarks/bench_kernels.py [--max-qubits 24]
 """
 import argparse
 import time
@@ -27,6 +30,9 @@ import time
 import numpy as np
 
 from uccvqe import kernels
+
+# past 20 qubits a state and its copies take hundreds of MB
+KERNEL_MAX_QUBITS = 20
 
 
 def timeit(fn, *args, repeats=5):
@@ -209,12 +215,16 @@ def bench_histograms(n_orbitals, shots=6000):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--max-qubits", type=int, default=20)
+    parser.add_argument("--max-qubits", type=int, default=24,
+                        help="skip every row on more qubits than this")
     args = parser.parse_args()
+
+    def fits(n_orbitals):
+        return 2 * n_orbitals <= args.max_qubits
 
     rng = np.random.default_rng(7)
     print(f"{'n':>3} {'kernel':<12} {'numpy (ms)':>12}")
-    for n in range(8, args.max_qubits + 1, 4):
+    for n in range(8, min(args.max_qubits, KERNEL_MAX_QUBITS) + 1, 4):
         state = random_state(n)
         words = [
             (int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))) for _ in range(8)
@@ -227,7 +237,7 @@ def main():
     print("\nfull uCCDab energy evaluation")
     print(f"{'orbitals':>8} {'qubits':>7} {'gates':>6} {'terms':>6} "
           f"{'gate level (ms)':>16} {'sector E+grad (ms)':>19}")
-    for n_orb in (4, 6, 8):
+    for n_orb in filter(fits, (4, 6, 8)):
         t_gates, t_sector, n_gates, n_terms = bench_pipeline(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>6} {n_terms:>6} "
               f"{t_gates * 1e3:>16.2f} {t_sector * 1e3:>19.2f}")
@@ -235,6 +245,8 @@ def main():
     print("\nexact reference: spin sector, Hartree-Fock irrep block, block solve")
     print(f"{'orbitals':>8} {'qubits':>7} {'sector dim':>11} {'block dim':>10} {'solve (ms)':>11}")
     for labels in ((1, 2, 3, 4), (1, 2, 3, 1, 2, 3), (1, 1, 1, 2, 3, 3, 4, 4)):
+        if not fits(len(labels)):
+            continue
         sector_dim, block_dim, t_solve = bench_exact(labels)
         print(f"{len(labels):>8} {2 * len(labels):>7} {sector_dim:>11} {block_dim:>10} "
               f"{t_solve * 1e3:>11.2f}")
@@ -242,14 +254,14 @@ def main():
     print("\nsynthesis: qubit Hamiltonian, circuit build and Hartree-Fock check")
     print(f"{'orbitals':>8} {'qubits':>7} {'gates':>7} {'pauli terms':>12} "
           f"{'hamiltonian (ms)':>17} {'build (ms)':>11} {'HF check (ms)':>14}")
-    for n_orb in (4, 6, 8, 10, 12):
+    for n_orb in filter(fits, (4, 6, 8, 10, 12)):
         t_ham, t_build, t_hf, n_gates, n_terms = bench_synth(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>7} {n_terms:>12} {t_ham * 1e3:>17.2f} "
               f"{t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
 
     print("\nmeasurement grouping: qwc_group on dense integrals")
     print(f"{'orbitals':>8} {'qubits':>7} {'pauli terms':>12} {'groups':>7} {'qwc_group (ms)':>15}")
-    for n_orb in (8, 10, 12):
+    for n_orb in filter(fits, (8, 10, 12)):
         t_group, n_terms, n_groups = bench_grouping(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_terms:>12} {n_groups:>7} {t_group * 1e3:>15.2f}")
 
@@ -257,7 +269,7 @@ def main():
           "6000 shots")
     print(f"{'orbitals':>8} {'qubits':>7} {'groups':>7} {'outcomes/group':>15} "
           f"{'all groups (ms)':>16} {'per group (ms)':>15}")
-    for n_orb in (6, 8):
+    for n_orb in filter(fits, (6, 8)):
         t_hist, n_groups, n_outcomes = bench_histograms(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_groups:>7} {n_outcomes:>15.0f} "
               f"{t_hist * 1e3:>16.1f} {t_hist / n_groups * 1e3:>15.3f}")

@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,7 +34,7 @@ from .mitigate import run_policies
 from .sim import (MAX_QUBITS, Histogram, Section, SimulationError, format_sections,
                   group_outcomes, parse_sections, prepared_basis_state)
 from .symmetry import OrbitalSymmetry, SpinSector
-from .vqe import evaluate_sampled, group_seed, optimize, shot_budget
+from .vqe import VqeError, evaluate_sampled, group_seed, optimize, shot_budget
 
 SCHEMA_VERSION = 1
 # one file per vqe run holds the histograms of every measurement group
@@ -107,7 +108,14 @@ def load_report(path: str) -> dict:
 
 def write_report(path: Path, report: dict) -> None:
     validate_report(report)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_output(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def write_output(path: Path, text: str) -> None:
+    """The one writer of every output file: it removes an existing file and
+    creates a new one, which on ext4 is much faster than a rewrite in place."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
 
 
 @dataclass
@@ -120,7 +128,6 @@ class Pipeline:
     spec: object = field(init=False)
     mapping: QubitMapping = field(init=False)
     hamiltonian: object = field(init=False)
-    circuit: object = field(init=False)
     groups: list = field(init=False)
     sector: SpinSector = field(init=False)
 
@@ -152,9 +159,12 @@ class Pipeline:
         else:
             self.mapping = QubitMapping.identity(space.n_orbitals)
         self.hamiltonian = build_qubit_hamiltonian(self.ints, self.selection, self.mapping)
-        self.circuit = build_ansatz_circuit(self.spec, self.mapping)
         self.groups = qwc_group(self.hamiltonian)
         self.sector = SpinSector(cfg.n_electrons // 2, cfg.n_electrons // 2)
+
+    @cached_property  # compiled on first use; `mitigate` never reads it
+    def circuit(self):
+        return build_ansatz_circuit(self.spec, self.mapping)
 
     def hf_energy_check(self) -> float:
         """Mean-field consistency: the circuit at zero parameters must prepare
@@ -183,11 +193,22 @@ class Pipeline:
         return measured
 
     def require_statevector(self, command: str) -> None:
-        """Refuse registers the dense sampler cannot hold, before optimizing."""
+        """Refuse registers the dense sampler cannot hold, before compiling or optimizing."""
         n = self.mapping.n_qubits
         if n > MAX_QUBITS:
             raise CliError(f"{self.config.fcidump}: `uccvqe {command}` samples a statevector of "
                            f"{n} qubits, above the cap of {MAX_QUBITS}; `uccvqe synth` has no cap")
+
+    def require_shots(self, shot_list: Sequence[int], option: str) -> None:
+        """Refuse, before optimizing, a shot count that is not positive or
+        that ``shot_budget`` cannot split over the groups."""
+        for shots in shot_list:
+            if shots <= 0:
+                raise CliError(f"{option} {shots}: a shot count must be positive")
+            try:
+                shot_budget(shots, len(self.groups), self.config.shot_mode)
+            except VqeError as exc:
+                raise CliError(f"{option} {shots}: {exc}") from None
 
     def post_select(self, report: dict, valued: Sequence, policy: str) -> None:
         """Write the raw energy, and the post-selected energies and retained
@@ -240,7 +261,7 @@ def cmd_synth(cfg: RunConfig) -> dict:
     report["timings_seconds"]["total"] = time.perf_counter() - t0
     out = _out_dir(cfg)
     write_report(out / "report.json", report)
-    (out / "circuit.txt").write_text(pipe.circuit.to_text())
+    write_output(out / "circuit.txt", pipe.circuit.to_text())
     return report
 
 
@@ -248,6 +269,7 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     pipe = Pipeline(cfg)
     pipe.require_statevector("vqe")
+    pipe.require_shots([cfg.shots], "--shots")
     report = pipe.counts_report("vqe")
     report["energies_hartree"]["hf"] = pipe.hf_energy_check()
 
@@ -286,6 +308,7 @@ def cmd_sweep(cfg: RunConfig, shot_list: Sequence[int]) -> dict:
     t0 = time.perf_counter()
     pipe = Pipeline(cfg)
     pipe.require_statevector("sweep")
+    pipe.require_shots(shot_list, "--shot-list")
     result = optimize(pipe.hamiltonian, pipe.spec, pipe.mapping)
     rows = []
     for shots in shot_list:
@@ -337,13 +360,10 @@ def _sha256(path: str) -> str:
 def write_histograms(path: Path, cfg: RunConfig, n_qubits: int, histograms: Sequence[Histogram],
                      bases: Sequence[str]) -> None:
     """Write one run's histograms as one file: the header, then one
-    ``sim.format_sections`` section per group, in group order. An existing
-    file is removed first; a new file is faster to write than an old one
-    rewritten in place."""
+    ``sim.format_sections`` section per group, in group order."""
     header = (HISTOGRAM_FORMAT, n_qubits, cfg.sample_seed, cfg.shot_mode, _sha256(cfg.fcidump))
     lines = [f"{key} {value}" for key, value in zip(_HEADER_KEYS, header)]
-    path.unlink(missing_ok=True)
-    path.write_text("\n".join(lines) + "\n" + format_sections(histograms, bases))
+    write_output(path, "\n".join(lines) + "\n" + format_sections(histograms, bases))
 
 
 @dataclass

@@ -375,9 +375,9 @@ def _mask_table(terms: PauliSum) -> list[tuple[int, int, complex]]:
     from .sim import word_masks
 
     table = []
-    for w in terms.words():
-        xb, zb, ny = word_masks(terms.n, w.x_mask, w.z_mask)
-        table.append((xb, zb, w.coefficient * (1j**ny)))
+    for (x, z), c in terms.items():
+        xb, zb, ny = word_masks(terms.n, x, z)
+        table.append((xb, zb, c * (1j**ny)))
     return table
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 
 MAX_QUBITS = 24
 
@@ -455,28 +455,19 @@ def _line_int(line: int, token: str) -> int:
         raise SimulationError(f"line {line}: {token!r} is not an integer") from None
 
 
-def basis_change_circuit(group, n: int) -> Circuit:
-    """H for X-assigned qubits, Sdg then H for Y-assigned ones."""
-    gates = []
-    for q, axis in enumerate(group.basis):
-        if axis == "X":
-            gates.append(Gate("H", (q,)))
-        elif axis == "Y":
-            gates.append(Gate("SDG", (q,)))
-            gates.append(Gate("H", (q,)))
-    return Circuit(n, gates)
-
-
 def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
-    """Rotate into the group's shared eigenbasis and draw multinomial shots."""
+    """Rotate a copy of the amplitudes into the group's eigenbasis and draw multinomial shots."""
     if shots <= 0:
         raise SimulationError("shots must be positive")
-    rotated = apply_circuit(state, basis_change_circuit(group, state.n_qubits))
-    probs = rotated.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    return Histogram.from_outcomes(state.n_qubits, np.flatnonzero(draws), draws[draws > 0],
+    n, amps = state.n_qubits, state.amplitudes.copy()
+    for q, axis in enumerate(group.basis):
+        if axis == "Y":
+            kernels.apply_phase(amps, n, q, 1.0, -1.0j)  # Sdg
+        if axis in ("X", "Y"):
+            kernels.apply_1q(amps, n, q, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)  # H
+    probs = np.abs(amps) ** 2
+    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return Histogram.from_outcomes(n, np.flatnonzero(draws), draws[draws > 0],
                                    shots, getattr(group, "index", 0), seed)
 
 

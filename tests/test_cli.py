@@ -213,7 +213,11 @@ class TestHartreeFockCheck:
         def no_optimize(*args, **kwargs):
             raise AssertionError("optimized before refusing the register")
 
+        def no_circuit(*args, **kwargs):
+            raise AssertionError("compiled the circuit before refusing the register")
+
         monkeypatch.setattr(cli_module, "optimize", no_optimize)
+        monkeypatch.setattr(cli_module, "build_ansatz_circuit", no_circuit)
         path = tmp_path / "pairs.fcidump"
         write_fcidump(str(path), pair_integrals(13, 6))
         code = run(command[:1] + ["--fcidump", str(path), "--electrons", "6",
@@ -222,6 +226,29 @@ class TestHartreeFockCheck:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{path}: `uccvqe {command[0]}` samples a statevector of 26 qubits" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["vqe", "--shots", "0"], "--shots 0: a shot count must be positive"),
+        (["vqe", "--shots", "-5"], "--shots -5: a shot count must be positive"),
+        (["sweep", "--shot-list", "600,0"], "--shot-list 0: a shot count must be positive"),
+        (["vqe", "--shot-mode", "total", "--shots", "3"],
+         "--shots 3: 3 total shots cannot cover 5 groups"),
+        (["sweep", "--shot-mode", "total", "--shot-list", "600,3"],
+         "--shot-list 3: 3 total shots cannot cover 5 groups"),
+    ])
+    def test_vqe_and_sweep_refuse_bad_shot_budgets_up_front(self, command, message, h2_path,
+                                                            tmp_path, capsys, monkeypatch):
+        import uccvqe.cli as cli_module
+
+        def no_optimize(*args, **kwargs):
+            raise AssertionError("optimized before refusing the shot budget")
+
+        monkeypatch.setattr(cli_module, "optimize", no_optimize)
+        code = run(command[:1] + ["--fcidump", h2_path, "--electrons", "2",
+                                  "--out", str(tmp_path / "out")] + command[1:])
+        assert code == 1
+        assert capsys.readouterr().err == f"uccvqe: error: {message}\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -339,6 +366,66 @@ class TestBuildsOnce:
         code = run(command[:1] + ["--fcidump", h2_path, "--electrons", "2",
                                   "--out", str(tmp_path)] + command[1:])
         assert code == 0
+
+
+    def test_mitigate_compiles_no_circuit(self, h2_path, tmp_path, monkeypatch):
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "500",
+                    "--policy", "particle", "--out", str(tmp_path)]) == 0
+
+        def no_circuit(*args, **kwargs):
+            raise AssertionError("mitigate compiled the ansatz circuit")
+
+        monkeypatch.setattr(cli, "build_ansatz_circuit", no_circuit)
+        assert run(["mitigate", "--report", str(tmp_path / "report.json"),
+                    "--histograms", str(tmp_path), "--policy", "spin"]) == 0
+        assert "sampled_spin" in load_report(tmp_path / "report.json")["energies_hartree"]
+
+
+class TestOutputsReplaced:
+    """Every output file is replaced by a new file, never rewritten in
+    place: a hard link to the old file keeps the old bytes."""
+
+    def test_writer_replaces_the_file(self, tmp_path):
+        path, link = tmp_path / "out.txt", tmp_path / "link.txt"
+        cli.write_output(path, "old\n")
+        link.hardlink_to(path)
+        cli.write_output(path, "new, and longer\n")
+        assert path.read_text() == "new, and longer\n"
+        assert link.read_text() == "old\n"
+
+    @pytest.mark.parametrize("command, second, names", [
+        ("synth", ["--electrons", "4", "--variant", "upccd"], ["report.json", "circuit.txt"]),
+        ("vqe", ["--electrons", "2", "--shots", "400", "--sample-seed", "1"],
+         ["report.json", "histograms.txt"]),
+    ])
+    def test_rerun_leaves_links_to_the_old_files(self, command, second, names, h2_path,
+                                                 tmp_path):
+        # the synth re-run reads a wider FCIDUMP, so its circuit differs too
+        wide = tmp_path / "wide.fcidump"
+        write_fcidump(str(wide), pair_integrals(4, 4))
+        out = tmp_path / "out"
+        assert run([command, "--fcidump", h2_path, "--electrons", "2", "--out", str(out)]) == 0
+        old = {}
+        for name in names:
+            old[name] = (out / name).read_bytes()
+            (tmp_path / name).hardlink_to(out / name)
+        fcidump = str(wide) if command == "synth" else h2_path
+        assert run([command, "--fcidump", fcidump, "--out", str(out)] + second) == 0
+        for name in names:
+            assert (out / name).read_bytes() != old[name]
+            assert (tmp_path / name).read_bytes() == old[name]
+
+    def test_mitigate_leaves_a_link_to_the_report_it_read(self, h2_path, tmp_path):
+        out = tmp_path / "out"
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "300",
+                    "--policy", "particle", "--out", str(out)]) == 0
+        old = (out / "report.json").read_bytes()
+        link = tmp_path / "report.json"
+        link.hardlink_to(out / "report.json")
+        assert run(["mitigate", "--report", str(out / "report.json"),
+                    "--histograms", str(out), "--policy", "spin"]) == 0
+        assert (out / "report.json").read_bytes() != old
+        assert link.read_bytes() == old
 
 
 class TestValuesEachHistogramOnce:

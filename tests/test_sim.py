@@ -122,6 +122,17 @@ def z_group(n):
     return MeasurementGroup(0, (PauliWord.from_axes("Z" * n, 1.0),), ("Z",) * n)
 
 
+def basis_rotation(group, n) -> Circuit:
+    """A group's basis change as gates: H on an X axis, Sdg then H on a Y axis."""
+    gates = []
+    for q, axis in enumerate(group.basis):
+        if axis == "Y":
+            gates.append(Gate("SDG", (q,)))
+        if axis in ("X", "Y"):
+            gates.append(Gate("H", (q,)))
+    return Circuit(n, gates)
+
+
 class TestSampling:
     def test_basis_state_is_deterministic(self):
         hist = sample_group(Statevector.zero(2), z_group(2), shots=100, seed=1)
@@ -155,6 +166,37 @@ class TestSampling:
         assert hist.n_qubits == 6
         assert hist.outcomes.tolist() == np.flatnonzero(draws).tolist()
         assert hist.tallies.tolist() == draws[draws > 0].tolist()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rotation_matches_the_gate_level_basis_change_bit_for_bit(self, n, monkeypatch):
+        rng = np.random.default_rng(700 + n)
+        state = Statevector(n, random_amplitudes(n, rng))
+        before = state.amplitudes.copy()
+        rotated = []
+        apply_1q = kernels.apply_1q
+
+        def spy(amps, *args):
+            rotated[:] = [amps]
+            apply_1q(amps, *args)
+
+        monkeypatch.setattr(kernels, "apply_1q", spy)
+        for k in range(12):
+            # qubit 0 cycles through every axis; the rest are drawn
+            basis = ("XYZ-"[k % 4], *rng.choice(list("XYZ-"), size=n - 1).tolist())
+            word = PauliWord.from_axes("".join(basis).replace("-", "I"), 1.0)
+            group = MeasurementGroup(k, (word,), basis)
+            rotated.clear()
+            got = sample_group(state, group, 3000, seed=k)
+            mine = rotated[:]  # apply_circuit below calls the spy too
+            gates = apply_circuit(state, basis_rotation(group, n)).amplitudes
+            if mine:
+                assert np.array_equal(mine[0], gates)
+            probs = np.abs(gates) ** 2
+            draws = np.random.default_rng(k).multinomial(3000, probs / probs.sum())
+            assert got.outcomes.tolist() == np.flatnonzero(draws).tolist()
+            assert got.tallies.tolist() == draws[draws > 0].tolist()
+            assert (got.shots, got.group_id, got.seed) == (3000, k, k)
+        assert np.array_equal(state.amplitudes, before)
 
     def test_shots_must_be_positive(self):
         with pytest.raises(SimulationError):
@@ -360,9 +402,7 @@ class TestEnergyEstimator:
         groups = qwc_group(h)
         hists = []
         for g in groups:
-            from uccvqe.sim import basis_change_circuit
-
-            rotated = apply_circuit(state, basis_change_circuit(g, 2))
+            rotated = apply_circuit(state, basis_rotation(g, 2))
             probs = rotated.probabilities()
             counts = {format(i, "02b"): int(round(p * 4096)) for i, p in enumerate(probs) if p > 1e-15}
             hists.append(Histogram(counts, 4096, g.index, 0))

@@ -8,7 +8,8 @@ energy plus adjoint gradient on the spin sector (what the optimizer runs).
 The synthesis rows time what ``uccvqe synth`` adds: the Jordan-Wigner
 qubit Hamiltonian, compiling the circuit and the Hartree-Fock check at zero
 parameters (Pauli propagation, no statevector, so they go past the dense
-cap). They read dense integrals, every (pq|rs) set as in a real FCIDUMP,
+cap), and the tracemalloc peak of one more Hamiltonian build, untimed. They
+read dense integrals, every (pq|rs) set as in a real FCIDUMP,
 and report the Pauli term count. The exact-reference rows give the
 dimension of the spin sector and of the Hartree-Fock irrep block under a
 4-irrep ORBSYM, and the time of ``exact_ground_energy`` on that block
@@ -26,6 +27,7 @@ Usage: python benchmarks/bench_kernels.py [--max-qubits 24]
 """
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -42,6 +44,16 @@ def timeit(fn, *args, repeats=5):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def traced_peak(fn, *args):
+    """Peak traced allocation of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_state(n, seed=0):
@@ -158,7 +170,8 @@ def bench_exact(labels):
 def bench_synth(n_orbitals):
     """build_qubit_hamiltonian, build_ansatz_circuit and
     Pipeline.hf_energy_check on the same uCCDab instance, read back from an
-    FCIDUMP file as ``uccvqe synth`` does."""
+    FCIDUMP file as ``uccvqe synth`` does; then the tracemalloc peak of one
+    build_qubit_hamiltonian call, apart from the timed ones."""
     import tempfile
 
     from uccvqe.circuit import build_ansatz_circuit
@@ -169,7 +182,9 @@ def bench_synth(n_orbitals):
         path = f"{tmp}/bench.fcidump"
         write_fcidump(path, dense_integrals(n_orbitals))
         pipe = Pipeline(RunConfig(path, n_orbitals, (), map_restarts=4))
-    return (timeit(build_qubit_hamiltonian, pipe.ints, pipe.selection, pipe.mapping, repeats=3),
+    ham_args = (pipe.ints, pipe.selection, pipe.mapping)
+    return (timeit(build_qubit_hamiltonian, *ham_args, repeats=3),
+            traced_peak(build_qubit_hamiltonian, *ham_args),
             timeit(build_ansatz_circuit, pipe.spec, pipe.mapping, repeats=3),
             timeit(pipe.hf_energy_check, repeats=3), len(pipe.circuit.gates),
             pipe.hamiltonian.term_count)
@@ -253,11 +268,11 @@ def main():
 
     print("\nsynthesis: qubit Hamiltonian, circuit build and Hartree-Fock check")
     print(f"{'orbitals':>8} {'qubits':>7} {'gates':>7} {'pauli terms':>12} "
-          f"{'hamiltonian (ms)':>17} {'build (ms)':>11} {'HF check (ms)':>14}")
+          f"{'hamiltonian (ms)':>17} {'peak (MB)':>10} {'build (ms)':>11} {'HF check (ms)':>14}")
     for n_orb in filter(fits, (4, 6, 8, 10, 12)):
-        t_ham, t_build, t_hf, n_gates, n_terms = bench_synth(n_orb)
+        t_ham, peak_ham, t_build, t_hf, n_gates, n_terms = bench_synth(n_orb)
         print(f"{n_orb:>8} {2 * n_orb:>7} {n_gates:>7} {n_terms:>12} {t_ham * 1e3:>17.2f} "
-              f"{t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
+              f"{peak_ham / 1e6:>10.2f} {t_build * 1e3:>11.2f} {t_hf * 1e3:>14.2f}")
 
     print("\nmeasurement grouping: qwc_group on dense integrals")
     print(f"{'orbitals':>8} {'qubits':>7} {'pauli terms':>12} {'groups':>7} {'qwc_group (ms)':>15}")

@@ -464,6 +464,13 @@ def _orbital_list(text: str) -> tuple[int, ...]:
         raise CliError(f"bad orbital list {text!r}; expected e.g. 0,1,2,3") from None
 
 
+def _shot_count(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CliError(f"--shot-list {token!r}: a shot count must be an integer") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fcidump", required=True, help="integrals file (FCIDUMP format)")
     p.add_argument("--electrons", type=int, required=True, help="active electron count")
@@ -540,7 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_vqe(_config(args))
             print(json.dumps(report["energies_hartree"], indent=2, sort_keys=True))
         elif args.command == "sweep":
-            shot_list = [int(tok) for tok in args.shot_list.split(",") if tok]
+            shot_list = [_shot_count(tok) for tok in args.shot_list.split(",") if tok]
             if not shot_list:
                 parser.error("empty shot list")
             cmd_sweep(_config(args), shot_list)

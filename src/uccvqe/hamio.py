@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
-from .pauli import MASK_QUBIT_LIMIT, PauliSum, PauliWord, jw_images, mask_bits
+from .pauli import COEFF_EPS, MASK_QUBIT_LIMIT, PauliSum, PauliWord, jw_images, mask_bits
 from .symmetry import OrbitalSymmetry, SpinSector, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
@@ -266,17 +266,28 @@ def build_qubit_hamiltonian(
     qubit = np.array(mapping.perm)
     spins = (qubit[:n_act], qubit[n_act:])  # alpha, beta qubit of each spatial orbital
 
-    # One dict merges each term's image in term order and prunes once. A key
-    # occurs once per image, so the order within an image changes no sum.
-    merged: dict[tuple[int, int], complex] = {}
+    # The distinct (x, z) keys so far in ascending order, and their running
+    # sums. np.add.at is unbuffered and adds in row order, so each sum is
+    # 0j + c1 + c2 + ... in term order, as a chain of ladder products folds
+    # it. A key occurs once per image, so the order within an image changes
+    # no sum.
+    keys_x = keys_z = np.zeros(0, dtype=np.uint64)
+    sums = np.zeros(0, dtype=complex)
 
     def fold(modes, daggers, coeffs):
         """Merge the images of the terms ``modes[i][t]``, one list entry i per
         spin choice, in (t, i) order, with coefficient ``coeffs[t]``."""
+        nonlocal keys_x, keys_z, sums
         rows = np.stack(modes, axis=1).reshape(-1, len(daggers))
         _, xs, zs, cs = jw_images(rows, daggers, np.repeat(coeffs, len(modes)), n)
-        for key, c in zip(zip(xs.tolist(), zs.tolist()), cs.tolist()):
-            merged[key] = merged.get(key, 0j) + c
+        # ranks of each mask column make one exact int64 key in (x, z) order
+        ux, rank_x = np.unique(np.concatenate([keys_x, xs]), return_inverse=True)
+        uz, rank_z = np.unique(np.concatenate([keys_z, zs]), return_inverse=True)
+        keys, slot = np.unique(rank_x * len(uz) + rank_z, return_inverse=True)
+        merged = np.zeros(len(keys), dtype=complex)
+        merged[slot[:len(sums)]] = sums
+        np.add.at(merged, slot[len(sums):], cs)
+        keys_x, keys_z, sums = ux[keys // len(uz)], uz[keys % len(uz)], merged
 
     # one-body terms in (p, q, spin) order, then two-body terms in (p, q, r, s,
     # s1, s2) order, one leading orbital p at a time to bound the arrays
@@ -288,15 +299,21 @@ def build_qubit_hamiltonian(
               for s1 in spins for s2 in spins],
              (True, True, False, False), 0.5 * g_act[p, q, r, s])
 
-    for (x, z), c in PauliSum.from_masks(n, merged).items():
-        if abs(c.imag) > HERMITICITY_TOL:
-            raise HamiltonianError(
-                f"non-hermitian assembly: term {PauliWord(n, x, z).axes} has imaginary part "
-                f"{c.imag:.3e}"
-            )
-    real_terms = PauliSum.from_masks(n, {key: complex(c.real) for key, c in merged.items()})
-    offset = core + real_terms.identity_part().real
-    return QubitHamiltonian(n, real_terms.without_identity(), float(offset), mapping, space)
+    # an imaginary part above the tolerance also clears the COEFF_EPS prune,
+    # so this names the first bad word of the pruned sum in sorted order
+    bad = np.flatnonzero(np.abs(sums.imag) > HERMITICITY_TOL)
+    if len(bad):
+        x, z, c = int(keys_x[bad[0]]), int(keys_z[bad[0]]), sums[bad[0]]
+        raise HamiltonianError(f"non-hermitian assembly: term {PauliWord(n, x, z).axes} has "
+                               f"imaginary part {c.imag:.3e}")
+    # the real parts, pruned; the identity key (0, 0) sorts first
+    keep = ~(np.abs(sums.real) < COEFF_EPS)
+    keys_x, keys_z, real = keys_x[keep], keys_z[keep], sums.real[keep]
+    start = int(len(real) > 0 and keys_x[0] == 0 and keys_z[0] == 0)
+    offset = core + (real[0] if start else 0.0)
+    terms = dict(zip(zip(keys_x[start:].tolist(), keys_z[start:].tolist()),
+                     real[start:].astype(complex).tolist()))
+    return QubitHamiltonian(n, PauliSum.from_masks(n, terms), float(offset), mapping, space)
 
 
 # ---------------------------------------------------------------------------

@@ -459,7 +459,11 @@ def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
     """Rotate a copy of the amplitudes into the group's eigenbasis and draw multinomial shots."""
     if shots <= 0:
         raise SimulationError("shots must be positive")
-    n, amps = state.n_qubits, state.amplitudes.copy()
+    n = state.n_qubits
+    if len(group.basis) != n:
+        raise SimulationError(f"group {getattr(group, 'index', 0)}: basis of "
+                              f"{len(group.basis)} qubits on a {n}-qubit state")
+    amps = state.amplitudes.copy()
     for q, axis in enumerate(group.basis):
         if axis == "Y":
             kernels.apply_phase(amps, n, q, 1.0, -1.0j)  # Sdg

@@ -236,6 +236,8 @@ class TestHartreeFockCheck:
          "--shots 3: 3 total shots cannot cover 5 groups"),
         (["sweep", "--shot-mode", "total", "--shot-list", "600,3"],
          "--shot-list 3: 3 total shots cannot cover 5 groups"),
+        (["sweep", "--shot-list", "600,abc"], "--shot-list 'abc': a shot count must be an integer"),
+        (["sweep", "--shot-list", "1.5,600"], "--shot-list '1.5': a shot count must be an integer"),
     ])
     def test_vqe_and_sweep_refuse_bad_shot_budgets_up_front(self, command, message, h2_path,
                                                             tmp_path, capsys, monkeypatch):

@@ -374,6 +374,84 @@ class TestClosedFormAssembly:
         assert any(w.x_mask >> 32 for w in hq.terms.words())
         self.assert_matches(ints, ActiveSelection.full(ints), mapping)
 
+    def test_sparse_64_qubit_register_sets_bit_63(self):
+        n = 32
+        rng = np.random.default_rng(164)
+        mapping = random_block_mapping(n, rng)
+        top = mapping.perm.index(63) - n   # the spatial orbital whose beta qubit is 63
+        h = np.diag(-np.arange(n, 0, -1.0))
+        g = np.zeros((n, n, n, n))
+        for k in range(30):
+            p, q, r, s = (int(i) for i in rng.integers(0, n, size=4))
+            p = top if k % 3 == 0 else p
+            v = float(rng.normal(scale=0.2))
+            for a, b, c, d in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                               (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)):
+                g[a, b, c, d] = v
+            h[p, q] = h[q, p] = float(rng.normal(scale=0.1))
+        ints = MolecularIntegrals(n, 4, 0, -0.7, h, g, OrbitalSymmetry.all_symmetric(n))
+        hq = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+        assert any(w.x_mask >> 63 for w in hq.terms.words())
+        assert any(w.z_mask >> 63 and not w.x_mask >> 63 for w in hq.terms.words())
+        self.assert_matches(ints, ActiveSelection.full(ints), mapping)
+
+    @staticmethod
+    def two_pair_integrals(v_12, v_21):
+        """Three orbitals: a one-body part on orbital 0 alone and (11|22) =
+        ``v_12``, (22|11) = ``v_21``, so the n_1 n_2 words are made only in
+        the blocks of leading orbitals 1 and 2. Any real pair is hermitian."""
+        h = np.zeros((3, 3))
+        h[0, 0] = -1.3
+        g = np.zeros((3, 3, 3, 3))
+        g[1, 1, 2, 2], g[2, 2, 1, 1] = v_12, v_21
+        g[0, 0, 0, 0] = 0.6
+        return MolecularIntegrals(3, 2, 0, 0.4, h, g, OrbitalSymmetry.all_symmetric(3))
+
+    @staticmethod
+    def number_pair_word(mapping, p, r, spins=(0, 0)) -> str:
+        axes = ["I"] * mapping.n_qubits
+        axes[mapping.perm[spins[0] * 3 + p]] = axes[mapping.perm[spins[1] * 3 + r]] = "Z"
+        return "".join(axes)
+
+    def test_keys_first_made_in_a_later_leading_orbital_block(self):
+        rng = np.random.default_rng(118)
+        for _ in range(4):
+            v_12, v_21 = rng.normal(scale=0.3, size=2)
+            ints = self.two_pair_integrals(v_12, v_21)
+            mapping = random_block_mapping(3, rng)
+            hq = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+            for spins in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                assert hq.terms.coefficient(self.number_pair_word(mapping, 1, 2, spins)) != 0
+            self.assert_matches(ints, ActiveSelection.full(ints), mapping)
+
+    @pytest.mark.parametrize("residue, kept", [(0.0, False), (3e-13, False), (1e-11, True)])
+    def test_sums_cancelling_across_blocks(self, residue, kept):
+        # the p = 1 block adds v/8 to each n_1 n_2 word and the p = 2 block
+        # (residue - v)/8: the word is pruned once the sum falls below COEFF_EPS
+        rng = np.random.default_rng(119)
+        v = 0.37
+        ints = self.two_pair_integrals(v, residue - v)
+        mapping = random_block_mapping(3, rng)
+        hq = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+        words = [self.number_pair_word(mapping, 1, 2, spins)
+                 for spins in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        assert [hq.terms.coefficient(w) != 0 for w in words] == [kept] * 4
+        self.assert_matches(ints, ActiveSelection.full(ints), mapping)
+
+    def test_asymmetric_one_body_refused_as_the_chains_refuse(self):
+        rng = np.random.default_rng(120)
+        for _ in range(3):
+            ints = random_integrals(4, 4, rng)
+            ints.h[0, 2] += 0.05
+            ints.h[3, 1] -= 0.2
+            mapping = random_block_mapping(4, rng)
+            messages = []
+            for build in (build_qubit_hamiltonian, build_qubit_hamiltonian_by_chains):
+                with pytest.raises(HamiltonianError, match="^non-hermitian assembly: term ") as exc:
+                    build(ints, ActiveSelection.full(ints), mapping)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
     def test_register_wider_than_the_masks_refused(self):
         n = 33
         ints = MolecularIntegrals(n, 2, 0, 0.0, np.eye(n), np.zeros((n, n, n, n)),

@@ -202,6 +202,19 @@ class TestSampling:
         with pytest.raises(SimulationError):
             sample_group(Statevector.zero(1), z_group(1), 0, seed=0)
 
+    @pytest.mark.parametrize("basis", [("X",), ("X", "Z", "Y")])
+    def test_basis_width_must_match_the_register(self, basis, monkeypatch):
+        def no_rotation(*args):
+            raise AssertionError("rotated before refusing the basis")
+
+        monkeypatch.setattr(kernels, "apply_1q", no_rotation)
+        monkeypatch.setattr(kernels, "apply_phase", no_rotation)
+        word = PauliWord.from_axes("".join(basis), 1.0)
+        group = MeasurementGroup(5, (word,), basis)
+        with pytest.raises(SimulationError,
+                           match=rf"^group 5: basis of {len(basis)} qubits on a 2-qubit state$"):
+            sample_group(Statevector.zero(2), group, 100, seed=0)
+
     @pytest.mark.parametrize("n", [1, 4, 8, 12])
     def test_counts_match_enumerate_all_form(self, n):
         rng = np.random.default_rng(150 + n)

@@ -125,7 +125,7 @@ def bench_pipeline(n_orbitals):
     from uccvqe.hamio import ActiveSelection, build_qubit_hamiltonian
     from uccvqe.mapping import greedy_map
     from uccvqe.sim import Statevector, apply_circuit, expectation
-    from uccvqe.vqe import _objective
+    from uccvqe.vqe import SectorAnsatz
 
     n = n_orbitals
     ints = synthetic_integrals(n)
@@ -136,7 +136,7 @@ def bench_pipeline(n_orbitals):
     circ = build_ansatz_circuit(spec, mapping)
     binding = {p: 0.1 for p in spec.parameter_names()}
     theta = np.full(spec.parameter_count, 0.1)
-    objective = _objective(ham, spec, mapping)
+    objective = SectorAnsatz(ham, spec).energy_and_gradient
 
     def run():
         state = apply_circuit(Statevector.zero(2 * n), circ, binding)

@@ -23,7 +23,6 @@ from .hamio import (
     ActiveSelection,
     BlockSizeError,
     build_qubit_hamiltonian,
-    exact_ground_energy,
     parse_fcidump,
     qwc_group,
     restrict_to_active,
@@ -133,19 +132,33 @@ class Pipeline:
 
     def __post_init__(self):
         cfg = self.config
+        for option, seed in (("--map-seed", cfg.map_seed), ("--sample-seed", cfg.sample_seed)):
+            if seed < 0:
+                raise CliError(f"{option} {seed}: a seed must be non-negative")
         self.ints = parse_fcidump(cfg.fcidump)
         if self.ints.ms2 != 0:
             raise CliError(f"{cfg.fcidump}: header has MS2={self.ints.ms2}; the closed-shell "
                            "pipeline needs a singlet reference (MS2=0)")
-        if cfg.n_electrons > self.ints.n_electrons:
+        nelec, norb = self.ints.n_electrons, self.ints.n_orbitals
+        if cfg.n_electrons < 0 or cfg.n_electrons % 2:
+            raise CliError(f"{cfg.fcidump}: --electrons {cfg.n_electrons}: the closed-shell "
+                           "pipeline needs an even, non-negative active electron count")
+        if cfg.n_electrons > nelec:
             raise CliError(f"{cfg.fcidump}: --electrons {cfg.n_electrons} exceeds the "
-                           f"header's NELEC={self.ints.n_electrons}")
-        norb = self.ints.n_orbitals
+                           f"header's NELEC={nelec}")
         orbitals = cfg.orbitals or tuple(range(norb))
-        for o in orbitals:
+        for k, o in enumerate(orbitals):
             if not 0 <= o < norb:
                 raise CliError(f"{cfg.fcidump}: --orbitals names orbital {o}, outside "
                                f"0..{norb - 1} of the header's NORB={norb}")
+            if o in orbitals[:k]:
+                raise CliError(f"{cfg.fcidump}: --orbitals names orbital {o} twice")
+        frozen, inactive = (nelec - cfg.n_electrons) // 2, norb - len(orbitals)
+        if frozen > inactive:
+            raise CliError(f"{cfg.fcidump}: --electrons {cfg.n_electrons} leaves "
+                           f"{nelec - cfg.n_electrons} of the header's NELEC={nelec} electrons "
+                           f"to freeze, which takes {frozen} inactive orbitals, but --orbitals "
+                           f"leaves {inactive}")
         self.selection = ActiveSelection(cfg.n_electrons, orbitals)
         space = self.selection.active_space()
         orbsym = (OrbitalSymmetry(tuple(self.ints.orbsym[o] for o in orbitals))
@@ -279,9 +292,7 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     report["timings_seconds"]["optimize"] = time.perf_counter() - t_opt
 
     try:
-        report["energies_hartree"]["exact_ground"] = exact_ground_energy(
-            pipe.hamiltonian, pipe.sector, pipe.spec.orbsym
-        )
+        report["energies_hartree"]["exact_ground"] = result.ansatz.ground_energy()
     except BlockSizeError:
         pass  # the block is past the dense cap; the report leaves exact_ground out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
 from .pauli import COEFF_EPS, MASK_QUBIT_LIMIT, PauliSum, PauliWord, jw_images, mask_bits
-from .symmetry import OrbitalSymmetry, SpinSector, in_symmetry_block, index_mask
+from .symmetry import OrbitalSymmetry, SpinSector, SymmetryError, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
 INTEGRAL_THRESHOLD = 1e-12
@@ -76,7 +76,10 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
         labels = [int(tok) for tok in sym_match.group(1).replace(",", " ").split()]
         if len(labels) != norb:
             raise FcidumpError(f"{path}: ORBSYM lists {len(labels)} labels for NORB={norb}")
-        orbsym = OrbitalSymmetry.from_labels(labels)
+        try:
+            orbsym = OrbitalSymmetry.from_labels(labels)
+        except SymmetryError as exc:
+            raise FcidumpError(f"{path}: ORBSYM: {exc}") from None
     else:
         orbsym = OrbitalSymmetry.all_symmetric(norb)
 
@@ -481,6 +484,19 @@ def sector_operator(terms: PauliSum, basis: np.ndarray) -> SectorOperator:
     return SectorOperator(len(states), tuple(gathers))
 
 
+def dense_ground(blocks: Sequence[np.ndarray], operator: Callable) -> float:
+    """Lowest eigenvalue of ``operator(basis)`` over the nonempty ``blocks``, one dense
+    ``eigvalsh`` each; a basis past ``DENSE_BLOCK_LIMIT`` is refused before any is built."""
+    largest = max(len(keep) for keep in blocks)
+    if largest > DENSE_BLOCK_LIMIT:
+        raise BlockSizeError(f"symmetry block of {largest} determinants exceeds the "
+                             f"dense cap of {DENSE_BLOCK_LIMIT}")
+    if largest == 0:
+        raise HamiltonianError("empty symmetry block")
+    return float(min(np.linalg.eigvalsh(operator(keep).matrix())[0]
+                     for keep in blocks if len(keep)))
+
+
 def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None,
                         orbsym: Optional[OrbitalSymmetry] = None) -> float:
     """Lowest eigenvalue on the symmetry block (``in_symmetry_block``) by one
@@ -491,12 +507,4 @@ def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None
     counts = range(h.n_qubits // 2 + 1)
     blocks = [sector_indices(h, s, orbsym) for s in
               ([sector] if sector else [SpinSector(a, b) for a in counts for b in counts])]
-    largest = max(len(keep) for keep in blocks)
-    if largest > DENSE_BLOCK_LIMIT:
-        raise BlockSizeError(f"symmetry block of {largest} determinants exceeds the "
-                             f"dense cap of {DENSE_BLOCK_LIMIT}")
-    if largest == 0:
-        raise HamiltonianError("empty symmetry block")
-    ground = min(np.linalg.eigvalsh(sector_operator(h.terms, keep).matrix())[0]
-                 for keep in blocks if len(keep))
-    return float(ground + h.offset)
+    return dense_ground(blocks, lambda keep: sector_operator(h.terms, keep)) + h.offset

@@ -13,10 +13,10 @@ Every G_k satisfies G^3 = -G, so exp(theta G) = 1 + sin(theta) G +
 062612). The reference determinant and every G_k conserve the alpha and
 beta electron counts and, on a screened ansatz, the Hartree-Fock irrep, so
 the state lives on the amplitudes of that symmetry block only
-(``symmetry.in_symmetry_block``), and <psi|H|psi> needs only H's block.
-Each evaluation returns the energy and its exact gradient from one reverse
-(adjoint) sweep (Jones and Gacon, arXiv:2009.02823). Sampling still runs
-the compiled circuit.
+(``symmetry.in_symmetry_block``), and <psi|H|psi> needs only H's block,
+which also gives the exact reference energy. Each evaluation returns the
+energy and its exact gradient from one reverse (adjoint) sweep (Jones and
+Gacon, arXiv:2009.02823). Sampling still runs the compiled circuit.
 """
 from __future__ import annotations
 
@@ -32,9 +32,10 @@ from .hamio import (
     MeasurementGroup,
     QubitHamiltonian,
     SectorOperator,
+    dense_ground,
     qwc_group,
+    sector_indices,
     sector_operator,
-    spin_sector_indices,
 )
 from .mapping import QubitMapping
 from .pauli import excitation_generators
@@ -60,6 +61,7 @@ class VqeResult:
     trace: list[tuple[np.ndarray, float]]
     evaluations: int
     converged: bool
+    ansatz: SectorAnsatz  # the block it ran on, with H's operator there
 
 
 def _exp_step(g: SectorOperator, theta: float, v: np.ndarray, gv: np.ndarray) -> np.ndarray:
@@ -68,27 +70,28 @@ def _exp_step(g: SectorOperator, theta: float, v: np.ndarray, gv: np.ndarray) ->
 
 
 class SectorAnsatz:
-    """The ansatz as generator exponentials on the symmetry block of the
-    reference: its spin sector and, when ``spec`` was screened, its irrep.
+    """The ansatz and H on the symmetry block of the reference: its spin
+    sector and, when ``spec`` was screened, its irrep.
 
     ``basis`` lists the block's amplitude indices (ascending), ``reference``
-    is the Hartree-Fock determinant over them, and ``generators`` pairs each
-    parameter index with its restricted generator, in circuit build order.
-    Every screened generator has a totally symmetric irrep product, so it
-    maps the block into itself and the restriction is exact.
+    is the Hartree-Fock determinant over them, ``generators`` pairs each
+    parameter index with its restricted generator, in circuit build order,
+    and ``hamiltonian`` plus ``offset`` is H on the block. Every screened
+    generator has a totally symmetric irrep product, so it maps the block
+    into itself and the restriction is exact.
     """
 
-    def __init__(self, spec: AnsatzSpec, mapping: QubitMapping):
-        n, n_occ = mapping.n_qubits, spec.active_space.n_occupied
-        self.basis = spin_sector_indices(mapping, SpinSector(n_occ, n_occ), spec.orbsym)
-        hf = sum((1 << (n - 1 - mapping.alpha_qubit(k))) | (1 << (n - 1 - mapping.beta_qubit(k)))
-                 for k in range(n_occ))
+    def __init__(self, h: QubitHamiltonian, spec: AnsatzSpec):
+        n_occ = h.active_space.n_occupied
+        self.basis = sector_indices(h, SpinSector(n_occ, n_occ), spec.orbsym)
         self.reference = np.zeros(len(self.basis))
-        self.reference[np.searchsorted(self.basis, hf)] = 1.0
+        self.reference[np.searchsorted(self.basis, int(h.hf_bitstring(), 2))] = 1.0
         order = [k for k, e in enumerate(spec.excitations) if e.paired]
         order += [k for k, e in enumerate(spec.excitations) if not e.paired]
-        generators = excitation_generators(spec.excitations, mapping)
+        generators = excitation_generators(spec.excitations, h.mapping)
         self.generators = [(k, sector_operator(generators[k], self.basis)) for k in order]
+        self.hamiltonian = sector_operator(h.terms, self.basis)
+        self.offset = h.offset
 
     def state(self, theta: Sequence[float]) -> np.ndarray:
         psi = self.reference
@@ -96,14 +99,13 @@ class SectorAnsatz:
             psi = _exp_step(g, theta[k], psi, g.apply(psi))
         return psi
 
-    def energy_and_gradient(self, hop: SectorOperator, offset: float,
-                            theta: Sequence[float]) -> tuple[float, np.ndarray]:
+    def energy_and_gradient(self, theta: Sequence[float]) -> tuple[float, np.ndarray]:
         """<psi|H|psi> + offset and its exact gradient: one forward sweep,
         then one reverse sweep carrying psi and H psi back through every
         exponential."""
         psi = self.state(theta)
-        lam = hop.apply(psi)
-        energy = offset + float(np.vdot(psi, lam).real)
+        lam = self.hamiltonian.apply(psi)
+        energy = self.offset + float(np.vdot(psi, lam).real)
         grad = np.zeros(len(theta))
         for k, g in reversed(self.generators):
             gpsi = g.apply(psi)
@@ -112,12 +114,10 @@ class SectorAnsatz:
             lam = _exp_step(g, -theta[k], lam, g.apply(lam))
         return energy, grad
 
-
-def _objective(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping):
-    """theta -> (energy, gradient), both exact, on the reference block."""
-    ansatz = SectorAnsatz(spec, mapping)
-    hop = sector_operator(h.terms, ansatz.basis)
-    return lambda theta: ansatz.energy_and_gradient(hop, h.offset, theta)
+    def ground_energy(self) -> float:
+        """The lowest eigenvalue of H on the block, plus the offset, as
+        ``hamio.exact_ground_energy`` gives it on the same block."""
+        return dense_ground([self.basis], lambda _: self.hamiltonian) + self.offset
 
 
 def optimize(
@@ -135,24 +135,21 @@ def optimize(
             f"register sizes differ: Hamiltonian {h.n_qubits}, mapping {mapping.n_qubits}, "
             f"ansatz {spec.active_space.n_qubits} qubits"
         )
+    if h.mapping != mapping:
+        raise VqeError(f"the Hamiltonian was built under the qubit mapping "
+                       f"{getattr(h.mapping, 'perm', None)}, not the mapping passed, {mapping.perm}")
     cfg = config or OptimizeConfig()
     m = spec.parameter_count
     x = np.zeros(m) if init is None else np.asarray(init, dtype=float).copy()
     if x.shape != (m,):
         raise VqeError(f"expected {m} parameters, got {x.shape}")
 
-    objective = _objective(h, spec, mapping)
-    evals = 0
-
-    def f(theta):
-        nonlocal evals
-        evals += 1
-        return objective(theta)
-
-    f0, g = f(x)
+    ansatz = SectorAnsatz(h, spec)
+    f0, g = ansatz.energy_and_gradient(x)
+    evals = 1
     trace = [(x.copy(), f0)]
     if m == 0:
-        return VqeResult(x, f0, trace, evals, True)
+        return VqeResult(x, f0, trace, evals, True, ansatz)
 
     binv = np.eye(m)
     converged = False
@@ -168,7 +165,8 @@ def optimize(
         step = 1.0
         f_new = None
         while step > 1e-14:
-            fc, gc = f(x + step * d)
+            fc, gc = ansatz.energy_and_gradient(x + step * d)
+            evals += 1
             if fc <= f0 + 1e-4 * step * slope:
                 f_new, g_new = fc, gc
                 break
@@ -189,7 +187,7 @@ def optimize(
         if delta < cfg.energy_tol and np.max(np.abs(g)) < cfg.grad_tol:
             converged = True
             break
-    return VqeResult(x, f0, trace, evals, converged)
+    return VqeResult(x, f0, trace, evals, converged, ansatz)
 
 
 @dataclass

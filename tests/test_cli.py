@@ -123,6 +123,39 @@ class TestSynth:
         assert code == 1
         assert f"{h2_path}: --electrons 4 exceeds the header's NELEC=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--electrons", "-2"], "--electrons -2: the closed-shell pipeline needs an even, "
+                                "non-negative active electron count"),
+        (["--electrons", "2", "--orbitals", "0,0"], "--orbitals names orbital 0 twice"),
+        (["--electrons", "0"], "--electrons 0 leaves 2 of the header's NELEC=2 electrons to "
+                               "freeze, which takes 1 inactive orbitals, but --orbitals leaves 0"),
+    ], ids=["negative-electrons", "repeated-orbital", "no-room-to-freeze"])
+    def test_bad_active_space_rejected_by_option_and_file_name(self, args, message, h2_path,
+                                                               tmp_path, capsys):
+        code = run(["synth", "--fcidump", h2_path, *args, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"uccvqe: error: {h2_path}: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--map-seed", "-1"],
+        ["vqe", "--map-seed", "-1"],
+        ["vqe", "--sample-seed", "-1"],
+        ["sweep", "--shot-list", "300,600", "--sample-seed", "-1"],
+    ])
+    def test_negative_seed_rejected_up_front_by_option(self, command, h2_path, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("read the FCIDUMP before refusing the seed")
+
+        monkeypatch.setattr(cli, "parse_fcidump", no_parse)
+        code = run(command[:1] + ["--fcidump", h2_path, "--electrons", "2",
+                                  "--out", str(tmp_path)] + command[1:])
+        assert code == 1
+        message = f"{command[-2]} -1: a seed must be non-negative"
+        assert capsys.readouterr().err == f"uccvqe: error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("indices", ["1   1   1   1", "1   1   0   0"])
     def test_nan_integral_rejected(self, indices, h2_path, tmp_path, capsys):
         # a nan (1 1 1 1) used to be dropped by the integral threshold, and a
@@ -369,6 +402,29 @@ class TestBuildsOnce:
                                   "--out", str(tmp_path)] + command[1:])
         assert code == 0
 
+
+    def test_vqe_restricts_the_hamiltonian_to_its_block_once(self, h2_path, tmp_path,
+                                                              monkeypatch):
+        # the optimizer's block operator also gives exact_ground
+        build, restrict = cli.build_qubit_hamiltonian, hamio.sector_operator
+        built, calls = [], []
+
+        def recorded_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def counted(terms, basis):
+            calls.append(any(terms is h.terms for h in built))
+            return restrict(terms, basis)
+
+        monkeypatch.setattr(cli, "build_qubit_hamiltonian", recorded_build)
+        for module in (hamio, vqe):
+            monkeypatch.setattr(module, "sector_operator", counted)
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "500",
+                    "--out", str(tmp_path)]) == 0
+        assert len(built) == 1 and calls.count(True) == 1
+        energies = load_report(tmp_path / "report.json")["energies_hartree"]
+        assert energies["exact_ground"] == pytest.approx(-1.1372655544, abs=1e-7)
 
     def test_mitigate_compiles_no_circuit(self, h2_path, tmp_path, monkeypatch):
         assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "500",

@@ -86,6 +86,15 @@ class TestParse:
                                                "for NORB=2"):
             parse_fcidump(path)
 
+    @pytest.mark.parametrize("labels", ["1,9", "1,0"])
+    def test_orbsym_label_outside_d2h_rejected_with_file_name(self, tmp_path, labels):
+        path = write(tmp_path, f" &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM={labels},\n &END\n"
+                               " 0.0 0 0 0 0\n", name="sym.fcidump")
+        label = labels.split(",")[1]
+        with pytest.raises(FcidumpError, match=rf"sym\.fcidump: ORBSYM: irrep label {label} "
+                                               r"outside 1\.\.8"):
+            parse_fcidump(path)
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(FcidumpError, match="header"):
             parse_fcidump(write(tmp_path, "1.0 1 1 0 0\n"))

@@ -30,7 +30,7 @@ from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import PauliSum, PauliWord
 from uccvqe.sim import Statevector, apply_circuit, expectation
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
-from uccvqe.vqe import SectorAnsatz, _objective
+from uccvqe.vqe import SectorAnsatz
 
 SPACES = (ActiveSpace(2, 2), ActiveSpace(4, 4))
 FD_STEP = 1e-5
@@ -72,14 +72,14 @@ def test_sector_state_and_energy_match_circuit(space, variant):
     for seed in range(2):
         rng, spec, mapping, h, theta = setup_case(space, variant, seed)
         gate_level = circuit_state(spec, mapping, theta)
-        ansatz = SectorAnsatz(spec, mapping)
+        ansatz = SectorAnsatz(h, spec)
         embedded = np.zeros(1 << mapping.n_qubits, dtype=complex)
         embedded[ansatz.basis] = ansatz.state(theta)
         phase = np.vdot(embedded, gate_level.amplitudes)
         assert abs(phase) == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(gate_level.amplitudes - phase * embedded)) < 1e-10
         for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
-            energy, _ = _objective(ham, spec, mapping)(theta)
+            energy, _ = SectorAnsatz(ham, spec).energy_and_gradient(theta)
             assert energy == pytest.approx(expectation(gate_level, ham), abs=1e-10)
 
 
@@ -97,7 +97,7 @@ def test_adjoint_gradient_matches_central_differences(space, variant):
     for seed in range(2):
         rng, spec, mapping, h, theta = setup_case(space, variant, seed)
         for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
-            objective = _objective(ham, spec, mapping)
+            objective = SectorAnsatz(ham, spec).energy_and_gradient
             _, grad = objective(theta)
             assert np.max(np.abs(grad - central_differences(objective, theta))) < 1e-8
 
@@ -193,7 +193,7 @@ def test_screened_ansatz_lives_on_the_irrep_block(space, variant):
     for seed in range(2):
         rng, spec, mapping, h, theta = setup_screened_case(space, variant, seed)
         sector = SpinSector(space.n_occupied, space.n_occupied)
-        ansatz = SectorAnsatz(spec, mapping)
+        ansatz = SectorAnsatz(h, spec)
         assert np.array_equal(ansatz.basis, spin_sector_indices(mapping, sector, spec.orbsym))
         assert len(ansatz.basis) < len(spin_sector_indices(mapping, sector))
         gate_level = circuit_state(spec, mapping, theta).amplitudes
@@ -205,10 +205,10 @@ def test_screened_ansatz_lives_on_the_irrep_block(space, variant):
         assert np.max(np.abs(gate_level - phase * embedded)) < 1e-10
         on_sector = dataclasses.replace(spec, orbsym=None)
         for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
-            energy, grad = _objective(ham, spec, mapping)(theta)
+            energy, grad = SectorAnsatz(ham, spec).energy_and_gradient(theta)
             assert energy == pytest.approx(
                 expectation(Statevector(mapping.n_qubits, gate_level), ham), abs=1e-10)
-            sector_energy, sector_grad = _objective(ham, on_sector, mapping)(theta)
+            sector_energy, sector_grad = SectorAnsatz(ham, on_sector).energy_and_gradient(theta)
             assert energy == pytest.approx(sector_energy, abs=1e-10)
             assert np.max(np.abs(grad - sector_grad), initial=0.0) < 1e-10
 
@@ -217,6 +217,23 @@ def test_screened_ansatz_lives_on_the_irrep_block(space, variant):
 def test_screened_adjoint_gradient_matches_central_differences(space, variant):
     rng, spec, mapping, h, theta = setup_screened_case(space, variant, 0)
     for ham in (h, random_pauli_hamiltonian(space, mapping, rng)):
-        objective = _objective(ham, spec, mapping)
+        objective = SectorAnsatz(ham, spec).energy_and_gradient
         _, grad = objective(theta)
         assert np.max(np.abs(grad - central_differences(objective, theta)), initial=0.0) < 1e-8
+
+
+@pytest.mark.parametrize("screened", [False, True], ids=["unscreened", "screened"])
+@pytest.mark.parametrize("space", (ActiveSpace(2, 2), ActiveSpace(4, 4), ActiveSpace(6, 6)),
+                         ids=lambda s: f"cas{s.n_electrons}{s.n_orbitals}")
+def test_block_ground_is_the_exact_reference(space, screened):
+    # the optimizer's block operator gives exact_ground in a vqe run, so the
+    # two must agree to the last bit
+    rng = np.random.default_rng(80 + space.n_orbitals)
+    labels = [int(l) for l in rng.integers(1, 5, size=space.n_orbitals)]
+    ints = symmetry_adapted_integrals(space.n_orbitals, space.n_electrons, labels, rng)
+    mapping = random_block_mapping(space.n_orbitals, rng)
+    h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+    sector = SpinSector(space.n_occupied, space.n_occupied)
+    for variant in VARIANTS:
+        spec = enumerate_excitations(variant, space, ints.orbsym if screened else None)
+        assert SectorAnsatz(h, spec).ground_energy() == exact_ground_energy(h, sector, spec.orbsym)

@@ -58,6 +58,12 @@ class TestOptimize:
         with pytest.raises(VqeError, match="register sizes differ"):
             optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(3))
 
+    def test_hamiltonian_of_another_mapping_rejected(self, h2_hamiltonian, h2_spec):
+        swapped = QubitMapping((1, 0, 3, 2))
+        with pytest.raises(VqeError, match=r"built under the qubit mapping \(0, 1, 2, 3\), "
+                                           r"not the mapping passed, \(1, 0, 3, 2\)"):
+            optimize(h2_hamiltonian, h2_spec, swapped)
+
     def test_non_hermitian_rejected(self, h2_spec):
         terms = PauliSum(4, [PauliWord.from_axes("XIII", 0.5j)])
         h = QubitHamiltonian(4, terms, 0.0, QubitMapping.identity(2), ActiveSpace(2, 2))

@@ -472,24 +472,26 @@ def synth_paired_excitation(exc: Excitation, mapping: QubitMapping,
     return Circuit(mapping.n_qubits, _gates(_paired_ops(exc, mapping, param or _param_name(exc))))
 
 
-def _fan_out_ops(mapping: QubitMapping, active_space: ActiveSpace) -> list[Op]:
-    return [("CNOT", (mapping.alpha_qubit(k), mapping.beta_qubit(k)), None)
-            for k in range(active_space.n_orbitals)]
+def _fan_out_ops(mapping: QubitMapping, orbitals: Sequence[int]) -> list[Op]:
+    return [("CNOT", (mapping.alpha_qubit(k), mapping.beta_qubit(k)), None) for k in orbitals]
 
 
 def synth_spatial_to_spin(mapping: QubitMapping, active_space: ActiveSpace) -> Circuit:
     """Fan the alpha-register occupations out onto the beta register: one
     CNOT per spatial orbital."""
-    return Circuit(mapping.n_qubits, _gates(_fan_out_ops(mapping, active_space)))
+    return Circuit(mapping.n_qubits,
+                   _gates(_fan_out_ops(mapping, range(active_space.n_orbitals))))
 
 
 def build_ansatz_circuit(spec: AnsatzSpec, mapping: QubitMapping) -> Circuit:
     """Full state-preparation circuit: X gates loading the Hartree-Fock
     pairs on the alpha register, all paired-excitation blocks, the
     spatial-to-spin fan-out, then every unpaired excitation chain, with one
-    ``cancel_adjacent`` pass over the whole. The generators of the unpaired
-    excitations are built in one batch, so the register is capped at
-    ``MASK_QUBIT_LIMIT`` qubits."""
+    ``cancel_adjacent`` pass over the whole. The fan-out skips an orbital
+    that neither the reference occupies nor a paired excitation reaches: its
+    alpha qubit is still |0>, so its CNOT would act as the identity. The
+    generators of the unpaired excitations are built in one batch, so the
+    register is capped at ``MASK_QUBIT_LIMIT`` qubits."""
     if mapping.n_qubits != spec.active_space.n_qubits:
         raise CircuitError(
             f"mapping register ({mapping.n_qubits}) != ansatz register "
@@ -500,10 +502,11 @@ def build_ansatz_circuit(spec: AnsatzSpec, mapping: QubitMapping) -> Circuit:
                            "uint64 Pauli masks of the excitation generators hold")
     ops: list[Op] = [("X", (mapping.alpha_qubit(k),), None)
                      for k in range(spec.active_space.n_occupied)]
-    for exc in spec.excitations:
-        if exc.paired:
-            ops += _paired_ops(exc, mapping, _param_name(exc))
-    ops += _fan_out_ops(mapping, spec.active_space)
+    paired = [exc for exc in spec.excitations if exc.paired]
+    for exc in paired:
+        ops += _paired_ops(exc, mapping, _param_name(exc))
+    filled = set(range(spec.active_space.n_occupied)).union(exc.virt[0] for exc in paired)
+    ops += _fan_out_ops(mapping, sorted(filled))
     unpaired = [exc for exc in spec.excitations if not exc.paired]
     for exc, generator in zip(unpaired, excitation_generators(unpaired, mapping)):
         ops += _generator_chain(exc, generator, _param_name(exc))

@@ -135,6 +135,9 @@ class Pipeline:
         for option, seed in (("--map-seed", cfg.map_seed), ("--sample-seed", cfg.sample_seed)):
             if seed < 0:
                 raise CliError(f"{option} {seed}: a seed must be non-negative")
+        if cfg.map_restarts < 0:
+            raise CliError(f"--map-restarts {cfg.map_restarts}: a restart budget must be "
+                           "non-negative")
         self.ints = parse_fcidump(cfg.fcidump)
         if self.ints.ms2 != 0:
             raise CliError(f"{cfg.fcidump}: header has MS2={self.ints.ms2}; the closed-shell "

@@ -61,17 +61,6 @@ def _pruned(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if not abs(c) < COEFF_EPS}
 
 
-def _product_terms(left: dict, right: list[tuple[int, int, complex]]) -> dict:
-    """Every word of ``left``, in sorted (x, z) order, times every
-    (x, z, coefficient) of ``right`` in the order given, merged."""
-    out: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in sorted(left.items()):
-        for x2, z2, c2 in right:
-            key = (x1 ^ x2, z1 ^ z2)
-            out[key] = out.get(key, 0j) + c1 * c2 * _product_phase(x1, z1, x2, z2)
-    return out
-
-
 class PauliError(ValueError):
     pass
 
@@ -212,8 +201,13 @@ class PauliSum:
     def product(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
             raise PauliError("qubit counts differ")
-        right = [(x, z, c) for (x, z), c in sorted(other._terms.items())]
-        return PauliSum.from_masks(self.n, _product_terms(self._terms, right))
+        right = sorted(other._terms.items())
+        out: dict[tuple[int, int], complex] = {}
+        for (x1, z1), c1 in sorted(self._terms.items()):
+            for (x2, z2), c2 in right:
+                key = (x1 ^ x2, z1 ^ z2)
+                out[key] = out.get(key, 0j) + c1 * c2 * _product_phase(x1, z1, x2, z2)
+        return PauliSum.from_masks(self.n, out)
 
     def adjoint(self) -> "PauliSum":
         out = PauliSum(self.n)
@@ -257,39 +251,6 @@ class FermionTerm:
         )
 
 
-def _ladder_words(p: int, dagger: bool, n: int) -> list[tuple[int, int, complex]]:
-    """(x, z, coefficient) of the two words of a_p or a_p^dag, X word first."""
-    if not 0 <= p < n:
-        raise PauliError(f"mode {p} out of range for {n} qubits")
-    zchain = (1 << p) - 1
-    sign = -1j if dagger else 1j
-    return [(1 << p, zchain, 0.5 + 0j), (1 << p, zchain | (1 << p), 0.5 * sign)]
-
-
-def jw_ladder(p: int, dagger: bool, n: int) -> PauliSum:
-    """Jordan-Wigner image of a single ladder operator on mode p of n.
-
-    a_p^dag -> Z x ... x Z x (X - iY)/2 x I x ... (Z on modes < p); the
-    un-daggered operator flips the sign of the Y part.
-    """
-    return PauliSum(n, [PauliWord(n, x, z, c) for x, z, c in _ladder_words(p, dagger, n)])
-
-
-def jw_terms(term: FermionTerm, n: int) -> dict[tuple[int, int], complex]:
-    """Jordan-Wigner image of an ordered ladder-operator product as a
-    ``(x_mask, z_mask) -> coefficient`` dict.
-
-    The ladders multiply in on the right one at a time through the product
-    behind ``PauliSum.product``, pruned after each, so the coefficients equal
-    those of a chain of ``PauliSum`` products bit for bit.
-    """
-    ladders = [_ladder_words(p, dag, n) for p, dag in term.ops]
-    terms = _pruned({(0, 0): 0j + complex(term.coefficient)})
-    for words in ladders:
-        terms = _pruned(_product_terms(terms, words))
-    return terms
-
-
 MASK_QUBIT_LIMIT = 64  # the width of the uint64 masks of ``jw_images``
 
 
@@ -300,7 +261,12 @@ def jw_images(modes, daggers, coefficients, n: int):
     ``daggers`` shared by every row) is the ordered product a_t1 ... a_tL
     times ``coefficients[t]``. Returns (term, x, z, coefficient) arrays:
     each term's words in term order, the words that share a key summed and
-    pruned as ``jw_terms`` prunes, so the coefficients equal its dicts.
+    pruned. The coefficients equal those of the ladder-product chain: the
+    term's coefficient times one ladder's two words at a time, pruned after
+    each ladder (``tests/oracles.py`` keeps it as
+    ``jw_transform_by_products``). This is the one Jordan-Wigner engine:
+    ``jw_transform``, ``jw_ladder``, the Hamiltonian and the excitation
+    generators all call it.
 
     Closed form (Seeley, Richard & Love, J. Chem. Phys. 137, 224109
     (2012)): ladder j contributes its X word or, on path bit b_j = 1, its Y
@@ -355,8 +321,21 @@ def jw_images(modes, daggers, coefficients, n: int):
 
 
 def jw_transform(term: FermionTerm, n: int) -> PauliSum:
-    """Jordan-Wigner image of an ordered ladder-operator product."""
-    return PauliSum.from_masks(n, jw_terms(term, n))
+    """Jordan-Wigner image of an ordered ladder-operator product: one row of
+    ``jw_images``, each coefficient plus 0j as the chain starts from
+    0j + coefficient, so signed zeros match it too."""
+    _, x, z, c = jw_images([[p for p, _ in term.ops]], [dag for _, dag in term.ops],
+                           [term.coefficient], n)
+    return PauliSum.from_masks(n, dict(zip(zip(x.tolist(), z.tolist()), (c + 0j).tolist())))
+
+
+def jw_ladder(p: int, dagger: bool, n: int) -> PauliSum:
+    """Jordan-Wigner image of a single ladder operator on mode p of n.
+
+    a_p^dag -> Z x ... x Z x (X - iY)/2 x I x ... (Z on modes < p); the
+    un-daggered operator flips the sign of the Y part.
+    """
+    return jw_transform(FermionTerm(((p, dagger),)), n)
 
 
 def excitation_generators(excs, mapping) -> list[PauliSum]:
@@ -366,12 +345,12 @@ def excitation_generators(excs, mapping) -> list[PauliSum]:
     Each ``exc`` supplies its spin orbitals via
     ``exc.spin_orbital_pairs(n_spatial)`` (a creation/annihilation pair
     list, outermost first) and ``mapping`` sends spin orbitals to qubits.
-    The images of t and of t^dag (the same pairs reversed, creation and
-    annihilation swapped, so the same dagger pattern) of every excitation
-    of one ladder length come from one ``jw_images`` call; each generator
-    is then summed as ``jw_transform(t) - jw_transform(t^dag)``, with the
-    same coefficients. Coefficients are purely imaginary: 8 words for a
-    double excitation, 2 for a single.
+    The images of t of every excitation of one ladder length come from one
+    ``jw_images`` call. The image of t^dag is the adjoint of t's, and every
+    Pauli word is hermitian, so it has t's words with conjugated
+    coefficients: each word of t - t^dag gets c + conj(c) * -1, the
+    coefficient of ``jw_transform(t) - jw_transform(t^dag)``. Coefficients
+    are purely imaginary: 8 words for a double excitation, 2 for a single.
     """
     n = mapping.n_qubits
     if n > MASK_QUBIT_LIMIT:
@@ -387,21 +366,14 @@ def excitation_generators(excs, mapping) -> list[PauliSum]:
 
     out: list = [None] * len(rows)
     for length, ks in by_length.items():
-        t = [rows[k] for k in ks]
-        # rows of t, then rows of t^dag
-        modes = np.array(t + [row[::-1] for row in t], dtype=np.int64)
-        term, x, z, c = jw_images(modes, (True, False) * (length // 2),
-                                  np.ones(len(modes)), n)
-        bounds = np.searchsorted(term, np.arange(len(modes) + 1)).tolist()
+        term, x, z, c = jw_images([rows[k] for k in ks], (True, False) * (length // 2),
+                                  np.ones(len(ks)), n)
+        bounds = np.searchsorted(term, np.arange(len(ks) + 1)).tolist()
         keys = list(zip(x.tolist(), z.tolist()))
-        cs = c.tolist()
+        cs = (c + c.conjugate() * -1.0).tolist()
         for i, k in enumerate(ks):
             lo, hi = bounds[i], bounds[i + 1]
-            terms = dict(zip(keys[lo:hi], cs[lo:hi]))
-            lo, hi = bounds[len(ks) + i], bounds[len(ks) + i + 1]
-            for key, ci in zip(keys[lo:hi], cs[lo:hi]):
-                terms[key] = terms.get(key, 0j) + ci * -1.0
-            out[k] = PauliSum.from_masks(n, terms)
+            out[k] = PauliSum.from_masks(n, dict(zip(keys[lo:hi], cs[lo:hi])))
     return out
 
 

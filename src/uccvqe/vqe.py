@@ -120,6 +120,19 @@ class SectorAnsatz:
         return dense_ground([self.basis], lambda _: self.hamiltonian) + self.offset
 
 
+def _check_registers(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping) -> None:
+    """Refuse an ansatz, mapping and Hamiltonian that do not share one
+    register and one qubit mapping."""
+    if not h.n_qubits == mapping.n_qubits == spec.active_space.n_qubits:
+        raise VqeError(
+            f"register sizes differ: Hamiltonian {h.n_qubits}, mapping {mapping.n_qubits}, "
+            f"ansatz {spec.active_space.n_qubits} qubits"
+        )
+    if h.mapping != mapping:
+        raise VqeError(f"the Hamiltonian was built under the qubit mapping "
+                       f"{getattr(h.mapping, 'perm', None)}, not the mapping passed, {mapping.perm}")
+
+
 def optimize(
     h: QubitHamiltonian,
     spec: AnsatzSpec,
@@ -130,14 +143,7 @@ def optimize(
     """Minimize the ansatz energy from a Hartree-Fock start (all zeros)."""
     if not h.terms.is_hermitian():
         raise VqeError("Hamiltonian is not hermitian")
-    if not h.n_qubits == mapping.n_qubits == spec.active_space.n_qubits:
-        raise VqeError(
-            f"register sizes differ: Hamiltonian {h.n_qubits}, mapping {mapping.n_qubits}, "
-            f"ansatz {spec.active_space.n_qubits} qubits"
-        )
-    if h.mapping != mapping:
-        raise VqeError(f"the Hamiltonian was built under the qubit mapping "
-                       f"{getattr(h.mapping, 'perm', None)}, not the mapping passed, {mapping.perm}")
+    _check_registers(h, spec, mapping)
     cfg = config or OptimizeConfig()
     m = spec.parameter_count
     x = np.zeros(m) if init is None else np.asarray(init, dtype=float).copy()
@@ -237,6 +243,7 @@ def evaluate_sampled(
     a caller that holds them already passes them in. Each histogram is
     valued once, into ``valued``, which post-selection filters.
     """
+    _check_registers(h, spec, mapping)
     if groups is None:
         groups = qwc_group(h)
     if not groups:

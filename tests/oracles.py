@@ -46,8 +46,6 @@ from uccvqe.pauli import (
     PauliSum,
     PauliWord,
     antihermitian_generator,
-    jw_terms,
-    jw_transform,
 )
 from uccvqe.sim import Histogram, Statevector, apply_circuit, word_masks
 from uccvqe.symmetry import in_symmetry_block
@@ -372,8 +370,9 @@ def jw_transform_by_products(term: FermionTerm, n: int) -> dict:
 
 
 def build_qubit_hamiltonian_by_chains(ints, selection, mapping=None) -> QubitHamiltonian:
-    """``build_qubit_hamiltonian`` with one ladder chain (``jw_terms``) per
-    fermion term, same-spin terms with p == r or q == s skipped."""
+    """``build_qubit_hamiltonian`` with one ladder chain
+    (``jw_transform_by_products``) per fermion term, same-spin terms with
+    p == r or q == s skipped."""
     core, h_eff, g_act, _ = restrict_to_active(ints, selection)
     space = selection.active_space()
     n_act = space.n_orbitals
@@ -392,7 +391,7 @@ def build_qubit_hamiltonian_by_chains(ints, selection, mapping=None) -> QubitHam
     merged: dict[tuple[int, int], complex] = {}
 
     def add(ops, coeff):
-        for key, c in jw_terms(FermionTerm(ops, coeff), n).items():
+        for key, c in jw_transform_by_products(FermionTerm(ops, coeff), n).items():
             merged[key] = merged.get(key, 0j) + c
 
     for p in range(n_act):
@@ -487,14 +486,16 @@ def mapping_cost_by_sets(excs, mapping) -> int:
 
 def antihermitian_generator_by_chains(exc, mapping) -> PauliSum:
     """Generator t - t^dag of one excitation from two ladder-product chains
-    (``jw_transform``) and a ``PauliSum`` subtraction."""
+    (``jw_transform_by_products``, one for t and one for t^dag) and a
+    ``PauliSum`` subtraction."""
     n = mapping.n_qubits
     ops: list[tuple[int, bool]] = []
     for create_so, annihilate_so in exc.spin_orbital_pairs(mapping.n_spatial):
         ops.append((mapping.qubit_of(create_so), True))
         ops.append((mapping.qubit_of(annihilate_so), False))
     t = FermionTerm(tuple(ops))
-    return jw_transform(t, n) - jw_transform(t.adjoint(), n)
+    image = lambda term: PauliSum.from_masks(n, jw_transform_by_products(term, n))
+    return image(t) - image(t.adjoint())
 
 
 def postselect_by_string(hist, kind: str, n_alpha: int, n_beta: int, mapping=None):

@@ -14,7 +14,7 @@ from oracles import (
     exp_generator,
     sum_matrix,
 )
-from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
+from uccvqe.ansatz import VARIANTS, ActiveSpace, AnsatzSpec, Excitation, enumerate_excitations
 from uccvqe.circuit import (
     Circuit,
     CircuitError,
@@ -322,6 +322,29 @@ class TestBuildAnsatz:
         spec = enumerate_excitations("uccdab", ActiveSpace(4, 4), benzene_pi_symmetry)
         mapping = greedy_map(spec.excitations, 8, seed=0, restarts=32)
         assert count_2qge(build_ansatz_circuit(spec, mapping)) == 72
+
+    def test_nothing_to_prepare_gives_no_gates(self):
+        # no electron and no excitation: no orbital is ever filled
+        spec = enumerate_excitations("uccdab", ActiveSpace(0, 2))
+        assert spec.parameter_count == 0
+        assert build_ansatz_circuit(spec, QubitMapping.identity(2)).gates == ()
+
+    def test_fan_out_skips_orbitals_never_filled(self):
+        # orbital 1 is virtual and reached only by the unpaired single, which
+        # acts after the fan-out; orbital 2 is reached by the paired double
+        space = ActiveSpace(2, 3)
+        excs = (Excitation("double", "ab", (0, 0), (2, 2), 0),
+                Excitation("single", "aa", (0,), (1,), 1),
+                Excitation("single", "bb", (0,), (1,), 2))
+        spec = AnsatzSpec("uccsd", space, excs, None)
+        rng = np.random.default_rng(71)
+        mapping = random_block_mapping(3, rng)
+        got = build_ansatz_circuit(spec, mapping)
+        full = build_ansatz_on_axes(spec, mapping)
+        assert count_2qge(got) == count_2qge(full) - 1
+        binding = dict(zip(spec.parameter_names(), rng.normal(size=3).tolist()))
+        a, b = (apply_circuit(Statevector.zero(6), c, binding).amplitudes for c in (got, full))
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_zero_parameters_give_hartree_fock(self, benzene_pi_symmetry):
         spec = enumerate_excitations("uccdab", ActiveSpace(4, 4), benzene_pi_symmetry)

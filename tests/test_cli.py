@@ -98,11 +98,25 @@ class TestSynth:
                 in capsys.readouterr().err)
         assert not (tmp_path / "report.json").exists()
 
-    def test_negative_restart_budget_rejected(self, h2_path, tmp_path, capsys):
+    def test_negative_restart_budget_rejected(self, h2_path, tmp_path, capsys, monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("read the FCIDUMP before refusing the restart budget")
+
+        monkeypatch.setattr(cli, "parse_fcidump", no_parse)
         code = run(["synth", "--fcidump", h2_path, "--electrons", "2",
                     "--map-restarts", "-3", "--out", str(tmp_path)])
         assert code == 1
-        assert "uccvqe: error: restart budget must be non-negative, got -3" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "uccvqe: error: --map-restarts -3: a restart budget must be non-negative\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_negative_restart_budget_rejected_without_excitations(self, h2_path, tmp_path,
+                                                                  capsys):
+        # no excitations, so greedy_map, which checks the budget too, never runs
+        code = run(["synth", "--fcidump", h2_path, "--electrons", "0", "--orbitals", "1",
+                    "--map-restarts", "-3", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--map-restarts -3: a restart budget must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["synth", "vqe"])

@@ -12,6 +12,7 @@ from conftest import random_block_mapping, random_integrals
 from oracles import (
     build_qubit_hamiltonian_by_chains,
     dense_matrix,
+    jw_transform_by_products,
     ladder_matrix,
     qwc_group_by_axes,
     spin_sector_indices_by_filter,
@@ -33,7 +34,7 @@ from uccvqe.hamio import (
     write_fcidump,
 )
 from uccvqe.mapping import QubitMapping
-from uccvqe.pauli import FermionTerm, PauliSum, PauliWord, jw_terms
+from uccvqe.pauli import FermionTerm, PauliSum, PauliWord
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
 
 H2_RHF = -1.11668005011617
@@ -292,7 +293,7 @@ class TestBuild:
         for p, q, r, s in itertools.product(range(4), repeat=4):
             if p == r or q == s:
                 term = FermionTerm(((p, True), (r, True), (s, False), (q, False)), 0.3)
-                assert jw_terms(term, 4) == {}, (p, q, r, s)
+                assert jw_transform_by_products(term, 4) == {}, (p, q, r, s)
 
     def test_odd_frozen_electron_count_rejected(self, h2_ints):
         with pytest.raises(HamiltonianError):

@@ -16,6 +16,7 @@ from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitatio
 from uccvqe.mapping import QubitMapping
 from uccvqe.pauli import (
     COEFF_EPS,
+    MASK_QUBIT_LIMIT,
     FermionTerm,
     PauliError,
     PauliSum,
@@ -25,7 +26,6 @@ from uccvqe.pauli import (
     excitation_generators,
     jw_images,
     jw_ladder,
-    jw_terms,
     jw_transform,
     mask_bits,
 )
@@ -167,6 +167,14 @@ class TestJordanWigner:
         with pytest.raises(PauliError):
             jw_ladder(3, True, 3)
 
+    def test_registers_past_the_masks_refused(self):
+        n = MASK_QUBIT_LIMIT + 1
+        match = f"{n} qubits exceed the {MASK_QUBIT_LIMIT}-bit Pauli masks"
+        with pytest.raises(PauliError, match=match):
+            jw_ladder(0, True, n)
+        with pytest.raises(PauliError, match=match):
+            jw_transform(FermionTerm(((1, True), (0, False))), n)
+
     def test_number_operator(self):
         got = sum_matrix(jw_transform(FermionTerm(((0, True), (0, False))), 2))
         want = sum_matrix(
@@ -206,8 +214,8 @@ class TestJordanWigner:
 
 
 class TestProductChainOracle:
-    """The mask chain must give the coefficients of the word-by-word
-    product chain exactly, signed zeros included."""
+    """``jw_transform`` and ``jw_ladder`` must give the coefficients of the
+    word-by-word product chain exactly, signed zeros included."""
 
     @staticmethod
     def random_terms(seed, count, scale=1.0):
@@ -221,12 +229,19 @@ class TestProductChainOracle:
 
     def assert_matches(self, term, n):
         want = exact_terms(jw_transform_by_products(term, n))
-        assert exact_terms(jw_terms(term, n)) == want
         assert exact_terms(masks(jw_transform(term, n))) == want
 
     def test_seeded_random_sequences(self):
         for term, n in self.random_terms(23, 400):
             self.assert_matches(term, n)
+
+    def test_ladders(self):
+        # the widest register puts the top mode on bit 63
+        for n in (1, 2, 5, MASK_QUBIT_LIMIT):
+            for p in {0, n // 2, n - 1}:
+                for dagger in (True, False):
+                    want = jw_transform_by_products(FermionTerm(((p, dagger),)), n)
+                    assert exact_terms(masks(jw_ladder(p, dagger, n))) == exact_terms(want)
 
     @pytest.mark.parametrize("ops", [
         ((1, True), (1, True)),                               # a+_p a+_p = 0
@@ -270,9 +285,9 @@ class TestProductChainOracle:
 
 
 class TestBatchedImages:
-    """``jw_images`` must give, term by term, the words of ``jw_terms`` with
-    equal coefficients. Signed zeros are compared after adding to 0j, as the
-    Hamiltonian assembly folds them."""
+    """``jw_images`` must give, term by term, the words of the product chain
+    (``jw_transform_by_products``) with equal coefficients. Signed zeros are
+    compared after adding to 0j, as the Hamiltonian assembly folds them."""
 
     @staticmethod
     def assert_matches(modes, daggers, coeffs, n):
@@ -281,7 +296,7 @@ class TestBatchedImages:
         daggers = np.broadcast_to(daggers, np.shape(modes))
         for t in range(len(modes)):
             ops = tuple((int(m), bool(d)) for m, d in zip(modes[t], daggers[t]))
-            want = jw_terms(FermionTerm(ops, complex(coeffs[t])), n)
+            want = jw_transform_by_products(FermionTerm(ops, complex(coeffs[t])), n)
             got = {(int(a), int(b)): v for a, b, v in
                    zip(x[term == t], z[term == t], c[term == t].tolist())}
             assert len(got) == (term == t).sum()

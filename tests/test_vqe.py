@@ -158,6 +158,19 @@ class TestEvaluateSampled:
             evaluate_sampled(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
                              np.zeros(1), 100, seed=0, shot_mode="bogus")
 
+    def test_register_mismatch_rejected(self, h2_hamiltonian, h2_spec):
+        with pytest.raises(VqeError, match="register sizes differ"):
+            evaluate_sampled(h2_hamiltonian, h2_spec, QubitMapping.identity(3),
+                             np.zeros(1), 100, seed=0)
+
+    def test_hamiltonian_of_another_mapping_rejected(self, h2_hamiltonian, h2_spec):
+        # sampling the state of one mapping against the words of another
+        # gives a wrong energy with no error otherwise
+        swapped = QubitMapping((1, 0, 3, 2))
+        with pytest.raises(VqeError, match=r"built under the qubit mapping \(0, 1, 2, 3\), "
+                                           r"not the mapping passed, \(1, 0, 3, 2\)"):
+            evaluate_sampled(h2_hamiltonian, h2_spec, swapped, np.zeros(1), 100, seed=0)
+
     def test_given_circuit_and_groups_sample_identically(self, h2_hamiltonian, h2_spec):
         mapping = QubitMapping.identity(2)
         params = np.array([0.3])

@@ -2,7 +2,9 @@
 """Benchmark the numpy statevector kernels and one uCCDab energy.
 
 Runs each gate-level kernel over a sweep of register sizes and prints a
-timing table. The full-pipeline rows time one uCCDab energy evaluation at
+timing table. The position rows time H and S at every qubit position of 8,
+12 and 16 qubits, through the general 2x2 and diagonal forms every gate
+took before the kernels specialized them, and through the kernels. The full-pipeline rows time one uCCDab energy evaluation at
 gate level (circuit application + expectation, what sampling runs) and one
 energy plus adjoint gradient on the spin sector (what the optimizer runs).
 The synthesis rows time what ``uccvqe synth`` adds: the Jordan-Wigner
@@ -17,8 +19,8 @@ dimension of the spin sector and of the Hartree-Fock irrep block under a
 dense-integral Hamiltonians of 16, 20 and 24 qubits. The histogram rows time what sampling and
 ``uccvqe vqe`` then ``uccvqe mitigate`` do with the histograms: ``sample_group``
 on every QWC group of the dense-integral Hamiltonian, on a random state,
-``format_sections`` and ``parse_sections`` over all groups at once, and
-``group_outcomes`` per group.
+``format_sections``, ``parse_sections`` and ``group_outcomes`` over all
+groups at once.
 
 Every table skips the sizes past ``--max-qubits`` (default 24, which runs
 every row). The kernel sweep stops at 20 qubits in any case.
@@ -75,6 +77,43 @@ def bench_gates(impl, n, state):
             impl.apply_phase(s, n, q, 1.0, 1.0j)
 
     return timeit(run)
+
+
+def general_1q(state, n, q, m00, m01, m10, m11):
+    """Any 2x2 gate as both halves' full matrix-vector expressions: the form
+    every single-qubit gate took before the kernels specialized H."""
+    view = state.reshape(1 << q, 2, -1)
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :]
+    view[:, 0, :] = m00 * a0 + m01 * a1
+    view[:, 1, :] = m10 * a0 + m11 * a1
+
+
+def general_phase(state, n, q, p0, p1):
+    """diag(p0, p1) multiplying both halves: the form S and SDG took before
+    the kernels specialized them."""
+    view = state.reshape(1 << q, 2, -1)
+    view[:, 0, :] *= p0
+    view[:, 1, :] *= p1
+
+
+def per_call(fn, *args, calls):
+    """Best mean time of one call over ``calls`` back-to-back calls."""
+    return timeit(lambda: [fn(*args) for _ in range(calls)]) / calls
+
+
+def bench_positions(n, state):
+    """Per qubit position: H through the general form and through
+    ``kernels.apply_1q``, S through the general form and through
+    ``kernels.apply_phase``, each on its own copy of ``state``."""
+    h = 1 / np.sqrt(2)
+    calls = max(1, (1 << 16) >> n)
+    rows = []
+    for q in range(n):
+        rows.append((q, *(per_call(fn, state.copy(), n, q, *args, calls=calls) for fn, args in (
+            (general_1q, (h, h, h, -h)), (kernels.apply_1q, (h, h, h, -h)),
+            (general_phase, (1.0, 1.0j)), (kernels.apply_phase, (1.0, 1.0j))))))
+    return rows
 
 
 def bench_expectation(impl, n, state, words):
@@ -204,7 +243,7 @@ def bench_grouping(n_orbitals):
 
 def bench_histograms(n_orbitals, shots=6000):
     """sample_group per group -> format_sections -> parse_sections ->
-    group_outcomes per group, over every QWC group of the dense-integral
+    group_outcomes, over every QWC group of the dense-integral
     Hamiltonian on 2*n_orbitals qubits, on a seeded random state; returns
     the time, the group count and the mean number of distinct outcomes per
     group."""
@@ -223,7 +262,8 @@ def bench_histograms(n_orbitals, shots=6000):
         hists = [sample_group(state, g, shots, g.index) for g in groups]
         text = format_sections(hists, ["".join(g.basis) for g in groups])
         sections = parse_sections(text, with_basis=True, width=state.n_qubits)
-        sizes[:] = [len(group_outcomes(g, s.histogram)[0]) for g, s in zip(groups, sections)]
+        valued = group_outcomes(groups, [s.histogram for s in sections])
+        sizes[:] = [len(outcomes) for outcomes, _, _ in valued]
 
     return timeit(run, repeats=3), len(groups), sum(sizes) / len(sizes)
 
@@ -248,6 +288,16 @@ def main():
         rows.append(("expectation", bench_expectation, (n, state, words)))
         for label, fn, fargs in rows:
             print(f"{n:>3} {label:<12} {fn(kernels, *fargs) * 1e3:>12.3f}")
+
+    print("\nH and S per qubit position: the general 2x2 and diagonal forms against the "
+          "kernels (us per call)")
+    print(f"{'n':>3} {'q':>3} {'H general':>10} {'H kernel':>10} {'S general':>10} "
+          f"{'S kernel':>10}")
+    for n in (8, 12, 16):
+        if n > args.max_qubits:
+            continue
+        for q, *times in bench_positions(n, random_state(n)):
+            print(f"{n:>3} {q:>3} " + " ".join(f"{t * 1e6:>10.2f}" for t in times))
 
     print("\nfull uCCDab energy evaluation")
     print(f"{'orbitals':>8} {'qubits':>7} {'gates':>6} {'terms':>6} "

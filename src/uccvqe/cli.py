@@ -440,7 +440,6 @@ def _saved_outcomes(pipe: Pipeline, saved: SavedHistograms) -> list:
         if value != str(want):
             raise CliError(f"{path}: line {line}: {key} {value}, but the report's is {want}")
     budget = shot_budget(cfg.shots, len(groups), cfg.shot_mode)
-    valued = []
     for i, (g, shots, section) in enumerate(zip(groups, budget, saved.sections)):
         hist, lines = section.histogram, section.lines
         if hist.group_id != i:
@@ -457,7 +456,6 @@ def _saved_outcomes(pipe: Pipeline, saved: SavedHistograms) -> list:
         if hist.shots != shots:
             raise CliError(f"{path}: line {lines['SHOTS']}: SHOTS {hist.shots}, but {cfg.shots} "
                            f"shots ({cfg.shot_mode}) give group {i} {shots}")
-        valued.append(group_outcomes(g, hist))
     if len(saved.sections) > len(groups):
         extra = saved.sections[len(groups)]
         raise CliError(f"{path}: line {extra.lines['GROUP']}: section {len(groups)} is GROUP "
@@ -466,7 +464,7 @@ def _saved_outcomes(pipe: Pipeline, saved: SavedHistograms) -> list:
         last = saved.sections[-1]
         raise CliError(f"{path}: line {last.lines['GROUP']}: section {len(saved.sections) - 1} "
                        f"is the last, but the run has {len(groups)} groups")
-    return valued
+    return group_outcomes(groups, [section.histogram for section in saved.sections])
 
 
 def _orbital_list(text: str) -> tuple[int, ...]:

@@ -18,7 +18,9 @@ import numpy as np
 from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
-from .pauli import COEFF_EPS, MASK_QUBIT_LIMIT, PauliSum, PauliWord, jw_images, mask_bits
+from .pauli import (COEFF_EPS, MASK_QUBIT_LIMIT, _I_POWERS_ARRAY, PauliSum, PauliWord,
+                    jw_images, mask_bits)
+from .sim import word_masks
 from .symmetry import OrbitalSymmetry, SpinSector, SymmetryError, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
@@ -391,16 +393,6 @@ def qwc_group(h: QubitHamiltonian) -> list[MeasurementGroup]:
 # ---------------------------------------------------------------------------
 # dense and sector references
 
-def _mask_table(terms: PauliSum) -> list[tuple[int, int, complex]]:
-    from .sim import word_masks
-
-    table = []
-    for (x, z), c in terms.items():
-        xb, zb, ny = word_masks(terms.n, x, z)
-        table.append((xb, zb, c * (1j**ny)))
-    return table
-
-
 def spin_sector_indices(mapping: QubitMapping, sector: SpinSector,
                         orbsym: Optional[OrbitalSymmetry] = None) -> np.ndarray:
     """Ascending amplitude indices of the block (``in_symmetry_block``).
@@ -434,21 +426,27 @@ class SectorOperator:
     over sector positions; pairs whose summed matrix element is zero, or
     whose partner leaves the sector, are dropped. An excitation generator
     (8 words on one x-mask for a double, 2 for a single) is one gather.
+    ``dtype`` is that of the matrix elements: float unless some are complex.
     """
 
     dim: int
     gathers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    dtype: np.dtype
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        dtype = np.result_type(v, *(diag for _, _, diag in self.gathers))
-        out = np.zeros(self.dim, dtype=dtype)
-        for src, dst, diag in self.gathers:
-            out[dst] += diag * v[src]
+        """The product with ``v``. The positions ``dst`` of one gather are
+        distinct, so the first gather is assigned to a zero vector (which
+        adds it to zero) and the others are added."""
+        out = np.zeros(self.dim, dtype=np.promote_types(v.dtype, self.dtype))
+        if self.gathers:
+            src, dst, diag = self.gathers[0]
+            out[dst] = diag * v[src]
+            for src, dst, diag in self.gathers[1:]:
+                out[dst] += diag * v[src]
         return out
 
     def matrix(self) -> np.ndarray:
-        dtype = np.result_type(float, *(diag for _, _, diag in self.gathers))
-        mat = np.zeros((self.dim, self.dim), dtype=dtype)
+        mat = np.zeros((self.dim, self.dim), dtype=self.dtype)
         for src, dst, diag in self.gathers:
             mat[dst, src] += diag
         return mat
@@ -461,27 +459,46 @@ def sector_operator(terms: PauliSum, basis: np.ndarray) -> SectorOperator:
     basis block is read, e.g. <psi|H|psi>; for operators that conserve the
     sector (H, excitation generators) the product itself is exact.
     """
+    return sector_operators([terms], basis)[0]
+
+
+def sector_operators(sums: Sequence[PauliSum], basis: np.ndarray) -> list[SectorOperator]:
+    """``sector_operator`` of each of several Pauli sums on one register and
+    basis, from one table of all their words.
+
+    The table holds each word's amplitude-index masks (``sim.word_masks``,
+    one pass) and its coefficient times i**(number of Y). A sum's words come
+    in ``items`` order, sorted by x-mask, so each x-mask's words are one run
+    and the runs are in first-appearance order. A run's matrix elements are
+    one ``kernels.parity_sums`` over its words, in order.
+    """
     states = np.asarray(basis, dtype=np.uint64)
-    by_x: dict[int, list[tuple[int, complex]]] = {}
-    for xb, zb, coeff in _mask_table(terms):
-        by_x.setdefault(xb, []).append((zb, coeff))
-    gathers = []
-    for xb, rows in by_x.items():
-        partner = states ^ np.uint64(xb)
+    owner, xs, zs, cs = [], [], [], []
+    for k, terms in enumerate(sums):
+        for (x, z), c in terms.items():
+            owner.append(k)
+            xs.append(x)
+            zs.append(z)
+            cs.append(c)
+    xb, zb, ny = word_masks(sums[0].n, xs, zs)
+    coeffs = np.array(cs, dtype=complex) * _I_POWERS_ARRAY[ny & 3]
+    owner = np.array(owner, dtype=np.int64)
+    starts = np.flatnonzero(np.r_[len(xb) > 0, (owner[1:] != owner[:-1]) | (xb[1:] != xb[:-1])])
+    gathers: list[list] = [[] for _ in sums]
+    for lo, hi in zip(starts.tolist(), np.r_[starts[1:], len(xb)].tolist()):
+        partner = states ^ xb[lo]
         dst = np.minimum(np.searchsorted(states, partner), len(states) - 1)
         src = np.flatnonzero(states[dst] == partner)
-        dst = dst[src]
-        diag = np.zeros(len(src), dtype=complex)
-        for zb, coeff in rows:
-            diag += coeff * kernels.parity_signs(states[src], zb)
+        diag = kernels.parity_sums(states[src], zb[lo:hi], coeffs[lo:hi])
         live = diag != 0
         if not live.any():
             continue
         diag = diag[live]
         if not diag.imag.any():
             diag = diag.real.copy()
-        gathers.append((src[live], dst[live], diag))
-    return SectorOperator(len(states), tuple(gathers))
+        gathers[owner[lo]].append((src[live], dst[src[live]], diag))
+    return [SectorOperator(len(states), tuple(g), np.result_type(float, *(d for _, _, d in g)))
+            for g in gathers]
 
 
 def dense_ground(blocks: Sequence[np.ndarray], operator: Callable) -> float:

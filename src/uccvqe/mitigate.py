@@ -14,7 +14,7 @@ import numpy as np
 
 from .hamio import QubitHamiltonian
 from .mapping import QubitMapping
-from .sim import Histogram, estimate_energy, group_outcomes
+from .sim import Histogram, group_estimate, group_outcomes, summed_estimate
 from .symmetry import SpinSector, in_symmetry_block
 
 POLICIES = ("none", "particle", "spin")
@@ -73,8 +73,8 @@ def mitigated_energy(
     """Energy and standard error after post-selecting the Z-basis groups."""
     if len(groups) != len(histograms):
         raise MitigationError(f"{len(groups)} groups but {len(histograms)} histograms")
-    valued = [group_outcomes(g, hist) for g, hist in zip(groups, histograms)]
-    report = run_policies(groups, valued, policy.sector, mapping, h, (policy.kind,))
+    report = run_policies(groups, group_outcomes(groups, histograms), policy.sector, mapping, h,
+                          (policy.kind,))
     return report.outcomes[policy.kind].energy, report.outcomes[policy.kind].standard_error
 
 
@@ -105,23 +105,28 @@ def run_policies(
     """The raw estimate and each requested policy, with retained-shot
     accounting, over each group's ``group_outcomes``. A policy is a mask on
     the outcome indices of the Z-basis groups; some group must be Z-basis
-    when ``kinds`` is not empty."""
+    when ``kinds`` is not empty. The other groups are estimated once
+    (``sim.group_estimate``); the raw estimate and each policy estimate the
+    Z-basis groups and add every group's share in group order."""
     if len(groups) != len(valued):
         raise MitigationError(f"{len(groups)} groups but {len(valued)} valued histograms")
     if kinds and not any(g.is_z_basis() for g in groups):
         raise MitigationError("no computational-basis measurement group found")
+    z_basis = [i for i, g in enumerate(groups) if g.is_z_basis()]
+    shared = [None if g.is_z_basis() else group_estimate(values, weights, g.index)
+              for g, (_, values, weights) in zip(groups, valued)]
 
     def outcome(policy: PostSelectionPolicy) -> PolicyOutcome:
-        samples, retained = [], 0
-        for g, (idx, values, weights) in zip(groups, valued):
-            if g.is_z_basis():
-                keep = policy.keeps(idx, mapping)
-                values, weights = values[keep], weights[keep]
-                retained += int(weights.sum())
-                if not weights.any():
-                    raise policy.discarded(g.index)
-            samples.append((values, weights, g.index))
-        return PolicyOutcome(*estimate_energy(samples, h.offset), retained)
+        estimates, retained = list(shared), 0
+        for i in z_basis:
+            idx, values, weights = valued[i]
+            keep = policy.keeps(idx, mapping)
+            values, weights = values[keep], weights[keep]
+            retained += int(weights.sum())
+            if not weights.any():
+                raise policy.discarded(groups[i].index)
+            estimates[i] = group_estimate(values, weights, groups[i].index)
+        return PolicyOutcome(*summed_estimate(estimates, h.offset), retained)
 
     raw = outcome(PostSelectionPolicy("none", sector))
     return MitigationReport(raw.retained_shots, raw,

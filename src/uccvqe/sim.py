@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .circuit import Circuit
+from .pauli import mask_bits
 
 MAX_QUBITS = 24
 
@@ -68,12 +69,15 @@ class Statevector:
         return Statevector(self.n_qubits, self.amplitudes.copy())
 
 
-def word_masks(n: int, x_mask: int, z_mask: int) -> tuple[int, int, int]:
-    """Convert qubit-indexed Pauli masks to amplitude-index masks; returns
-    (x_bits, z_bits, y_count). Qubit q is bit q of a word mask and bit
-    n - 1 - q of an index mask, so the conversion reverses the n bits."""
-    xb, zb = (int(format(mask, f"0{n}b")[::-1], 2) for mask in (x_mask, z_mask))
-    return xb, zb, (x_mask & z_mask).bit_count()
+def word_masks(n: int, x_masks: Sequence[int],
+               z_masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convert the qubit-indexed Pauli masks of many words to amplitude-index
+    masks in one pass over their bit planes; returns uint64 (x_bits, z_bits)
+    and the int64 Y count of each word. Qubit q is bit q of a word mask and
+    bit n - 1 - q of an index mask."""
+    weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    xs, zs = mask_bits(x_masks, n), mask_bits(z_masks, n)
+    return xs @ weights, zs @ weights, (xs & zs).sum(axis=1, dtype=np.int64)
 
 
 def apply_circuit(state: Statevector, circuit: Circuit,
@@ -113,8 +117,9 @@ def expectation(state: Statevector, hamiltonian) -> float:
         raise SimulationError("register sizes differ")
     n = state.n_qubits
     acc = complex(hamiltonian.offset)
-    for w in hamiltonian.terms.words():
-        xb, zb, ny = word_masks(n, w.x_mask, w.z_mask)
+    words = list(hamiltonian.terms.words())
+    xbs, zbs, nys = word_masks(n, [w.x_mask for w in words], [w.z_mask for w in words])
+    for w, xb, zb, ny in zip(words, xbs.tolist(), zbs.tolist(), nys.tolist()):
         acc += w.coefficient * (1j**ny) * kernels.pauli_expectation(state.amplitudes, n, xb, zb)
     if abs(acc.imag) > 1e-10:
         raise SimulationError(f"expectation has imaginary residue {acc.imag:.3e}")
@@ -364,12 +369,12 @@ def _section_header(lines: _Lines, keys: Sequence[str], own: np.ndarray):
 
 def _records(lines: _Lines, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The outcome and the count of each record on ``rows``, read in blocks
-    of ``_BLOCK`` records, which bounds the temporaries of a large file."""
+    of ``kernels.BLOCK`` records, which bounds the temporaries of a large file."""
     outcomes = np.empty(len(rows), dtype=np.uint64)
     counts = np.empty(len(rows), dtype=np.int64)
-    for a in range(0, len(rows), _BLOCK):
-        outcomes[a:a + _BLOCK], counts[a:a + _BLOCK] = _record_block(lines, rows[a:a + _BLOCK],
-                                                                     width)
+    step = kernels.BLOCK
+    for a in range(0, len(rows), step):
+        outcomes[a:a + step], counts[a:a + step] = _record_block(lines, rows[a:a + step], width)
     return outcomes, counts
 
 
@@ -400,7 +405,6 @@ def _record_block(lines: _Lines, rows: np.ndarray, width: int) -> tuple[np.ndarr
     return outcomes, counts
 
 
-_BLOCK = 4096
 _WHITESPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 32])
 _COUNT_DIGITS = 19  # every count below 2**63 has at most 19 digits
 _INT64_MAX = np.iinfo(np.int64).max
@@ -475,21 +479,62 @@ def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
                                    shots, getattr(group, "index", 0), seed)
 
 
-def group_outcomes(group, histogram: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A group's outcomes (the histogram's ascending uint64 indices), the
-    group's value on each, and their counts as floats.
+def group_outcomes(groups: Sequence, histograms: Sequence[Histogram]) -> list[
+        tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per group, with one histogram each: the outcomes (the histogram's
+    ascending uint64 indices), the group's value on each, and their counts
+    as floats.
 
     After the basis change every member word is diagonal, so its value on
     an outcome is the parity of the outcome's bits on the word's support.
+    The supports of the words of all groups come from one ``word_masks``
+    pass; each group's values are one ``kernels.parity_sums`` over its
+    words, in ``group.words`` order.
     """
-    n = len(group.basis)
-    if histogram.n_qubits != n:
-        raise SimulationError(f"group {histogram.group_id}: bitstrings are not {n} bits long")
-    values = np.zeros(len(histogram.outcomes))
-    for w in group.words:
-        xb, zb, _ = word_masks(n, w.x_mask, w.z_mask)
-        values += w.coefficient.real * kernels.parity_signs(histogram.outcomes, xb | zb)
-    return histogram.outcomes, values, histogram.tallies.astype(np.float64)
+    if len(groups) != len(histograms):
+        raise SimulationError(f"{len(groups)} groups but {len(histograms)} histograms")
+    if not groups:
+        return []
+    n = len(groups[0].basis)
+    if any(len(g.basis) != n for g in groups):
+        raise SimulationError("groups of different widths cannot share one word table")
+    words = [w for g in groups for w in g.words]
+    xb, zb, _ = word_masks(n, [w.x_mask for w in words], [w.z_mask for w in words])
+    support = xb | zb
+    coeffs = np.array([w.coefficient.real for w in words], dtype=np.float64)
+    out, lo = [], 0
+    for group, hist in zip(groups, histograms):
+        if hist.n_qubits != n:
+            raise SimulationError(f"group {hist.group_id}: bitstrings are not {n} bits long")
+        hi = lo + len(group.words)
+        values = kernels.parity_sums(hist.outcomes, support[lo:hi], coeffs[lo:hi])
+        out.append((hist.outcomes, values, hist.tallies.astype(np.float64)))
+        lo = hi
+    return out
+
+
+def group_estimate(values: np.ndarray, weights: np.ndarray, group_id: int) -> tuple[float, float]:
+    """One group's share of ``estimate_energy``: the mean of its per-shot
+    totals, and their sample variance over the shot count (0.0 for a single
+    shot), which is what the group adds to the variance of the estimate."""
+    shots = weights.sum()
+    if shots <= 0:
+        raise SimulationError(f"group {group_id} has no shots")
+    mean = float(np.dot(values, weights) / shots)
+    if shots > 1:
+        return mean, float(np.dot(weights, (values - mean) ** 2) / (shots - 1)) / shots
+    return mean, 0.0
+
+
+def summed_estimate(estimates, offset: float = 0.0) -> tuple[float, float]:
+    """Energy and standard error from each group's ``group_estimate``, added
+    in group order."""
+    energy = float(offset)
+    variance = 0.0
+    for mean, var in estimates:
+        energy += mean
+        variance += var
+    return energy, math.sqrt(variance)
 
 
 def estimate_energy(samples, offset: float = 0.0) -> tuple[float, float]:
@@ -499,24 +544,12 @@ def estimate_energy(samples, offset: float = 0.0) -> tuple[float, float]:
     covariance enters through the per-shot group totals; groups are sampled
     independently and their variances add.
     """
-    energy = float(offset)
-    variance = 0.0
-    for values, weights, group_id in samples:
-        shots = weights.sum()
-        if shots <= 0:
-            raise SimulationError(f"group {group_id} has no shots")
-        mean = float(np.dot(values, weights) / shots)
-        energy += mean
-        if shots > 1:
-            var = float(np.dot(weights, (values - mean) ** 2) / (shots - 1))
-            variance += var / shots
-    return energy, math.sqrt(variance)
+    return summed_estimate((group_estimate(*sample) for sample in samples), offset)
 
 
 def energy_from_histograms(groups: Sequence, histograms: Sequence[Histogram],
                            offset: float = 0.0) -> tuple[float, float]:
     """Energy estimate and standard error from one histogram per group."""
-    if len(groups) != len(histograms):
-        raise SimulationError(f"{len(groups)} groups but {len(histograms)} histograms")
-    return estimate_energy(((*group_outcomes(group, hist)[1:], hist.group_id)
-                            for group, hist in zip(groups, histograms)), offset)
+    valued = group_outcomes(groups, histograms)
+    return estimate_energy(((values, weights, hist.group_id)
+                            for (_, values, weights), hist in zip(valued, histograms)), offset)

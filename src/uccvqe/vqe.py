@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .hamio import (
     dense_ground,
     qwc_group,
     sector_indices,
-    sector_operator,
+    sector_operators,
 )
 from .mapping import QubitMapping
 from .pauli import excitation_generators
@@ -89,8 +90,9 @@ class SectorAnsatz:
         order = [k for k, e in enumerate(spec.excitations) if e.paired]
         order += [k for k, e in enumerate(spec.excitations) if not e.paired]
         generators = excitation_generators(spec.excitations, h.mapping)
-        self.generators = [(k, sector_operator(generators[k], self.basis)) for k in order]
-        self.hamiltonian = sector_operator(h.terms, self.basis)
+        *restricted, self.hamiltonian = sector_operators([*(generators[k] for k in order),
+                                                          h.terms], self.basis)
+        self.generators = list(zip(order, restricted))
         self.offset = h.offset
 
     def state(self, theta: Sequence[float]) -> np.ndarray:
@@ -198,12 +200,28 @@ def optimize(
 
 @dataclass
 class SampledEvaluation:
-    energy: float
-    standard_error: float
     groups: list
     histograms: list[Histogram]
     shots_per_group: list[int]
     valued: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # group_outcomes per group
+    offset: float
+
+    @cached_property
+    def estimate(self) -> tuple[float, float]:
+        """Energy and standard error over every group, made on first use;
+        ``uccvqe vqe`` reads its raw energy from ``mitigate.run_policies``
+        and never needs this one."""
+        return estimate_energy(((values, weights, g.index)
+                                for g, (_, values, weights) in zip(self.groups, self.valued)),
+                               self.offset)
+
+    @property
+    def energy(self) -> float:
+        return self.estimate[0]
+
+    @property
+    def standard_error(self) -> float:
+        return self.estimate[1]
 
 
 def group_seed(base_seed: int, group_index: int) -> int:
@@ -258,7 +276,5 @@ def evaluate_sampled(
         sample_group(state, grp, budget[i], group_seed(seed, i))
         for i, grp in enumerate(groups)
     ]
-    valued = [group_outcomes(grp, hist) for grp, hist in zip(groups, histograms)]
-    energy, se = estimate_energy(((values, weights, grp.index)
-                                  for grp, (_, values, weights) in zip(groups, valued)), h.offset)
-    return SampledEvaluation(energy, se, groups, histograms, budget, valued)
+    return SampledEvaluation(groups, histograms, budget, group_outcomes(groups, histograms),
+                             h.offset)

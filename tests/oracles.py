@@ -11,10 +11,14 @@ the 2^n filter of a symmetry block, greedy mapping and its candidate
 cost, excitation generators one ladder-product chain at a time, the
 gate-level Hartree-Fock check,
 post-selection on bitstrings, ansatz assembly block by block through the
-rewrite pass, ansatz assembly as ``Gate`` lists on axis strings) are the
-simple earlier forms of optimized library routines, kept to pin those
-routines' output exactly.
+rewrite pass, ansatz assembly as ``Gate`` lists on axis strings, word
+masks one string reversal at a time, sector operators, histogram values
+and energy estimates one word or group at a time, the sector product
+from a zero vector) are the simple earlier forms of optimized library
+routines, kept to pin those routines' output exactly.
 """
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -35,7 +39,7 @@ from uccvqe.hamio import (
     HamiltonianError,
     MeasurementGroup,
     QubitHamiltonian,
-    _mask_table,
+    SectorOperator,
     restrict_to_active,
 )
 from uccvqe.mapping import QubitMapping, _best_window
@@ -47,7 +51,8 @@ from uccvqe.pauli import (
     PauliWord,
     antihermitian_generator,
 )
-from uccvqe.sim import Histogram, Statevector, apply_circuit, word_masks
+from uccvqe.mitigate import MitigationReport, PolicyOutcome, PostSelectionPolicy, MitigationError
+from uccvqe.sim import Histogram, SimulationError, Statevector, apply_circuit
 from uccvqe.symmetry import in_symmetry_block
 
 I2 = np.eye(2, dtype=complex)
@@ -85,11 +90,118 @@ def dense_matrix(h: QubitHamiltonian) -> np.ndarray:
     idx = np.arange(dim, dtype=np.uint64)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[idx.astype(np.int64), idx.astype(np.int64)] = h.offset
-    for xb, zb, coeff in _mask_table(h.terms):
+    for xb, zb, coeff in mask_table(h.terms):
         src = idx.astype(np.int64)
         dst = (idx ^ np.uint64(xb)).astype(np.int64)
         mat[dst, src] += coeff * kernels.parity_signs(idx, zb)
     return mat
+
+
+def word_masks_by_format(n: int, x_mask: int, z_mask: int) -> tuple[int, int, int]:
+    """One word's amplitude-index masks and Y count, each n-bit mask
+    reversed through its binary string."""
+    xb, zb = (int(format(mask, f"0{n}b")[::-1], 2) for mask in (x_mask, z_mask))
+    return xb, zb, (x_mask & z_mask).bit_count()
+
+
+def mask_table(terms: PauliSum) -> list[tuple[int, int, complex]]:
+    """(x_bits, z_bits, coefficient times i**nY) per word, in ``items`` order."""
+    table = []
+    for (x, z), c in terms.items():
+        xb, zb, ny = word_masks_by_format(terms.n, x, z)
+        table.append((xb, zb, c * (1j**ny)))
+    return table
+
+
+def sector_operator_per_word(terms: PauliSum, basis) -> SectorOperator:
+    """``sector_operator`` grouping words by x-mask in a dict and adding one
+    word's coefficient times its parity signs at a time."""
+    states = np.asarray(basis, dtype=np.uint64)
+    by_x: dict[int, list[tuple[int, complex]]] = {}
+    for xb, zb, coeff in mask_table(terms):
+        by_x.setdefault(xb, []).append((zb, coeff))
+    gathers = []
+    for xb, rows in by_x.items():
+        partner = states ^ np.uint64(xb)
+        dst = np.minimum(np.searchsorted(states, partner), len(states) - 1)
+        src = np.flatnonzero(states[dst] == partner)
+        dst = dst[src]
+        diag = np.zeros(len(src), dtype=complex)
+        for zb, coeff in rows:
+            diag += coeff * kernels.parity_signs(states[src], zb)
+        live = diag != 0
+        if not live.any():
+            continue
+        diag = diag[live]
+        if not diag.imag.any():
+            diag = diag.real.copy()
+        gathers.append((src[live], dst[live], diag))
+    return SectorOperator(len(states), tuple(gathers),
+                          np.result_type(float, *(d for _, _, d in gathers)))
+
+
+def sector_apply_from_zero(op: SectorOperator, v: np.ndarray) -> np.ndarray:
+    """``SectorOperator.apply`` adding every gather to a zero vector."""
+    out = np.zeros(op.dim, dtype=np.result_type(v, *(diag for _, _, diag in op.gathers)))
+    for src, dst, diag in op.gathers:
+        out[dst] += diag * v[src]
+    return out
+
+
+def group_outcomes_per_word(group, histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One group's outcomes, values and float counts, adding one word's
+    coefficient times its parity signs at a time."""
+    n = len(group.basis)
+    if histogram.n_qubits != n:
+        raise SimulationError(f"group {histogram.group_id}: bitstrings are not {n} bits long")
+    values = np.zeros(len(histogram.outcomes))
+    for w in group.words:
+        xb, zb, _ = word_masks_by_format(n, w.x_mask, w.z_mask)
+        values += w.coefficient.real * kernels.parity_signs(histogram.outcomes, xb | zb)
+    return histogram.outcomes, values, histogram.tallies.astype(np.float64)
+
+
+def estimate_energy_in_one_loop(samples, offset: float = 0.0) -> tuple[float, float]:
+    """Energy and standard error from (values, counts, group id) per group,
+    each group's mean and variance added as it is computed."""
+    energy = float(offset)
+    variance = 0.0
+    for values, weights, group_id in samples:
+        shots = weights.sum()
+        if shots <= 0:
+            raise SimulationError(f"group {group_id} has no shots")
+        mean = float(np.dot(values, weights) / shots)
+        energy += mean
+        if shots > 1:
+            var = float(np.dot(weights, (values - mean) ** 2) / (shots - 1))
+            variance += var / shots
+    return energy, math.sqrt(variance)
+
+
+def run_policies_over_all_groups(groups, valued, sector, mapping, h,
+                                 kinds=("particle", "spin")) -> MitigationReport:
+    """``run_policies`` estimating every group again for the raw estimate
+    and for each policy (``estimate_energy_in_one_loop``)."""
+    if len(groups) != len(valued):
+        raise MitigationError(f"{len(groups)} groups but {len(valued)} valued histograms")
+    if kinds and not any(g.is_z_basis() for g in groups):
+        raise MitigationError("no computational-basis measurement group found")
+
+    def outcome(policy: PostSelectionPolicy) -> PolicyOutcome:
+        samples, retained = [], 0
+        for g, (idx, values, weights) in zip(groups, valued):
+            if g.is_z_basis():
+                keep = policy.keeps(idx, mapping)
+                values, weights = values[keep], weights[keep]
+                retained += int(weights.sum())
+                if not weights.any():
+                    raise policy.discarded(g.index)
+            samples.append((values, weights, g.index))
+        return PolicyOutcome(*estimate_energy_in_one_loop(samples, h.offset), retained)
+
+    raw = outcome(PostSelectionPolicy("none", sector))
+    return MitigationReport(raw.retained_shots, raw,
+                            {kind: outcome(PostSelectionPolicy(kind, sector)) for kind in kinds})
 
 
 def ladder_matrix(p: int, dagger: bool, n: int) -> np.ndarray:
@@ -299,7 +411,7 @@ def expectation_per_word(state, hamiltonian) -> float:
     idx = np.arange(amps.size, dtype=np.uint64)
     acc = complex(hamiltonian.offset)
     for w in hamiltonian.terms.words():
-        xb, zb, ny = word_masks(n, w.x_mask, w.z_mask)
+        xb, zb, ny = word_masks_by_format(n, w.x_mask, w.z_mask)
         signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zb)) & np.uint64(1)).astype(np.float64)
         flipped = (idx ^ np.uint64(xb)).astype(np.int64)
         acc += w.coefficient * (1j**ny) * complex(np.sum(np.conj(amps[flipped]) * signs * amps))

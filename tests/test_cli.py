@@ -420,20 +420,20 @@ class TestBuildsOnce:
     def test_vqe_restricts_the_hamiltonian_to_its_block_once(self, h2_path, tmp_path,
                                                               monkeypatch):
         # the optimizer's block operator also gives exact_ground
-        build, restrict = cli.build_qubit_hamiltonian, hamio.sector_operator
+        build, restrict = cli.build_qubit_hamiltonian, hamio.sector_operators
         built, calls = [], []
 
         def recorded_build(*args, **kwargs):
             built.append(build(*args, **kwargs))
             return built[-1]
 
-        def counted(terms, basis):
-            calls.append(any(terms is h.terms for h in built))
-            return restrict(terms, basis)
+        def counted(sums, basis):
+            calls.extend(any(terms is h.terms for h in built) for terms in sums)
+            return restrict(sums, basis)
 
         monkeypatch.setattr(cli, "build_qubit_hamiltonian", recorded_build)
         for module in (hamio, vqe):
-            monkeypatch.setattr(module, "sector_operator", counted)
+            monkeypatch.setattr(module, "sector_operators", counted)
         assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "500",
                     "--out", str(tmp_path)]) == 0
         assert len(built) == 1 and calls.count(True) == 1
@@ -506,9 +506,9 @@ class TestValuesEachHistogramOnce:
         """Count ``group_outcomes`` calls under every name a module holds it by."""
         original, calls = sim.group_outcomes, []
 
-        def counted(group, histogram):
-            calls.append(group.index)
-            return original(group, histogram)
+        def counted(groups, histograms):
+            calls.extend(group.index for group in groups)
+            return original(groups, histograms)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("uccvqe") and getattr(module, "group_outcomes", None) is original:

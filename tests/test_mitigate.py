@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_block_mapping, random_integrals
-from oracles import postselect_by_string
+from oracles import group_outcomes_per_word, postselect_by_string, run_policies_over_all_groups
 from uccvqe.hamio import (
     ActiveSelection,
     MeasurementGroup,
@@ -200,8 +200,8 @@ class TestMitigatedEnergy:
         rng = np.random.default_rng(77)
         dirty = [contaminate(hist, 0.2, 4, rng) if grp.is_z_basis() else hist
                  for grp, hist in zip(ev.groups, ev.histograms)]
-        valued = [group_outcomes(g, hist) for g, hist in zip(ev.groups, dirty)]
-        report = run_policies(ev.groups, valued, SECTOR, mapping, h2_hamiltonian)
+        report = run_policies(ev.groups, group_outcomes(ev.groups, dirty), SECTOR, mapping,
+                              h2_hamiltonian)
         for kind in ("particle", "spin"):
             policy = PostSelectionPolicy(kind, SECTOR)
             kept = sum(postselect(hist, policy, mapping).shots
@@ -244,8 +244,10 @@ def contaminated_case(n_orbitals: int, seed: int):
 def test_index_filters_match_the_bitstring_oracle(n_orbitals):
     for seed in range(2):
         groups, hists, sector, mapping, h = contaminated_case(n_orbitals, 100 * n_orbitals + seed)
-        report = run_policies(groups, [group_outcomes(g, hist) for g, hist in zip(groups, hists)],
-                              sector, mapping, h)
+        report = run_policies(groups, group_outcomes(groups, hists), sector, mapping, h)
+        assert report == run_policies_over_all_groups(
+            groups, [group_outcomes_per_word(g, hist) for g, hist in zip(groups, hists)],
+            sector, mapping, h)
         assert (report.raw.energy, report.raw.standard_error) == energy_from_histograms(
             groups, hists, h.offset)
         for kind in ("particle", "spin"):

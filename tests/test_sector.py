@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_block_mapping, random_integrals
-from oracles import dense_matrix
+from oracles import dense_matrix, sector_apply_from_zero, sector_operator_per_word
 from uccvqe.ansatz import VARIANTS, ActiveSpace, enumerate_excitations
 from uccvqe.circuit import build_ansatz_circuit
 from uccvqe.hamio import (
@@ -20,14 +20,16 @@ from uccvqe.hamio import (
     ActiveSelection,
     BlockSizeError,
     QubitHamiltonian,
+    SectorOperator,
     build_qubit_hamiltonian,
     exact_ground_energy,
     sector_indices,
     sector_operator,
+    sector_operators,
     spin_sector_indices,
 )
 from uccvqe.mapping import QubitMapping
-from uccvqe.pauli import PauliSum, PauliWord
+from uccvqe.pauli import PauliSum, PauliWord, excitation_generators
 from uccvqe.sim import Statevector, apply_circuit, expectation
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
 from uccvqe.vqe import SectorAnsatz
@@ -237,3 +239,46 @@ def test_block_ground_is_the_exact_reference(space, screened):
     for variant in VARIANTS:
         spec = enumerate_excitations(variant, space, ints.orbsym if screened else None)
         assert SectorAnsatz(h, spec).ground_energy() == exact_ground_energy(h, sector, spec.orbsym)
+
+
+def same_gathers(got: SectorOperator, want: SectorOperator) -> bool:
+    """Equal gathers, array for array and dtype for dtype."""
+    return (got.dim == want.dim and got.dtype == want.dtype
+            and len(got.gathers) == len(want.gathers)
+            and all(a.dtype == b.dtype and np.array_equal(a, b)
+                    for g, w in zip(got.gathers, want.gathers) for a, b in zip(g, w)))
+
+
+@pytest.mark.parametrize("screened", [False, True], ids=["unscreened", "screened"])
+@pytest.mark.parametrize("space,variant", screened_cases())
+def test_sector_operators_match_the_per_word_loop(space, variant, screened):
+    # H, a Pauli sum that leaves the sector, and every generator, restricted
+    # from one table, against one sum at a time with one word at a time
+    rng, spec, mapping, h, theta = setup_screened_case(space, variant, int(screened))
+    if not screened:
+        spec = dataclasses.replace(spec, orbsym=None)
+    basis = SectorAnsatz(h, spec).basis
+    sums = [*excitation_generators(spec.excitations, mapping), h.terms,
+            random_pauli_hamiltonian(space, mapping, rng).terms]
+    got = sector_operators(sums, basis)
+    assert len(got) == len(sums)
+    for op, terms in zip(got, sums):
+        want = sector_operator_per_word(terms, basis)
+        assert same_gathers(op, want)
+        assert same_gathers(sector_operator(terms, basis), want)
+        for v in (rng.normal(size=len(basis)), rng.normal(size=len(basis)) * (1 + 1j)):
+            product = op.apply(v)
+            reference = sector_apply_from_zero(op, v)
+            assert product.dtype == reference.dtype and np.array_equal(product, reference)
+
+
+def test_sums_without_words_restrict_to_zero():
+    basis = np.arange(5)
+    ops = sector_operators([PauliSum(4), PauliSum(4, [PauliWord.from_axes("ZIII", 0.5)]),
+                            PauliSum(4)], basis)
+    assert [len(op.gathers) for op in ops] == [0, 1, 0]
+    assert same_gathers(ops[1], sector_operator_per_word(PauliSum(4, [PauliWord.from_axes(
+        "ZIII", 0.5)]), basis))
+    for op in (ops[0], ops[2], sector_operator(PauliSum(4), basis)):
+        assert op.gathers == () and op.dtype == np.float64
+        assert np.array_equal(op.apply(np.ones(5)), np.zeros(5))

@@ -11,8 +11,10 @@ from oracles import (
     apply_cnot_dense,
     apply_phase_dense,
     expectation_per_word,
+    group_outcomes_per_word,
     shot_values_by_string,
     sum_matrix,
+    word_masks_by_format,
 )
 from uccvqe import kernels
 from uccvqe.ansatz import ActiveSpace
@@ -111,11 +113,15 @@ class TestWordMasks:
     def test_bit_reversal_matches_per_qubit_scan(self, n):
         rng = np.random.default_rng(n)
         full = (1 << n) - 1
-        for _ in range(20):
-            x, z = (int.from_bytes(rng.bytes(8), "little") & full for _ in range(2))
-            want = tuple(index_mask(n, [q for q in range(n) if m >> q & 1]) for m in (x, z))
-            assert word_masks(n, x, z) == (*want, (x & z).bit_count())
-        assert word_masks(n, full, 1) == (full, 1 << (n - 1), 1)
+        draws = [int.from_bytes(rng.bytes(8), "little") & full for _ in range(40)]
+        xs, zs = draws[:20] + [full], draws[20:] + [1]
+        xb, zb, ny = word_masks(n, xs, zs)
+        assert xb.dtype == zb.dtype == np.uint64 and ny.dtype == np.int64
+        want = [tuple(index_mask(n, [q for q in range(n) if m >> q & 1]) for m in (x, z))
+                + ((x & z).bit_count(),) for x, z in zip(xs, zs)]
+        assert list(zip(xb.tolist(), zb.tolist(), ny.tolist())) == want
+        assert want == [word_masks_by_format(n, x, z) for x, z in zip(xs, zs)]
+        assert want[-1] == (full, 1 << (n - 1), 1)
 
 
 def z_group(n):
@@ -328,7 +334,7 @@ class TestHistogram:
         assert again.counts == hist.counts and again.n_qubits == 64
         group = MeasurementGroup(4, (PauliWord.from_axes("Z" + "I" * 63, 1.0),),
                                  ("Z",) + ("-",) * 63)
-        _, values, weights = group_outcomes(group, again)
+        [(_, values, weights)] = group_outcomes([group], [again])
         assert values.tolist() == [1.0, -1.0, -1.0] and weights.tolist() == [1.0, 2.0, 3.0]
 
     @settings(max_examples=60, deadline=None)
@@ -385,22 +391,25 @@ class TestGroupShotValues:
         rng = np.random.default_rng(n_qubits)
         groups = random_groups(n_qubits, rng)
         assert {axis for g in groups for axis in g.basis} == {"X", "Y", "Z", "-"}
+        hists = []
         for group in groups:
             outcomes = rng.integers(0, 1 << n_qubits, size=300)
             counts = {}
             for s in outcomes:
                 bits = format(int(s), f"0{n_qubits}b")
                 counts[bits] = counts.get(bits, 0) + 1
-            hist = Histogram(counts, len(outcomes), group.index, 0)
-            _, values, weights = group_outcomes(group, hist)
+            hists.append(Histogram(counts, len(outcomes), group.index, 0))
+        for group, hist, got in zip(groups, hists, group_outcomes(groups, hists)):
             want_values, want_weights = shot_values_by_string(group, hist)
-            assert np.array_equal(values, want_values)
-            assert np.array_equal(weights, want_weights)
+            assert np.array_equal(got[1], want_values)
+            assert np.array_equal(got[2], want_weights)
+            per_word = group_outcomes_per_word(group, hist)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, per_word))
 
     def test_register_width_mismatch_rejected(self):
         group = MeasurementGroup(3, (PauliWord.from_axes("ZZI", 1.0),), ("Z", "Z", "-"))
         with pytest.raises(SimulationError, match="group 3: bitstrings are not 3 bits long"):
-            group_outcomes(group, Histogram({"0110": 4}, 4, 3, 0))
+            group_outcomes([group], [Histogram({"0110": 4}, 4, 3, 0)])
 
 
 class TestEnergyEstimator:
@@ -469,11 +478,11 @@ def random_amplitudes(n, rng):
 class TestKernelsMatchDenseExpressions:
     """The in-place kernels give the same bits as whole-array expressions at
     every qubit position, including the last ones, where the inner stride is
-    1 or 2."""
+    1 or 2 and the Hadamard and phase kernels run down the blocks."""
 
     R = 1 / np.sqrt(2)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_single_qubit_gates(self, n):
         rng = np.random.default_rng(200 + n)
         theta = float(rng.normal())
@@ -504,6 +513,25 @@ class TestKernelsMatchDenseExpressions:
                 apply_cnot_dense(want, c, t)
                 kernels.apply_cnot(got, n, c, t)
                 assert np.array_equal(got, want), (c, t)
+
+
+@pytest.mark.parametrize("n_idx", [0, 1, 5, kernels.BLOCK, 2 * kernels.BLOCK + 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_parity_sums_match_the_per_word_loop(n_idx, dtype):
+    # one index is a one-column table, and more than BLOCK indices take
+    # several passes; both must add the words in order, bit for bit
+    rng = np.random.default_rng(n_idx)
+    idx = rng.integers(0, 1 << 20, size=n_idx).astype(np.uint64)
+    for n_words in (1, 9, 40):
+        z_bits = rng.integers(0, 1 << 20, size=n_words).astype(np.uint64)
+        coeffs = rng.normal(size=n_words) * 10.0 ** rng.integers(-6, 6, size=n_words)
+        if dtype is complex:
+            coeffs = coeffs + 1j * rng.normal(size=n_words)
+        want = np.zeros(n_idx, dtype=dtype)
+        for z, c in zip(z_bits.tolist(), coeffs.tolist()):
+            want += c * kernels.parity_signs(idx, z)
+        got = kernels.parity_sums(idx, z_bits, coeffs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestExpectationMatchesPerWordLoop:

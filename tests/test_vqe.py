@@ -186,8 +186,7 @@ class TestEvaluateSampled:
         ev = evaluate_sampled(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
                               np.array([0.2]), 901, seed=4, shot_mode=shot_mode)
         assert len(ev.valued) == len(ev.groups) == len(ev.histograms)
-        for got, group, hist in zip(ev.valued, ev.groups, ev.histograms):
-            want = group_outcomes(group, hist)
+        for got, want in zip(ev.valued, group_outcomes(ev.groups, ev.histograms)):
             assert len(got) == len(want) == 3
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert (ev.energy, ev.standard_error) == energy_from_histograms(

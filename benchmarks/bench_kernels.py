@@ -70,16 +70,16 @@ def bench_gates(impl, n, state):
     def run():
         s = state.copy()
         for q in range(n):
-            impl.apply_1q(s, n, q, h, h, h, -h)
+            impl.apply_1q(s, q, h, h, h, -h)
         for q in range(n - 1):
-            impl.apply_cnot(s, n, q, q + 1)
+            impl.apply_cnot(s, q, q + 1)
         for q in range(n):
-            impl.apply_phase(s, n, q, 1.0, 1.0j)
+            impl.apply_phase(s, q, 1.0, 1.0j)
 
     return timeit(run)
 
 
-def general_1q(state, n, q, m00, m01, m10, m11):
+def general_1q(state, q, m00, m01, m10, m11):
     """Any 2x2 gate as both halves' full matrix-vector expressions: the form
     every single-qubit gate took before the kernels specialized H."""
     view = state.reshape(1 << q, 2, -1)
@@ -89,7 +89,7 @@ def general_1q(state, n, q, m00, m01, m10, m11):
     view[:, 1, :] = m10 * a0 + m11 * a1
 
 
-def general_phase(state, n, q, p0, p1):
+def general_phase(state, q, p0, p1):
     """diag(p0, p1) multiplying both halves: the form S and SDG took before
     the kernels specialized them."""
     view = state.reshape(1 << q, 2, -1)
@@ -110,7 +110,7 @@ def bench_positions(n, state):
     calls = max(1, (1 << 16) >> n)
     rows = []
     for q in range(n):
-        rows.append((q, *(per_call(fn, state.copy(), n, q, *args, calls=calls) for fn, args in (
+        rows.append((q, *(per_call(fn, state.copy(), q, *args, calls=calls) for fn, args in (
             (general_1q, (h, h, h, -h)), (kernels.apply_1q, (h, h, h, -h)),
             (general_phase, (1.0, 1.0j)), (kernels.apply_phase, (1.0, 1.0j))))))
     return rows
@@ -120,7 +120,7 @@ def bench_expectation(impl, n, state, words):
     def run():
         acc = 0.0j
         for x, z in words:
-            acc += impl.pauli_expectation(state, n, x, z)
+            acc += impl.pauli_expectation(state, x, z)
         return acc
 
     return timeit(run)

@@ -2,7 +2,7 @@
 dense statevector sampling, and post-selection error mitigation."""
 
 from . import kernels
-from .ansatz import ActiveSpace, AnsatzSpec, Excitation, enumerate_excitations, hf_occupation
+from .ansatz import ActiveSpace, AnsatzSpec, Excitation, enumerate_excitations
 from .circuit import (
     Circuit,
     Gate,
@@ -11,7 +11,6 @@ from .circuit import (
     rewrite_cx_h_cx,
     synth_double_excitation,
     synth_paired_excitation,
-    synth_pauli_rotation,
     synth_single_excitation,
     synth_spatial_to_spin,
 )
@@ -27,9 +26,9 @@ from .hamio import (
 )
 from .mapping import QubitMapping, greedy_map, mapping_cost
 from .mitigate import MitigationReport, PostSelectionPolicy, mitigated_energy, postselect
-from .pauli import FermionTerm, PauliSum, PauliWord, antihermitian_generator, jw_ladder, jw_transform
+from .pauli import FermionTerm, PauliSum, PauliWord, antihermitian_generator, jw_transform
 from .sim import Histogram, Statevector, apply_circuit, energy_from_histograms, expectation, sample_group
-from .symmetry import Irrep, OrbitalSymmetry, SpinSector, excitation_allowed, irrep_product
+from .symmetry import Irrep, OrbitalSymmetry, SpinSector, excitation_allowed
 from .vqe import OptimizeConfig, VqeResult, evaluate_sampled, optimize
 
 __version__ = "0.1.0"

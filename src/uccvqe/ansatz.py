@@ -40,10 +40,6 @@ class ActiveSpace:
         return self.n_electrons // 2
 
     @property
-    def n_virtual(self) -> int:
-        return self.n_orbitals - self.n_occupied
-
-    @property
     def n_qubits(self) -> int:
         return 2 * self.n_orbitals
 
@@ -222,12 +218,3 @@ def enumerate_excitations(
                 selected.append(exc.with_param(len(selected)))
 
     return AnsatzSpec(variant, active_space, tuple(selected), sym)
-
-
-def hf_occupation(active_space: ActiveSpace) -> str:
-    """Hartree-Fock occupation bitstring over spin orbitals (alpha block
-    first), lowest orbitals doubly filled."""
-    occ = active_space.n_occupied
-    n = active_space.n_orbitals
-    block = "1" * occ + "0" * (n - occ)
-    return block + block

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .ansatz import ActiveSpace, AnsatzSpec, Excitation
 from .mapping import QubitMapping
-from .pauli import (MASK_QUBIT_LIMIT, PauliSum, PauliWord, antihermitian_generator, axes_rank,
+from .pauli import (MASK_QUBIT_LIMIT, PauliSum, antihermitian_generator, axes_rank,
                     excitation_generators)
 
 GATE_KINDS = ("X", "H", "S", "SDG", "RZ", "CNOT")
@@ -271,13 +271,6 @@ def _gates(ops: Iterable[Op]) -> list[Gate]:
             g = Gate(*op)
         out.append(g)
     return out
-
-
-def synth_pauli_rotation(word_axes: str, angle: Angle, n: Optional[int] = None) -> Circuit:
-    """Circuit for exp(-i angle/2 P) with P given as an axes string."""
-    n = len(word_axes) if n is None else n
-    w = PauliWord.from_axes(word_axes)
-    return Circuit(n, _gates(_gadget_chain([(w.x_mask, w.z_mask, angle)])))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 from .ansatz import enumerate_excitations
 from .circuit import build_ansatz_circuit, count_2qge
@@ -93,6 +93,10 @@ def validate_report(data: dict) -> dict:
     if keys != want:
         raise CliError(f"report config: missing keys {sorted(want - keys)}, "
                        f"unknown keys {sorted(keys - want)}")
+    for key, hint in get_type_hints(RunConfig).items():
+        if key in config and not _holds(config[key], hint):
+            raise CliError(f"report config: {key} is {json.dumps(config[key])}, "
+                           f"which does not hold a {_type_name(hint)}")
     energies = data.get("energies_hartree", {})
     bad = set(energies) - _ENERGY_KEYS
     if bad:
@@ -100,9 +104,27 @@ def validate_report(data: dict) -> dict:
     return data
 
 
+def _holds(value, hint) -> bool:
+    """Whether a JSON value holds a ``RunConfig`` field of type ``hint``: a
+    tuple as a list, and a JSON true or false as a bool only, not an int."""
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_holds(v, get_args(hint)[0]) for v in value)
+    return type(value) is hint
+
+
+def _type_name(hint) -> str:
+    if get_origin(hint) is tuple:
+        return f"list of {get_args(hint)[0].__name__}"
+    return hint.__name__
+
+
 def load_report(path: str) -> dict:
     with open(path) as fh:
-        return validate_report(json.load(fh))
+        data = json.load(fh)
+    try:
+        return validate_report(data)
+    except CliError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def write_report(path: Path, report: dict) -> None:
@@ -216,8 +238,12 @@ class Pipeline:
                            f"{n} qubits, above the cap of {MAX_QUBITS}; `uccvqe synth` has no cap")
 
     def require_shots(self, shot_list: Sequence[int], option: str) -> None:
-        """Refuse, before optimizing, a shot count that is not positive or
-        that ``shot_budget`` cannot split over the groups."""
+        """Refuse, before optimizing, a Hamiltonian with no group to sample,
+        and a shot count that is not positive or that ``shot_budget`` cannot
+        split over the groups."""
+        if not self.groups:
+            raise CliError(f"{self.config.fcidump}: the Hamiltonian holds no non-identity "
+                           "Pauli word, so there is nothing to sample")
         for shots in shot_list:
             if shots <= 0:
                 raise CliError(f"{option} {shots}: a shot count must be positive")

@@ -19,8 +19,7 @@ from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
 from .pauli import (COEFF_EPS, MASK_QUBIT_LIMIT, _I_POWERS_ARRAY, PauliSum, PauliWord,
-                    jw_images, mask_bits)
-from .sim import word_masks
+                    jw_images, mask_bits, word_masks)
 from .symmetry import OrbitalSymmetry, SpinSector, SymmetryError, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
@@ -466,7 +465,7 @@ def sector_operators(sums: Sequence[PauliSum], basis: np.ndarray) -> list[Sector
     """``sector_operator`` of each of several Pauli sums on one register and
     basis, from one table of all their words.
 
-    The table holds each word's amplitude-index masks (``sim.word_masks``,
+    The table holds each word's amplitude-index masks (``pauli.word_masks``,
     one pass) and its coefficient times i**(number of Y). A sum's words come
     in ``items`` order, sorted by x-mask, so each x-mask's words are one run
     and the runs are in first-appearance order. A run's matrix elements are
@@ -501,27 +500,22 @@ def sector_operators(sums: Sequence[PauliSum], basis: np.ndarray) -> list[Sector
             for g in gathers]
 
 
-def dense_ground(blocks: Sequence[np.ndarray], operator: Callable) -> float:
-    """Lowest eigenvalue of ``operator(basis)`` over the nonempty ``blocks``, one dense
-    ``eigvalsh`` each; a basis past ``DENSE_BLOCK_LIMIT`` is refused before any is built."""
-    largest = max(len(keep) for keep in blocks)
-    if largest > DENSE_BLOCK_LIMIT:
-        raise BlockSizeError(f"symmetry block of {largest} determinants exceeds the "
+def dense_ground(basis: np.ndarray, operator: Callable) -> float:
+    """Lowest eigenvalue of ``operator(basis)`` by one dense ``eigvalsh``; a
+    basis past ``DENSE_BLOCK_LIMIT`` is refused before the operator is built."""
+    if len(basis) > DENSE_BLOCK_LIMIT:
+        raise BlockSizeError(f"symmetry block of {len(basis)} determinants exceeds the "
                              f"dense cap of {DENSE_BLOCK_LIMIT}")
-    if largest == 0:
+    if not len(basis):
         raise HamiltonianError("empty symmetry block")
-    return float(min(np.linalg.eigvalsh(operator(keep).matrix())[0]
-                     for keep in blocks if len(keep)))
+    return float(np.linalg.eigvalsh(operator(basis).matrix())[0])
 
 
-def exact_ground_energy(h: QubitHamiltonian, sector: Optional[SpinSector] = None,
+def exact_ground_energy(h: QubitHamiltonian, sector: SpinSector,
                         orbsym: Optional[OrbitalSymmetry] = None) -> float:
     """Lowest eigenvalue on the symmetry block (``in_symmetry_block``) by one
-    dense ``eigvalsh``. With no sector, the lowest over every spin sector:
-    the whole register for an operator that conserves both spin counts.
-    Molecular Hamiltonians conserve both and, with integrals that respect
-    ``orbsym``, the irrep, so a block is exact rather than a projection."""
-    counts = range(h.n_qubits // 2 + 1)
-    blocks = [sector_indices(h, s, orbsym) for s in
-              ([sector] if sector else [SpinSector(a, b) for a in counts for b in counts])]
-    return dense_ground(blocks, lambda keep: sector_operator(h.terms, keep)) + h.offset
+    dense ``eigvalsh``. Molecular Hamiltonians conserve both spin counts
+    and, with integrals that respect ``orbsym``, the irrep, so a block is
+    exact rather than a projection."""
+    return (dense_ground(sector_indices(h, sector, orbsym),
+                         lambda keep: sector_operator(h.terms, keep)) + h.offset)

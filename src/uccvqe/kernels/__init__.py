@@ -1,7 +1,8 @@
 """Vectorized numpy statevector kernels for gate-level simulation.
 
 Index convention: qubit 0 is the most significant bit of the amplitude
-index, so qubit q strides by 2**(n-1-q).
+index, so on n qubits qubit q strides by 2**(n-1-q). The kernels take no
+register size: the state's length fixes it.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ def backend() -> str:
     return "python"
 
 
-def apply_1q(state: np.ndarray, n: int, q: int, m00, m01, m10, m11) -> None:
+def apply_1q(state: np.ndarray, q: int, m00, m01, m10, m11) -> None:
     """In-place single-qubit gate with matrix [[m00, m01], [m10, m11]].
 
     A Hadamard-type matrix (m00 = m01 = m10 = -m11 = s) runs as a butterfly:
@@ -33,7 +34,7 @@ def apply_1q(state: np.ndarray, n: int, q: int, m00, m01, m10, m11) -> None:
     view[:, 1, :] = m10 * a0 + m11 * a1
 
 
-def apply_phase(state: np.ndarray, n: int, q: int, p0, p1) -> None:
+def apply_phase(state: np.ndarray, q: int, p0, p1) -> None:
     """In-place diagonal gate diag(p0, p1) on qubit q; with p0 = 1 (S, SDG)
     only the |1> half is multiplied."""
     a0, a1, order = _halves(state, q)
@@ -55,7 +56,7 @@ def _halves(state: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, str]:
     return view[:, 0], view[:, 1], "K"
 
 
-def apply_cnot(state: np.ndarray, n: int, control: int, target: int) -> None:
+def apply_cnot(state: np.ndarray, control: int, target: int) -> None:
     """In-place CNOT: swaps the control-1 halves of the target."""
     if control < target:
         view = state.reshape(1 << control, 2, 1 << (target - control - 1), 2, -1)
@@ -97,7 +98,7 @@ def parity_sums(idx: np.ndarray, z_bits: np.ndarray, coeffs: np.ndarray) -> np.n
     return out
 
 
-def pauli_expectation(state: np.ndarray, n: int, x_bits: int, z_bits: int) -> complex:
+def pauli_expectation(state: np.ndarray, x_bits: int, z_bits: int) -> complex:
     """<psi| P |psi> for the phaseless word P = prod X^x Z^z with Y = 'XZ'.
 
     ``x_bits``/``z_bits`` are in amplitude-index bit convention. The caller
@@ -108,7 +109,7 @@ def pauli_expectation(state: np.ndarray, n: int, x_bits: int, z_bits: int) -> co
     return complex(np.sum(np.conj(flipped) * state * parity_signs(idx, z_bits)))
 
 
-def apply_pauli_sum(vec: np.ndarray, n: int, table: list[tuple[int, int, complex]]) -> np.ndarray:
+def apply_pauli_sum(vec: np.ndarray, table: list[tuple[int, int, complex]]) -> np.ndarray:
     """Matrix-vector product with a Pauli sum given as (x_bits, z_bits, coeff)
     rows, coeff already including the i**nY factor."""
     idx = np.arange(vec.size, dtype=np.uint64)

@@ -60,9 +60,6 @@ class QubitMapping:
     def qubit_of(self, spin_orbital: int) -> int:
         return self.perm[spin_orbital]
 
-    def spin_orbital_of(self, qubit: int) -> int:
-        return self.perm.index(qubit)
-
     def alpha_qubits(self) -> tuple[int, ...]:
         return self.perm[: self.n_spatial]
 
@@ -74,11 +71,6 @@ class QubitMapping:
 
     def beta_qubit(self, spatial: int) -> int:
         return self.perm[self.n_spatial + spatial]
-
-    def is_block_structured(self) -> bool:
-        n = self.n_spatial
-        return all(self.perm[n + k] == self.perm[k] + n for k in range(n))
-
 
 def _spin_orbital_table(excs: Sequence, n_qubits: int) -> tuple[np.ndarray, int]:
     """Each excitation's spin orbitals as one row of an (excitations x 4)

@@ -11,7 +11,7 @@ word reads left to right in qubit order ("XZIY" puts X on qubit 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,8 +22,7 @@ _BIT_AXES = {bits: axis for axis, bits in _AXIS_BITS.items()}
 
 
 # i**k for k = 0..3: the phase of a word product (same values as 1j**k)
-_I_POWERS = tuple(1j**k for k in range(4))
-_I_POWERS_ARRAY = np.array(_I_POWERS)
+_I_POWERS_ARRAY = np.array([1j**k for k in range(4)])
 
 
 def _axis_of(x: int, z: int) -> str:
@@ -46,15 +45,15 @@ def mask_bits(masks, n: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
 
 
-def _product_phase(x1: int, z1: int, x2: int, z2: int) -> complex:
-    """i**k with w1 w2 = i**k w3, from recanonicalizing Y = iXZ on every qubit."""
-    k = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
-        + 2 * (z1 & x2).bit_count()
-    ) % 4
-    return _I_POWERS[k]
+def word_masks(n: int, x_masks: Sequence[int],
+               z_masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convert the qubit-indexed Pauli masks of many words to amplitude-index
+    masks in one pass over their bit planes; returns uint64 (x_bits, z_bits)
+    and the int64 Y count of each word. Qubit q is bit q of a word mask and
+    bit n - 1 - q of an index mask."""
+    weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    xs, zs = mask_bits(x_masks, n), mask_bits(z_masks, n)
+    return xs @ weights, zs @ weights, (xs & zs).sum(axis=1, dtype=np.int64)
 
 
 def _pruned(terms: dict) -> dict:
@@ -104,26 +103,12 @@ class PauliWord:
     def is_identity(self) -> bool:
         return not (self.x_mask | self.z_mask)
 
-    def __mul__(self, other: "PauliWord") -> "PauliWord":
-        if self.n != other.n:
-            raise PauliError("qubit counts differ")
-        phase = _product_phase(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
-        return PauliWord(self.n, self.x_mask ^ other.x_mask, self.z_mask ^ other.z_mask,
-                         self.coefficient * other.coefficient * phase)
-
-    def commutes_with(self, other: "PauliWord") -> bool:
-        anti = (self.x_mask & other.z_mask).bit_count() + (self.z_mask & other.x_mask).bit_count()
-        return anti % 2 == 0
-
     def qubitwise_commutes_with(self, other: "PauliWord") -> bool:
         """True when on every qubit the axes agree or at least one is I."""
         s1 = self.x_mask | self.z_mask
         s2 = other.x_mask | other.z_mask
         both = s1 & s2
         return (self.x_mask ^ other.x_mask) & both == 0 and (self.z_mask ^ other.z_mask) & both == 0
-
-    def conjugate(self) -> "PauliWord":
-        return PauliWord(self.n, self.x_mask, self.z_mask, self.coefficient.conjugate())
 
     def __str__(self) -> str:
         c = self.coefficient
@@ -172,10 +157,6 @@ class PauliSum:
         """``((x_mask, z_mask), coefficient)`` pairs in ``words`` order."""
         return iter(sorted(self._terms.items()))
 
-    def coefficient(self, axes: str) -> complex:
-        w = PauliWord.from_axes(axes)
-        return self._terms.get((w.x_mask, w.z_mask), 0.0 + 0j)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -196,22 +177,6 @@ class PauliSum:
         out = PauliSum(self.n)
         out._terms = {k: c * scalar for k, c in self._terms.items()}
         out.prune()
-        return out
-
-    def product(self, other: "PauliSum") -> "PauliSum":
-        if self.n != other.n:
-            raise PauliError("qubit counts differ")
-        right = sorted(other._terms.items())
-        out: dict[tuple[int, int], complex] = {}
-        for (x1, z1), c1 in sorted(self._terms.items()):
-            for (x2, z2), c2 in right:
-                key = (x1 ^ x2, z1 ^ z2)
-                out[key] = out.get(key, 0j) + c1 * c2 * _product_phase(x1, z1, x2, z2)
-        return PauliSum.from_masks(self.n, out)
-
-    def adjoint(self) -> "PauliSum":
-        out = PauliSum(self.n)
-        out._terms = {k: c.conjugate() for k, c in self._terms.items()}
         return out
 
     def is_hermitian(self, tol: float = COEFF_EPS) -> bool:
@@ -265,20 +230,21 @@ def jw_images(modes, daggers, coefficients, n: int):
     term's coefficient times one ladder's two words at a time, pruned after
     each ladder (``tests/oracles.py`` keeps it as
     ``jw_transform_by_products``). This is the one Jordan-Wigner engine:
-    ``jw_transform``, ``jw_ladder``, the Hamiltonian and the excitation
-    generators all call it.
+    ``jw_transform``, the Hamiltonian and the excitation generators all
+    call it.
 
     Closed form (Seeley, Richard & Love, J. Chem. Phys. 137, 224109
     (2012)): ladder j contributes its X word or, on path bit b_j = 1, its Y
     word, so each of the 2^L paths gives X = xor of 2^m_j, Z = xor of
     (2^m_j - 1) | b_j 2^m_j and the coefficient c 2^-L i^k with
     k = 2 sum_j bit_m_j(Z_<j) + 2 sum_{j undaggered} b_j - popcount(X & Z),
-    ``_product_phase`` telescoped along the chain (Z_<j: the Z mask of the
-    ladders before j). Every factor is +-1/2 or +-i/2 and the paths onto
-    one key agree or cancel, so the sums are exact and each image has one
-    magnitude, |c| / 2^(distinct modes), which no intermediate image of the
-    chain undercuts: the prune keeps an image whole or drops it, as the
-    chain does.
+    the phase of each word product (Y = iXZ recanonicalized on every qubit)
+    telescoped along the chain (Z_<j: the Z mask of the ladders before j).
+    Every factor is +-1/2 or +-i/2 and the paths onto one key agree or
+    cancel, so the sums are exact and each image has one magnitude,
+    |c| / 2^(distinct modes), which no intermediate image of the chain
+    undercuts: the prune keeps an image whole or drops it, as the chain
+    does.
     """
     if n > MASK_QUBIT_LIMIT:
         raise PauliError(f"{n} qubits exceed the {MASK_QUBIT_LIMIT}-bit Pauli masks")
@@ -327,15 +293,6 @@ def jw_transform(term: FermionTerm, n: int) -> PauliSum:
     _, x, z, c = jw_images([[p for p, _ in term.ops]], [dag for _, dag in term.ops],
                            [term.coefficient], n)
     return PauliSum.from_masks(n, dict(zip(zip(x.tolist(), z.tolist()), (c + 0j).tolist())))
-
-
-def jw_ladder(p: int, dagger: bool, n: int) -> PauliSum:
-    """Jordan-Wigner image of a single ladder operator on mode p of n.
-
-    a_p^dag -> Z x ... x Z x (X - iY)/2 x I x ... (Z on modes < p); the
-    un-daggered operator flips the sign of the Y part.
-    """
-    return jw_transform(FermionTerm(((p, dagger),)), n)
 
 
 def excitation_generators(excs, mapping) -> list[PauliSum]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .circuit import Circuit
-from .pauli import mask_bits
+from .pauli import word_masks
 
 MAX_QUBITS = 24
 
@@ -51,34 +51,6 @@ class Statevector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    @classmethod
-    def from_bitstring(cls, bits: str) -> "Statevector":
-        n = len(bits)
-        _check_cap(n)
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        amps[int(bits, 2)] = 1.0
-        return cls(n, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
-
-
-def word_masks(n: int, x_masks: Sequence[int],
-               z_masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert the qubit-indexed Pauli masks of many words to amplitude-index
-    masks in one pass over their bit planes; returns uint64 (x_bits, z_bits)
-    and the int64 Y count of each word. Qubit q is bit q of a word mask and
-    bit n - 1 - q of an index mask."""
-    weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
-    xs, zs = mask_bits(x_masks, n), mask_bits(z_masks, n)
-    return xs @ weights, zs @ weights, (xs & zs).sum(axis=1, dtype=np.int64)
-
 
 def apply_circuit(state: Statevector, circuit: Circuit,
                   params: Optional[dict[str, float]] = None) -> Statevector:
@@ -90,19 +62,19 @@ def apply_circuit(state: Statevector, circuit: Circuit,
     n = state.n_qubits
     for g in circuit.gates:
         if g.kind == "CNOT":
-            kernels.apply_cnot(amps, n, g.qubits[0], g.qubits[1])
+            kernels.apply_cnot(amps, g.qubits[0], g.qubits[1])
         elif g.kind == "X":
-            kernels.apply_1q(amps, n, g.qubits[0], 0.0, 1.0, 1.0, 0.0)
+            kernels.apply_1q(amps, g.qubits[0], 0.0, 1.0, 1.0, 0.0)
         elif g.kind == "H":
-            kernels.apply_1q(amps, n, g.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
+            kernels.apply_1q(amps, g.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
         elif g.kind == "S":
-            kernels.apply_phase(amps, n, g.qubits[0], 1.0, 1.0j)
+            kernels.apply_phase(amps, g.qubits[0], 1.0, 1.0j)
         elif g.kind == "SDG":
-            kernels.apply_phase(amps, n, g.qubits[0], 1.0, -1.0j)
+            kernels.apply_phase(amps, g.qubits[0], 1.0, -1.0j)
         elif g.kind == "RZ":
             theta = g.resolve_angle(params)
             kernels.apply_phase(
-                amps, n, g.qubits[0],
+                amps, g.qubits[0],
                 complex(math.cos(theta / 2), -math.sin(theta / 2)),
                 complex(math.cos(theta / 2), math.sin(theta / 2)),
             )
@@ -120,7 +92,7 @@ def expectation(state: Statevector, hamiltonian) -> float:
     words = list(hamiltonian.terms.words())
     xbs, zbs, nys = word_masks(n, [w.x_mask for w in words], [w.z_mask for w in words])
     for w, xb, zb, ny in zip(words, xbs.tolist(), zbs.tolist(), nys.tolist()):
-        acc += w.coefficient * (1j**ny) * kernels.pauli_expectation(state.amplitudes, n, xb, zb)
+        acc += w.coefficient * (1j**ny) * kernels.pauli_expectation(state.amplitudes, xb, zb)
     if abs(acc.imag) > 1e-10:
         raise SimulationError(f"expectation has imaginary residue {acc.imag:.3e}")
     return float(acc.real)
@@ -470,9 +442,9 @@ def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
     amps = state.amplitudes.copy()
     for q, axis in enumerate(group.basis):
         if axis == "Y":
-            kernels.apply_phase(amps, n, q, 1.0, -1.0j)  # Sdg
+            kernels.apply_phase(amps, q, 1.0, -1.0j)  # Sdg
         if axis in ("X", "Y"):
-            kernels.apply_1q(amps, n, q, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)  # H
+            kernels.apply_1q(amps, q, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)  # H
     probs = np.abs(amps) ** 2
     draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
     return Histogram.from_outcomes(n, np.flatnonzero(draws), draws[draws > 0],
@@ -514,9 +486,11 @@ def group_outcomes(groups: Sequence, histograms: Sequence[Histogram]) -> list[
 
 
 def group_estimate(values: np.ndarray, weights: np.ndarray, group_id: int) -> tuple[float, float]:
-    """One group's share of ``estimate_energy``: the mean of its per-shot
+    """One group's share of the energy estimate: the mean of its per-shot
     totals, and their sample variance over the shot count (0.0 for a single
-    shot), which is what the group adds to the variance of the estimate."""
+    shot), which is what the group adds to the variance of the estimate.
+    All member words are read off the same shots, so their covariance
+    enters through the per-shot totals."""
     shots = weights.sum()
     if shots <= 0:
         raise SimulationError(f"group {group_id} has no shots")
@@ -528,7 +502,7 @@ def group_estimate(values: np.ndarray, weights: np.ndarray, group_id: int) -> tu
 
 def summed_estimate(estimates, offset: float = 0.0) -> tuple[float, float]:
     """Energy and standard error from each group's ``group_estimate``, added
-    in group order."""
+    in group order: groups are sampled independently, so their variances add."""
     energy = float(offset)
     variance = 0.0
     for mean, var in estimates:
@@ -537,19 +511,9 @@ def summed_estimate(estimates, offset: float = 0.0) -> tuple[float, float]:
     return energy, math.sqrt(variance)
 
 
-def estimate_energy(samples, offset: float = 0.0) -> tuple[float, float]:
-    """Energy estimate and standard error from (values, counts, group id) per group.
-
-    Within a group all member words are read off the same shots, so their
-    covariance enters through the per-shot group totals; groups are sampled
-    independently and their variances add.
-    """
-    return summed_estimate((group_estimate(*sample) for sample in samples), offset)
-
-
 def energy_from_histograms(groups: Sequence, histograms: Sequence[Histogram],
                            offset: float = 0.0) -> tuple[float, float]:
     """Energy estimate and standard error from one histogram per group."""
     valued = group_outcomes(groups, histograms)
-    return estimate_energy(((values, weights, hist.group_id)
+    return summed_estimate((group_estimate(values, weights, hist.group_id)
                             for (_, values, weights), hist in zip(valued, histograms)), offset)

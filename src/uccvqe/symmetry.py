@@ -17,10 +17,6 @@ class SymmetryError(ValueError):
     pass
 
 
-# Molpro D2h ordering; subgroups use a prefix of the same code space.
-D2H_LABELS = ("Ag", "B3u", "B2u", "B1g", "B1u", "B2g", "B3g", "Au")
-
-
 @dataclass(frozen=True)
 class Irrep:
     """One irreducible representation, stored by its 1-based ORBSYM label."""
@@ -39,20 +35,8 @@ class Irrep:
     def code(self) -> int:
         return self.label - 1
 
-    @property
-    def name(self) -> str:
-        return D2H_LABELS[self.code]
-
-    def is_totally_symmetric(self) -> bool:
-        return self.code == 0
-
 
 TOTALLY_SYMMETRIC = Irrep(1)
-
-
-def irrep_product(a: Irrep, b: Irrep) -> Irrep:
-    """Group product of two irreps (XOR of codes)."""
-    return Irrep((a.code ^ b.code) + 1)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ from .hamio import (
 )
 from .mapping import QubitMapping
 from .pauli import excitation_generators
-from .sim import Histogram, Statevector, apply_circuit, estimate_energy, group_outcomes, sample_group
+from .sim import (Histogram, Statevector, apply_circuit, group_estimate, group_outcomes,
+                  sample_group, summed_estimate)
 from .symmetry import SpinSector
 
 
@@ -119,7 +120,7 @@ class SectorAnsatz:
     def ground_energy(self) -> float:
         """The lowest eigenvalue of H on the block, plus the offset, as
         ``hamio.exact_ground_energy`` gives it on the same block."""
-        return dense_ground([self.basis], lambda _: self.hamiltonian) + self.offset
+        return dense_ground(self.basis, lambda _: self.hamiltonian) + self.offset
 
 
 def _check_registers(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping) -> None:
@@ -202,7 +203,6 @@ def optimize(
 class SampledEvaluation:
     groups: list
     histograms: list[Histogram]
-    shots_per_group: list[int]
     valued: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # group_outcomes per group
     offset: float
 
@@ -211,7 +211,7 @@ class SampledEvaluation:
         """Energy and standard error over every group, made on first use;
         ``uccvqe vqe`` reads its raw energy from ``mitigate.run_policies``
         and never needs this one."""
-        return estimate_energy(((values, weights, g.index)
+        return summed_estimate((group_estimate(values, weights, g.index)
                                 for g, (_, values, weights) in zip(self.groups, self.valued)),
                                self.offset)
 
@@ -232,6 +232,9 @@ def group_seed(base_seed: int, group_index: int) -> int:
 def shot_budget(shots: int, n_groups: int, shot_mode: str) -> list[int]:
     """Shots per group: 'per-group' spends ``shots`` on each group; 'total'
     splits ``shots`` as evenly as possible, the first groups taking one more."""
+    if n_groups <= 0:
+        raise VqeError("the Hamiltonian has no measurement group: it holds no "
+                       "non-identity Pauli word")
     if shot_mode == "per-group":
         return [shots] * n_groups
     if shot_mode != "total":
@@ -264,8 +267,6 @@ def evaluate_sampled(
     _check_registers(h, spec, mapping)
     if groups is None:
         groups = qwc_group(h)
-    if not groups:
-        raise VqeError("Hamiltonian has no measurable terms")
     budget = shot_budget(shots, len(groups), shot_mode)
     if circuit is None:
         circuit = build_ansatz_circuit(spec, mapping)
@@ -276,5 +277,4 @@ def evaluate_sampled(
         sample_group(state, grp, budget[i], group_seed(seed, i))
         for i, grp in enumerate(groups)
     ]
-    return SampledEvaluation(groups, histograms, budget, group_outcomes(groups, histograms),
-                             h.offset)
+    return SampledEvaluation(groups, histograms, group_outcomes(groups, histograms), h.offset)

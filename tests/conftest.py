@@ -10,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from uccvqe.ansatz import ActiveSpace, enumerate_excitations
 from uccvqe.hamio import ActiveSelection, MolecularIntegrals, build_qubit_hamiltonian, parse_fcidump
 from uccvqe.mapping import QubitMapping
+from uccvqe.pauli import PauliSum, PauliWord
+from uccvqe.sim import Statevector
 from uccvqe.symmetry import OrbitalSymmetry
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -86,6 +88,19 @@ def random_integrals(n: int, n_electrons: int, rng) -> MolecularIntegrals:
 
 def random_block_mapping(n: int, rng) -> QubitMapping:
     return QubitMapping.from_spatial_order(tuple(int(p) for p in rng.permutation(n)))
+
+
+def coefficient(terms: PauliSum, axes: str) -> complex:
+    """The coefficient of the word ``axes`` in ``terms`` (0 when absent)."""
+    w = PauliWord.from_axes(axes)
+    return dict(terms.items()).get((w.x_mask, w.z_mask), 0j)
+
+
+def basis_state(bits: str) -> Statevector:
+    """The computational basis state |bits> (qubit 0 leftmost)."""
+    amps = np.zeros(1 << len(bits), dtype=np.complex128)
+    amps[int(bits, 2)] = 1.0
+    return Statevector(len(bits), amps)
 
 
 def closed_shell_reference(ints: MolecularIntegrals) -> float:

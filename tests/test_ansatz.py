@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import sum_matrix
-from uccvqe.ansatz import ActiveSpace, AnsatzError, enumerate_excitations, hf_occupation
+from uccvqe.ansatz import ActiveSpace, AnsatzError, enumerate_excitations
+from uccvqe.hamio import QubitHamiltonian
 from uccvqe.mapping import QubitMapping
-from uccvqe.pauli import antihermitian_generator
+from uccvqe.pauli import PauliSum, antihermitian_generator
 from uccvqe.symmetry import OrbitalSymmetry
 
 
@@ -21,7 +22,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n_elec,n_orb", [(2, 2), (2, 4), (4, 4), (4, 6), (6, 6)])
     def test_unscreened_counts_match_combinatorics(self, n_elec, n_orb):
         space = ActiveSpace(n_elec, n_orb)
-        o, v = space.n_occupied, space.n_virtual
+        o = space.n_occupied
+        v = space.n_orbitals - o
         spec = enumerate_excitations("uccsd", space)
         paired, unpaired, singles = class_counts(spec)
         ab_total = sum(
@@ -89,6 +91,13 @@ class TestEnumeration:
     def test_unknown_variant(self):
         with pytest.raises(AnsatzError):
             enumerate_excitations("ccsd(t)", ActiveSpace(2, 2))
+
+
+def hf_occupation(space: ActiveSpace) -> str:
+    """The Hartree-Fock determinant of ``space`` under the identity mapping,
+    where the spin orbitals (alpha block first) are the qubits."""
+    return QubitHamiltonian(space.n_qubits, PauliSum(space.n_qubits), 0.0,
+                            QubitMapping.identity(space.n_orbitals), space).hf_bitstring()
 
 
 class TestHfOccupation:

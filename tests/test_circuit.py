@@ -26,7 +26,6 @@ from uccvqe.circuit import (
     rewrite_cx_h_cx,
     synth_double_excitation,
     synth_paired_excitation,
-    synth_pauli_rotation,
     synth_single_excitation,
     synth_spatial_to_spin,
 )
@@ -100,18 +99,26 @@ class TestGateAndCircuit:
         assert c.parameters == ("b", "a")
 
 
+def pauli_rotation(axes, angle):
+    """The gadget chain of the one rotation exp(-i angle/2 P), P given as
+    an axes string."""
+    from uccvqe.circuit import _gadget_chain
+
+    return _op_circuit(len(axes), _gadget_chain(_mask_terms([(axes, angle)])))
+
+
 class TestPauliRotation:
     def test_single_z_is_bare_rz(self):
-        c = synth_pauli_rotation("Z", 0.7)
+        c = pauli_rotation("Z", 0.7)
         assert len(c.gates) == 1 and c.gates[0].kind == "RZ"
         assert count_2qge(c) == 0
 
     def test_four_qubit_word_needs_six_cnots(self):
-        assert count_2qge(synth_pauli_rotation("XXXY", 0.3)) == 6
+        assert count_2qge(pauli_rotation("XXXY", 0.3)) == 6
 
     def test_empty_support_rejected(self):
         with pytest.raises(CircuitError):
-            synth_pauli_rotation("II", 0.1)
+            pauli_rotation("II", 0.1)
 
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(23)
@@ -121,7 +128,7 @@ class TestPauliRotation:
             if set(axes) == {"I"}:
                 continue
             theta = float(rng.normal())
-            got = circuit_unitary(synth_pauli_rotation(axes, theta))
+            got = circuit_unitary(pauli_rotation(axes, theta))
             want = exp_generator(_as_sum(axes, -0.5j), theta)
             ok, dev = equal_up_to_phase(got, want, 1e-10)
             assert ok, (axes, dev)
@@ -163,7 +170,7 @@ class TestDoubleExcitation:
         mapping = QubitMapping.identity(4)
         merged = count_2qge(synth_double_excitation(exc, mapping, "t"))
         standalone = sum(
-            count_2qge(synth_pauli_rotation(w.axes, 1.0))
+            count_2qge(pauli_rotation(w.axes, 1.0))
             for w in antihermitian_generator(exc, mapping).words()
         )
         assert merged == 13
@@ -604,7 +611,7 @@ class TestSynthesisOnMasks:
             axes = "".join(rng.choice(list("IXYZ"), size=n))
             if set(axes) == {"I"}:
                 continue
-            assert synth_pauli_rotation(axes, 0.5).gates == tuple(
+            assert pauli_rotation(axes, 0.5).gates == tuple(
                 gadget_chain_on_axes([(axes, 0.5)]))
 
 

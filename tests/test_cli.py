@@ -300,6 +300,40 @@ class TestHartreeFockCheck:
         assert capsys.readouterr().err == f"uccvqe: error: {message}\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", [["vqe", "--shot-mode", "total"],
+                                         ["vqe", "--shot-mode", "per-group"],
+                                         ["sweep", "--shot-list", "300,600"]])
+    def test_no_measurable_word_refused_up_front(self, command, tmp_path, capsys, monkeypatch):
+        import uccvqe.cli as cli_module
+
+        def no_optimize(*args, **kwargs):
+            raise AssertionError("optimized before refusing the Hamiltonian")
+
+        monkeypatch.setattr(cli_module, "optimize", no_optimize)
+        path = core_energy_fcidump(tmp_path)
+        code = run(command[:1] + ["--fcidump", str(path), "--electrons", "2",
+                                  "--out", str(tmp_path / "out")] + command[1:])
+        assert code == 1
+        assert capsys.readouterr().err == (f"uccvqe: error: {path}: the Hamiltonian holds no "
+                                           "non-identity Pauli word, so there is nothing to "
+                                           "sample\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_synth_counts_no_group_without_a_measurable_word(self, tmp_path):
+        path = core_energy_fcidump(tmp_path)
+        assert run(["synth", "--fcidump", str(path), "--electrons", "2",
+                    "--out", str(tmp_path)]) == 0
+        report = load_report(tmp_path / "report.json")
+        assert (report["qwc_group_count"], report["pauli_term_count"]) == (0, 0)
+
+
+def core_energy_fcidump(tmp_path):
+    """An FCIDUMP whose one record is the core energy: its Hamiltonian is a
+    constant, with no Pauli word to measure."""
+    path = tmp_path / "core.fcidump"
+    path.write_text(" &FCI NORB=2,NELEC=2,MS2=0,\n &END\n 1.5 0 0 0 0\n")
+    return path
+
 
 class TestVqe:
     def test_full_run_report(self, h2_path, tmp_path):
@@ -908,6 +942,28 @@ class TestReportSchema:
         data["config"] = []
         with pytest.raises(CliError, match="missing keys"):
             validate_report(data)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("orbitals", ["a"], "list of int"),
+        ("orbitals", 0, "list of int"),
+        ("map_seed", 1.5, "int"),
+        ("map_seed", True, "int"),
+        ("sample_seed", None, "int"),
+        ("variant", 3, "str"),
+        ("symmetry", 1, "bool"),
+    ])
+    def test_config_value_types_checked(self, key, value, kind, h2_path, tmp_path, capsys):
+        run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "200",
+             "--out", str(tmp_path)])
+        path = tmp_path / "report.json"
+        data = json.loads(path.read_text())
+        data["config"][key] = value
+        path.write_text(json.dumps(data))
+        code = run(["mitigate", "--report", str(path), "--histograms", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"uccvqe: error: {path}: report config: {key} is {json.dumps(value)}, "
+            f"which does not hold a {kind}\n")
 
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(CliError, match="schema"):

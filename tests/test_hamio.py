@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_block_mapping, random_integrals
+from conftest import basis_state, coefficient, random_block_mapping, random_integrals
 from oracles import (
     build_qubit_hamiltonian_by_chains,
     dense_matrix,
@@ -248,11 +248,11 @@ class TestBuild:
         assert np.allclose(got, want, atol=1e-10)
 
     def test_hf_expectation_equals_mean_field(self, h2_ints, h2_hamiltonian):
-        from uccvqe.sim import Statevector, expectation
+        from uccvqe.sim import expectation
 
         core, h_eff, g_act, _ = restrict_to_active(h2_ints, ActiveSelection.full(h2_ints))
         want = rhf_energy(core, h_eff, g_act, 1)
-        state = Statevector.from_bitstring(h2_hamiltonian.hf_bitstring())
+        state = basis_state(h2_hamiltonian.hf_bitstring())
         assert expectation(state, h2_hamiltonian) == pytest.approx(want, abs=1e-10)
         assert want == pytest.approx(H2_RHF, abs=1e-9)
 
@@ -431,7 +431,7 @@ class TestClosedFormAssembly:
             mapping = random_block_mapping(3, rng)
             hq = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
             for spins in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                assert hq.terms.coefficient(self.number_pair_word(mapping, 1, 2, spins)) != 0
+                assert coefficient(hq.terms, self.number_pair_word(mapping, 1, 2, spins)) != 0
             self.assert_matches(ints, ActiveSelection.full(ints), mapping)
 
     @pytest.mark.parametrize("residue, kept", [(0.0, False), (3e-13, False), (1e-11, True)])
@@ -445,7 +445,7 @@ class TestClosedFormAssembly:
         hq = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
         words = [self.number_pair_word(mapping, 1, 2, spins)
                  for spins in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        assert [hq.terms.coefficient(w) != 0 for w in words] == [kept] * 4
+        assert [coefficient(hq.terms, w) != 0 for w in words] == [kept] * 4
         self.assert_matches(ints, ActiveSelection.full(ints), mapping)
 
     def test_asymmetric_one_body_refused_as_the_chains_refuse(self):
@@ -596,16 +596,20 @@ def _wrap(terms: PauliSum):
 
 class TestExactGroundEnergy:
     def test_h2_reference_energy(self, h2_hamiltonian):
-        assert exact_ground_energy(h2_hamiltonian) == pytest.approx(H2_FCI, abs=1e-9)
+        assert exact_ground_energy(h2_hamiltonian, SpinSector(1, 1)) == pytest.approx(H2_FCI,
+                                                                                      abs=1e-9)
 
     def test_sector_restriction_matches_full(self, h2_hamiltonian):
-        full = exact_ground_energy(h2_hamiltonian)
+        # H2's ground state lies in its (1, 1) sector: the block gives the
+        # lowest eigenvalue of the whole register
+        full = np.linalg.eigvalsh(dense_matrix(h2_hamiltonian))[0]
         sector = exact_ground_energy(h2_hamiltonian, SpinSector(1, 1))
         assert sector == pytest.approx(full, abs=1e-9)
 
     def test_variational_bound(self, h2_ints, h2_hamiltonian):
         core, h_eff, g_act, _ = restrict_to_active(h2_ints, ActiveSelection.full(h2_ints))
-        assert exact_ground_energy(h2_hamiltonian) <= rhf_energy(core, h_eff, g_act, 1)
+        assert (exact_ground_energy(h2_hamiltonian, SpinSector(1, 1))
+                <= rhf_energy(core, h_eff, g_act, 1))
 
     def test_dimension_cap(self):
         # the (4,4) sector of 8 spatial orbitals holds C(8,4)^2 = 4900 determinants
@@ -615,8 +619,8 @@ class TestExactGroundEnergy:
             exact_ground_energy(h, SpinSector(4, 4))
 
     def test_iterative_path_matches_dense(self, h2_hamiltonian):
-        # a 12-qubit padded copy: with no sector every spin-sector block is
-        # solved, and H2's two electrons sit in the (2, 0) block of this mapping
+        # a 12-qubit padded copy: H2's two electrons sit in the (2, 0) block
+        # of this mapping
         from uccvqe.hamio import QubitHamiltonian
 
         n = 12
@@ -625,4 +629,4 @@ class TestExactGroundEnergy:
             padded_terms.add_word(PauliWord(n, w.x_mask, w.z_mask, w.coefficient))
         padded = QubitHamiltonian(n, padded_terms, h2_hamiltonian.offset,
                                   QubitMapping.identity(6), ActiveSpace(2, 6))
-        assert exact_ground_energy(padded) == pytest.approx(H2_FCI, abs=1e-7)
+        assert exact_ground_energy(padded, SpinSector(2, 0)) == pytest.approx(H2_FCI, abs=1e-7)

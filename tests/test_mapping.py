@@ -21,13 +21,11 @@ class TestQubitMapping:
         assert m.perm == (0, 1, 2, 3, 4, 5)
         assert m.alpha_qubits() == (0, 1, 2)
         assert m.beta_qubits() == (3, 4, 5)
-        assert m.is_block_structured()
 
     def test_from_spatial_order(self):
         m = QubitMapping.from_spatial_order([2, 0, 1])
         assert m.qubit_of(0) == 2 and m.qubit_of(3) == 5
-        assert m.spin_orbital_of(2) == 0
-        assert m.is_block_structured()
+        assert m.perm == (2, 0, 1, 5, 3, 4)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(MappingError):
@@ -119,7 +117,7 @@ class TestGreedyMap:
                     for i, j, a, b in rng.integers(0, 4, size=(4, 4))]
             m = greedy_map(excs, 8, seed=trial, restarts=4)
             assert sorted(m.perm) == list(range(8))
-            assert m.is_block_structured()
+            assert m.beta_qubits() == tuple(q + 4 for q in m.alpha_qubits())
 
     def test_more_restarts_never_hurt(self):
         excs = [ab_double(0, 1, 2, 3), ab_double(1, 0, 3, 2), ab_double(0, 0, 3, 3)]

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_block_mapping
+from conftest import coefficient, random_block_mapping
 from oracles import (
     antihermitian_generator_by_chains,
     fermion_matrix,
     jw_transform_by_products,
-    product_by_words,
     sum_matrix,
-    word_matrix,
 )
 from uccvqe.ansatz import VARIANTS, ActiveSpace, Excitation, enumerate_excitations
 from uccvqe.mapping import QubitMapping
@@ -25,7 +23,6 @@ from uccvqe.pauli import (
     axes_rank,
     excitation_generators,
     jw_images,
-    jw_ladder,
     jw_transform,
     mask_bits,
 )
@@ -42,11 +39,9 @@ def masks(s: PauliSum) -> dict:
     return {(w.x_mask, w.z_mask): w.coefficient for w in s.words()}
 
 
-def random_word(rng, n):
-    return PauliWord.from_axes(
-        "".join(rng.choice(list("IXYZ")) for _ in range(n)),
-        complex(rng.normal(), rng.normal()),
-    )
+def ladder(p: int, dagger: bool, n: int) -> PauliSum:
+    """Jordan-Wigner image of the single ladder operator on mode p of n."""
+    return jw_transform(FermionTerm(((p, dagger),)), n)
 
 
 class TestPauliWord:
@@ -59,21 +54,6 @@ class TestPauliWord:
     def test_invalid_axis_rejected(self):
         with pytest.raises(PauliError):
             PauliWord.from_axes("XQ")
-
-    def test_product_matches_dense(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(1, 5))
-            a, b = random_word(rng, n), random_word(rng, n)
-            assert np.allclose(word_matrix(a * b), word_matrix(a) @ word_matrix(b), atol=1e-12)
-
-    def test_commutation_matches_dense(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            n = int(rng.integers(1, 5))
-            a, b = random_word(rng, n), random_word(rng, n)
-            ma, mb = word_matrix(a), word_matrix(b)
-            assert a.commutes_with(b) == np.allclose(ma @ mb, mb @ ma, atol=1e-12)
 
     def test_qubitwise_commutation(self):
         w = PauliWord.from_axes("XIZ")
@@ -148,30 +128,30 @@ class TestPauliSum:
 
 class TestJordanWigner:
     def test_ladder_single_mode(self):
-        s = jw_ladder(0, True, 1)
-        assert s.coefficient("X") == pytest.approx(0.5)
-        assert s.coefficient("Y") == pytest.approx(-0.5j)
+        s = ladder(0, True, 1)
+        assert coefficient(s, "X") == pytest.approx(0.5)
+        assert coefficient(s, "Y") == pytest.approx(-0.5j)
 
     def test_ladder_with_z_prefix(self):
-        s = jw_ladder(1, False, 2)
-        assert s.coefficient("ZX") == pytest.approx(0.5)
-        assert s.coefficient("ZY") == pytest.approx(0.5j)
+        s = ladder(1, False, 2)
+        assert coefficient(s, "ZX") == pytest.approx(0.5)
+        assert coefficient(s, "ZY") == pytest.approx(0.5j)
 
     def test_ladder_coefficient_magnitudes(self):
         for p, dag, n in [(0, True, 3), (2, False, 4), (3, True, 5)]:
-            words = list(jw_ladder(p, dag, n).words())
+            words = list(ladder(p, dag, n).words())
             assert len(words) == 2
             assert all(abs(abs(w.coefficient) - 0.5) < 1e-15 for w in words)
 
     def test_ladder_index_out_of_range(self):
         with pytest.raises(PauliError):
-            jw_ladder(3, True, 3)
+            ladder(3, True, 3)
 
     def test_registers_past_the_masks_refused(self):
         n = MASK_QUBIT_LIMIT + 1
         match = f"{n} qubits exceed the {MASK_QUBIT_LIMIT}-bit Pauli masks"
         with pytest.raises(PauliError, match=match):
-            jw_ladder(0, True, n)
+            ladder(0, True, n)
         with pytest.raises(PauliError, match=match):
             jw_transform(FermionTerm(((1, True), (0, False))), n)
 
@@ -184,10 +164,10 @@ class TestJordanWigner:
 
     def test_single_excitation_image(self):
         s = jw_transform(FermionTerm(((1, True), (0, False))), 2)
-        assert s.coefficient("XX") == pytest.approx(0.25)
-        assert s.coefficient("YY") == pytest.approx(0.25)
-        assert s.coefficient("YX") == pytest.approx(0.25j)
-        assert s.coefficient("XY") == pytest.approx(-0.25j)
+        assert coefficient(s, "XX") == pytest.approx(0.25)
+        assert coefficient(s, "YY") == pytest.approx(0.25)
+        assert coefficient(s, "YX") == pytest.approx(0.25j)
+        assert coefficient(s, "XY") == pytest.approx(-0.25j)
 
     def test_long_range_excitation_carries_z_chain(self):
         s = jw_transform(FermionTerm(((3, True), (0, False))), 4)
@@ -208,14 +188,14 @@ class TestJordanWigner:
 
     def test_number_operator_from_ladder_product(self):
         for p, n in [(0, 2), (2, 4)]:
-            prod = jw_ladder(p, True, n).product(jw_ladder(p, False, n))
+            prod = sum_matrix(ladder(p, True, n)) @ sum_matrix(ladder(p, False, n))
             term = FermionTerm(((p, True), (p, False)))
-            assert np.allclose(sum_matrix(prod), fermion_matrix(term, n), atol=1e-14)
+            assert np.allclose(prod, fermion_matrix(term, n), atol=1e-14)
 
 
 class TestProductChainOracle:
-    """``jw_transform`` and ``jw_ladder`` must give the coefficients of the
-    word-by-word product chain exactly, signed zeros included."""
+    """``jw_transform`` must give the coefficients of the word-by-word
+    product chain exactly, signed zeros included."""
 
     @staticmethod
     def random_terms(seed, count, scale=1.0):
@@ -241,7 +221,7 @@ class TestProductChainOracle:
             for p in {0, n // 2, n - 1}:
                 for dagger in (True, False):
                     want = jw_transform_by_products(FermionTerm(((p, dagger),)), n)
-                    assert exact_terms(masks(jw_ladder(p, dagger, n))) == exact_terms(want)
+                    assert exact_terms(masks(ladder(p, dagger, n))) == exact_terms(want)
 
     @pytest.mark.parametrize("ops", [
         ((1, True), (1, True)),                               # a+_p a+_p = 0
@@ -274,14 +254,6 @@ class TestProductChainOracle:
                 jw_transform(FermionTerm(ops, coeff), 4)
             with pytest.raises(PauliError):
                 jw_transform_by_products(FermionTerm(ops, coeff), 4)
-
-    def test_sum_product_matches_word_products(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            n = int(rng.integers(1, 5))
-            a = PauliSum(n, [random_word(rng, n) for _ in range(int(rng.integers(0, 6)))])
-            b = PauliSum(n, [random_word(rng, n) for _ in range(int(rng.integers(0, 6)))])
-            assert exact_terms(masks(a.product(b))) == exact_terms(product_by_words(a, b))
 
 
 class TestBatchedImages:
@@ -383,8 +355,10 @@ class TestGenerators:
             Excitation("double", "aa", (0, 1), (2, 3), 0),
             Excitation("single", "aa", (0,), (3,), 0),
         ]:
-            words = list(antihermitian_generator(exc, mapping).words())
-            assert all(a.commutes_with(b) for a in words for b in words)
+            # two words commute when their symplectic product is even
+            keys = [key for key, _ in antihermitian_generator(exc, mapping).items()]
+            assert all(((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
+                       for x1, z1 in keys for x2, z2 in keys)
 
 
 class TestBatchedGenerators:

@@ -15,33 +15,41 @@ from uccvqe.symmetry import (
     SymmetryError,
     excitation_allowed,
     in_symmetry_block,
-    irrep_product,
 )
 
 
+def allowed(labels) -> bool:
+    """Whether screening keeps the double (0, 1 -> 2, 3) on four orbitals
+    labelled ``labels``, which it does exactly when their product is Ag."""
+    return excitation_allowed(Excitation("double", "ab", (0, 1), (2, 3), 0),
+                              OrbitalSymmetry.from_labels(labels))
+
+
 class TestIrrepProduct:
+    """The irrep product as screening applies it, through ``allowed``."""
+
     def test_identity_element(self):
-        ag = Irrep(1)
         for label in range(1, 9):
-            assert irrep_product(ag, Irrep(label)).label == label
+            for other in range(1, 9):
+                assert allowed((1, label, other, 1)) == (label == other)
 
     def test_against_character_table(self):
-        for a in range(1, 9):
-            for b in range(1, 9):
-                got = irrep_product(Irrep(a), Irrep(b)).label
-                assert got == d2h_product_label(a, b), (a, b)
+        for a, b, c in itertools.product(range(1, 9), repeat=3):
+            assert allowed((a, b, c, 1)) == (c == d2h_product_label(a, b)), (a, b, c)
 
     def test_named_products(self):
-        b2g, b3g, b1u, au = Irrep(6), Irrep(7), Irrep(5), Irrep(8)
-        assert irrep_product(b2g, b3g).name == "B1g"
-        assert irrep_product(au, b1u).name == "B1g"
+        ag, b1g, b1u, b2g, b3g, au = 1, 4, 5, 6, 7, 8
+        assert [c for c in range(1, 9) if allowed((b2g, b3g, c, ag))] == [b1g]
+        assert [c for c in range(1, 9) if allowed((au, b1u, c, ag))] == [b1g]
 
     def test_group_axioms(self):
-        items = [Irrep(l) for l in range(1, 9)]
-        for a, b, c in itertools.product(items, repeat=3):
-            assert irrep_product(irrep_product(a, b), c) == irrep_product(a, irrep_product(b, c))
-        for a in items:
-            assert irrep_product(a, a).is_totally_symmetric()
+        # each irrep is its own inverse; order and grouping do not matter
+        for a, b in itertools.product(range(1, 9), repeat=2):
+            assert allowed((a, a, b, b))
+        for labels in itertools.product(range(1, 9), repeat=3):
+            fourth = [d for d in range(1, 9) if allowed((*labels, d))]
+            assert len(fourth) == 1
+            assert all(allowed(p) for p in itertools.permutations((*labels, *fourth)))
 
     def test_label_out_of_range(self):
         with pytest.raises(SymmetryError, match="D2h"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import closed_shell_reference, make_closed_shell_2o
+from conftest import basis_state, closed_shell_reference, make_closed_shell_2o
 from oracles import exp_generator
 from uccvqe.ansatz import ActiveSpace, enumerate_excitations
 from uccvqe.circuit import build_ansatz_circuit
@@ -11,7 +11,7 @@ from uccvqe.mapping import QubitMapping, greedy_map
 from uccvqe.pauli import PauliSum, PauliWord, antihermitian_generator
 from uccvqe.sim import Statevector, apply_circuit, energy_from_histograms, expectation, group_outcomes
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
-from uccvqe.vqe import OptimizeConfig, VqeError, evaluate_sampled, optimize
+from uccvqe.vqe import OptimizeConfig, VqeError, evaluate_sampled, optimize, shot_budget
 
 H2_FCI = -1.137265554375321
 
@@ -47,7 +47,7 @@ class TestOptimize:
     def test_energy_at_zero_equals_hartree_fock(self, h2_hamiltonian, h2_spec):
         res = optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
                        config=OptimizeConfig(max_iterations=0))
-        state = Statevector.from_bitstring(h2_hamiltonian.hf_bitstring())
+        state = basis_state(h2_hamiltonian.hf_bitstring())
         assert res.trace[0][1] == pytest.approx(expectation(state, h2_hamiltonian), abs=1e-12)
 
     def test_wrong_parameter_count(self, h2_hamiltonian, h2_spec):
@@ -150,13 +150,19 @@ class TestEvaluateSampled:
     def test_total_shot_mode_splits_budget(self, h2_hamiltonian, h2_spec):
         ev = evaluate_sampled(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
                               np.zeros(1), 1001, seed=1, shot_mode="total")
-        assert sum(ev.shots_per_group) == 1001
-        assert max(ev.shots_per_group) - min(ev.shots_per_group) <= 1
+        shots = [hist.shots for hist in ev.histograms]
+        assert sum(shots) == 1001
+        assert max(shots) - min(shots) <= 1
 
     def test_unknown_shot_mode(self, h2_hamiltonian, h2_spec):
         with pytest.raises(VqeError):
             evaluate_sampled(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
                              np.zeros(1), 100, seed=0, shot_mode="bogus")
+
+    @pytest.mark.parametrize("shot_mode", ["per-group", "total"])
+    def test_no_group_to_spend_shots_on(self, shot_mode):
+        with pytest.raises(VqeError, match="no measurement group"):
+            shot_budget(600, 0, shot_mode)
 
     def test_register_mismatch_rejected(self, h2_hamiltonian, h2_spec):
         with pytest.raises(VqeError, match="register sizes differ"):

@@ -26,10 +26,10 @@ from .hamio import (
 )
 from .mapping import QubitMapping, greedy_map, mapping_cost
 from .mitigate import MitigationReport, PostSelectionPolicy, mitigated_energy, postselect
-from .pauli import FermionTerm, PauliSum, PauliWord, antihermitian_generator, jw_transform
+from .pauli import FermionTerm, PauliSum, PauliWord, antihermitian_generator
 from .sim import Histogram, Statevector, apply_circuit, energy_from_histograms, expectation, sample_group
 from .symmetry import Irrep, OrbitalSymmetry, SpinSector, excitation_allowed
-from .vqe import OptimizeConfig, VqeResult, evaluate_sampled, optimize
+from .vqe import VqeResult, evaluate_sampled, optimize
 
 __version__ = "0.1.0"
 

@@ -14,6 +14,7 @@ from typing import Optional
 from .symmetry import OrbitalSymmetry, excitation_allowed
 
 VARIANTS = ("upccd", "uccdab", "uccd", "uccsd")
+DEFAULT_VARIANT = VARIANTS[1]  # uccdab
 
 
 class AnsatzError(ValueError):
@@ -105,6 +106,11 @@ class Excitation:
     def sort_key(self) -> tuple:
         return (self.occ, self.virt, self.spin_pattern)
 
+    @property
+    def param_name(self) -> str:
+        """The circuit's name for this excitation's parameter."""
+        return f"t{self.param_id}"
+
     def with_param(self, param_id: int) -> "Excitation":
         return Excitation(self.kind, self.spin_pattern, self.occ, self.virt, param_id)
 
@@ -133,7 +139,13 @@ class AnsatzSpec:
         return len(self.excitations)
 
     def parameter_names(self) -> tuple[str, ...]:
-        return tuple(f"t{e.param_id}" for e in self.excitations)
+        return tuple(e.param_name for e in self.excitations)
+
+    def build_order(self) -> tuple[list[int], list[int]]:
+        """The excitation indices in the order the circuit and the sector
+        state apply them: the paired ones, then the unpaired ones."""
+        paired = [k for k, e in enumerate(self.excitations) if e.paired]
+        return paired, [k for k, e in enumerate(self.excitations) if not e.paired]
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +202,6 @@ def enumerate_excitations(
     symmetric are dropped and the spec keeps the table; parameter ids are
     assigned after screening.
     """
-    variant = variant.lower()
     if variant not in VARIANTS:
         raise AnsatzError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if sym is not None and len(sym) != active_space.n_orbitals:
@@ -200,13 +211,14 @@ def enumerate_excitations(
     occ = range(active_space.n_occupied)
     virt = range(active_space.n_occupied, active_space.n_orbitals)
 
+    level = VARIANTS.index(variant)
     classes = [list(_paired_doubles(occ, virt))]
-    if variant in ("uccdab", "uccd", "uccsd"):
+    if level >= 1:
         classes.append(list(_unpaired_ab_doubles(occ, virt)))
-    if variant in ("uccd", "uccsd"):
+    if level >= 2:
         classes.append(list(_same_spin_doubles(occ, virt, "aa")))
         classes.append(list(_same_spin_doubles(occ, virt, "bb")))
-    if variant == "uccsd":
+    if level >= 3:
         classes.append(list(_singles(occ, virt, "aa")))
         classes.append(list(_singles(occ, virt, "bb")))
 

@@ -106,14 +106,6 @@ class Circuit:
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "CNOT")
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.n_qubits != other.n_qubits:
-            raise CircuitError("register sizes differ")
-        return Circuit(self.n_qubits, self.gates + other.gates)
-
     def to_text(self) -> str:
         lines = [f"QUBITS {self.n_qubits}"]
         lines.extend(g.to_line() for g in self.gates)
@@ -384,10 +376,6 @@ def _rotation_terms(generator: PauliSum, param: str) -> list[tuple[int, int, Ang
     return terms
 
 
-def _param_name(exc: Excitation) -> str:
-    return f"t{exc.param_id}"
-
-
 def _generator_chain(exc: Excitation, generator: PauliSum, param: str) -> list[Op]:
     """Uncancelled gadget chain of an unpaired excitation with generator
     ``generator``: the two rotations of a single in axes order, or the eight
@@ -413,22 +401,18 @@ def _excitation_chain(exc: Excitation, mapping: QubitMapping, param: str) -> lis
     return _generator_chain(exc, antihermitian_generator(exc, mapping), param)
 
 
-def synth_double_excitation(exc: Excitation, mapping: QubitMapping,
-                            param: Optional[str] = None) -> Circuit:
+def synth_double_excitation(exc: Excitation, mapping: QubitMapping, param: str) -> Circuit:
     """Merged 8-rotation chain for an unpaired double excitation."""
     if exc.kind != "double" or exc.paired:
         raise CircuitError("expected an unpaired double excitation")
-    return _cancelled_circuit(mapping.n_qubits,
-                              _excitation_chain(exc, mapping, param or _param_name(exc)))
+    return _cancelled_circuit(mapping.n_qubits, _excitation_chain(exc, mapping, param))
 
 
-def synth_single_excitation(exc: Excitation, mapping: QubitMapping,
-                            param: Optional[str] = None) -> Circuit:
+def synth_single_excitation(exc: Excitation, mapping: QubitMapping, param: str) -> Circuit:
     """Two-rotation chain for a single excitation."""
     if exc.kind != "single":
         raise CircuitError("expected a single excitation")
-    return _cancelled_circuit(mapping.n_qubits,
-                              _excitation_chain(exc, mapping, param or _param_name(exc)))
+    return _cancelled_circuit(mapping.n_qubits, _excitation_chain(exc, mapping, param))
 
 
 def _paired_ops(exc: Excitation, mapping: QubitMapping, param: str) -> list[Op]:
@@ -462,7 +446,7 @@ def synth_paired_excitation(exc: Excitation, mapping: QubitMapping,
     """
     if not exc.paired:
         raise CircuitError("expected a paired double excitation")
-    return Circuit(mapping.n_qubits, _gates(_paired_ops(exc, mapping, param or _param_name(exc))))
+    return Circuit(mapping.n_qubits, _gates(_paired_ops(exc, mapping, param or exc.param_name)))
 
 
 def _fan_out_ops(mapping: QubitMapping, orbitals: Sequence[int]) -> list[Op]:
@@ -495,12 +479,11 @@ def build_ansatz_circuit(spec: AnsatzSpec, mapping: QubitMapping) -> Circuit:
                            "uint64 Pauli masks of the excitation generators hold")
     ops: list[Op] = [("X", (mapping.alpha_qubit(k),), None)
                      for k in range(spec.active_space.n_occupied)]
-    paired = [exc for exc in spec.excitations if exc.paired]
+    paired, unpaired = ([spec.excitations[k] for k in part] for part in spec.build_order())
     for exc in paired:
-        ops += _paired_ops(exc, mapping, _param_name(exc))
+        ops += _paired_ops(exc, mapping, exc.param_name)
     filled = set(range(spec.active_space.n_occupied)).union(exc.virt[0] for exc in paired)
     ops += _fan_out_ops(mapping, sorted(filled))
-    unpaired = [exc for exc in spec.excitations if not exc.paired]
     for exc, generator in zip(unpaired, excitation_generators(unpaired, mapping)):
-        ops += _generator_chain(exc, generator, _param_name(exc))
+        ops += _generator_chain(exc, generator, exc.param_name)
     return _cancelled_circuit(mapping.n_qubits, ops)

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
-from .ansatz import enumerate_excitations
+from .ansatz import DEFAULT_VARIANT, VARIANTS, enumerate_excitations
 from .circuit import build_ansatz_circuit, count_2qge
 from .hamio import (
     ActiveSelection,
@@ -29,11 +29,12 @@ from .hamio import (
     rhf_energy,
 )
 from .mapping import QubitMapping, greedy_map, mapping_cost
-from .mitigate import run_policies
+from .mitigate import ALL, NONE, POLICIES, run_policies, selected_kinds
 from .sim import (MAX_QUBITS, Histogram, Section, SimulationError, format_sections,
                   group_outcomes, parse_sections, prepared_basis_state)
 from .symmetry import OrbitalSymmetry, SpinSector
-from .vqe import VqeError, evaluate_sampled, group_seed, optimize, shot_budget
+from .vqe import (PER_GROUP, SHOT_MODES, VqeError, _evaluate_shot_counts, evaluate_sampled,
+                  group_seed, optimize, shot_budget)
 
 SCHEMA_VERSION = 1
 # one file per vqe run holds the histograms of every measurement group
@@ -49,7 +50,9 @@ _REPORT_KEYS = {
     "standard_errors_hartree", "retained_shots", "sweep", "timings_seconds",
 }
 _ENERGY_KEYS = {"hf", "variational", "exact_ground", "sampled_raw",
-                "sampled_particle", "sampled_spin"}
+                *(f"sampled_{kind}" for kind in selected_kinds(ALL))}
+# config values with the allowed values of the module that acts on them
+_CONFIG_CHOICES = {"variant": VARIANTS, "shot_mode": SHOT_MODES, "policy": POLICIES}
 
 
 class CliError(ValueError):
@@ -61,14 +64,14 @@ class RunConfig:
     fcidump: str
     n_electrons: int
     orbitals: tuple[int, ...]
-    variant: str = "uccdab"
+    variant: str = DEFAULT_VARIANT
     symmetry: bool = True
     map_seed: int = 0
     map_restarts: int = 32
     shots: int = 6000
-    shot_mode: str = "per-group"
+    shot_mode: str = PER_GROUP
     sample_seed: int = 0
-    policy: str = "all"
+    policy: str = ALL
     out_dir: str = "."
 
     def to_dict(self) -> dict:
@@ -87,6 +90,9 @@ def validate_report(data: dict) -> dict:
     unknown = set(data) - _REPORT_KEYS
     if unknown:
         raise CliError(f"unknown report fields: {sorted(unknown)}")
+    missing = _REPORT_KEYS - {"sweep"} - set(data)  # only a sweep writes "sweep"
+    if missing:
+        raise CliError(f"missing report fields: {sorted(missing)}")
     config = data.get("config")
     keys = set(config) if isinstance(config, dict) else set()
     want = set(RunConfig("", 0, ()).to_dict())
@@ -97,8 +103,15 @@ def validate_report(data: dict) -> dict:
         if key in config and not _holds(config[key], hint):
             raise CliError(f"report config: {key} is {json.dumps(config[key])}, "
                            f"which does not hold a {_type_name(hint)}")
-    energies = data.get("energies_hartree", {})
-    bad = set(energies) - _ENERGY_KEYS
+    for key, allowed in _CONFIG_CHOICES.items():
+        if config[key] not in allowed:
+            raise CliError(f"report config: {key} is {json.dumps(config[key])}, "
+                           f"not one of {list(allowed)}")
+    for block in ("energies_hartree", "standard_errors_hartree", "retained_shots"):
+        values = data[block]
+        if not (isinstance(values, dict) and all(type(v) in (int, float) for v in values.values())):
+            raise CliError(f"report {block} is {json.dumps(values)}, not an object of numbers")
+    bad = set(data["energies_hartree"]) - _ENERGY_KEYS
     if bad:
         raise CliError(f"unknown energy fields: {sorted(bad)}")
     return data
@@ -254,14 +267,13 @@ class Pipeline:
 
     def post_select(self, report: dict, valued: Sequence, policy: str) -> None:
         """Write the raw energy, and the post-selected energies and retained
-        shots of the policy ('all', 'none' or one kind), into the report from
+        shots of the policy (``mitigate.POLICIES``), into the report from
         each group's ``group_outcomes``. The only writer of ``sampled_raw``."""
-        kinds = {"all": ("particle", "spin"), "none": ()}.get(policy, (policy,))
         mit = run_policies(self.groups, valued, self.sector, self.mapping,
-                           self.hamiltonian, kinds)
+                           self.hamiltonian, selected_kinds(policy))
         energies, errors = report["energies_hartree"], report["standard_errors_hartree"]
         energies["sampled_raw"], errors["sampled_raw"] = mit.raw.energy, mit.raw.standard_error
-        if kinds:
+        if mit.outcomes:
             report["retained_shots"]["z_basis_total"] = mit.total_z_shots
         for kind, outcome in mit.outcomes.items():
             energies[f"sampled_{kind}"] = outcome.energy
@@ -351,12 +363,9 @@ def cmd_sweep(cfg: RunConfig, shot_list: Sequence[int]) -> dict:
     pipe.require_shots(shot_list, "--shot-list")
     result = optimize(pipe.hamiltonian, pipe.spec, pipe.mapping)
     rows = []
-    for shots in shot_list:
-        sampled = evaluate_sampled(
-            pipe.hamiltonian, pipe.spec, pipe.mapping, result.params,
-            shots, cfg.sample_seed, cfg.shot_mode,
-            circuit=pipe.circuit, groups=pipe.groups,
-        )
+    for shots, sampled in zip(shot_list, _evaluate_shot_counts(
+            pipe.hamiltonian, pipe.spec, pipe.mapping, result.params, shot_list,
+            cfg.sample_seed, cfg.shot_mode, pipe.circuit, pipe.groups)):
         rows.append({"shots": shots, "energy": sampled.energy,
                      "standard_error": sampled.standard_error})
     report = pipe.counts_report("sweep")
@@ -513,7 +522,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fcidump", required=True, help="integrals file (FCIDUMP format)")
     p.add_argument("--electrons", type=int, required=True, help="active electron count")
     p.add_argument("--orbitals", default="", help="active spatial orbitals, e.g. 0,1,2,3 (default: all)")
-    p.add_argument("--variant", default=RunConfig.variant, choices=["upccd", "uccdab", "uccd", "uccsd"])
+    p.add_argument("--variant", default=RunConfig.variant, choices=VARIANTS)
     p.add_argument("--no-symmetry", action="store_true", help="disable point-group screening")
     p.add_argument("--map-seed", type=int, default=RunConfig.map_seed)
     p.add_argument("--map-restarts", type=int, default=RunConfig.map_restarts)
@@ -523,7 +532,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_sampling(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=int, default=RunConfig.shots)
-    p.add_argument("--shot-mode", default=RunConfig.shot_mode, choices=["per-group", "total"])
+    p.add_argument("--shot-mode", default=RunConfig.shot_mode, choices=SHOT_MODES)
     p.add_argument("--sample-seed", type=int, default=RunConfig.sample_seed)
 
 
@@ -556,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vqe = sub.add_parser("vqe", help="optimize, sample, and post-select")
     _add_common(p_vqe)
     _add_sampling(p_vqe)
-    p_vqe.add_argument("--policy", default=RunConfig.policy, choices=["none", "particle", "spin", "all"])
+    p_vqe.add_argument("--policy", default=RunConfig.policy, choices=POLICIES)
 
     p_sweep = sub.add_parser("sweep", help="standard error versus shot count")
     _add_common(p_sweep)
@@ -568,7 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mit.add_argument("--report", required=True, help="report.json of a previous vqe run")
     p_mit.add_argument("--histograms", required=True,
                        help=f"directory holding the {HISTOGRAM_FILE} of the vqe run")
-    p_mit.add_argument("--policy", default=RunConfig.policy, choices=["particle", "spin", "all"])
+    # 'none' would only repeat the raw estimate the vqe run wrote
+    p_mit.add_argument("--policy", default=RunConfig.policy,
+                       choices=[p for p in POLICIES if p != NONE])
     return parser
 
 

@@ -248,7 +248,7 @@ class QubitHamiltonian:
 def build_qubit_hamiltonian(
     ints: MolecularIntegrals,
     selection: ActiveSelection,
-    mapping: Optional[QubitMapping] = None,
+    mapping: QubitMapping,
 ) -> QubitHamiltonian:
     """Jordan-Wigner image of the active-space electronic Hamiltonian.
 
@@ -258,8 +258,6 @@ def build_qubit_hamiltonian(
     core, h_eff, g_act, _ = restrict_to_active(ints, selection)
     space = selection.active_space()
     n_act = space.n_orbitals
-    if mapping is None:
-        mapping = QubitMapping.identity(n_act)
     if mapping.n_qubits != 2 * n_act:
         raise HamiltonianError("mapping register does not fit the active space")
 

@@ -171,7 +171,7 @@ def _greedy_run(orbitals: Sequence[list[int]], group_of: Sequence[int],
     return [placed[o] if o in placed else free.pop(0) for o in range(n_spatial)]
 
 
-def greedy_map(excs: Sequence, n_qubits: int, seed: int = 0, restarts: int = 32) -> QubitMapping:
+def greedy_map(excs: Sequence, n_qubits: int, seed: int, restarts: int) -> QubitMapping:
     """Lowest-cost mapping over independent greedy runs plus the identity.
 
     Each run seeds from one shared PRNG stream, so a larger restart budget

@@ -8,7 +8,7 @@ through untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,16 @@ from .mapping import QubitMapping
 from .sim import Histogram, group_estimate, group_outcomes, summed_estimate
 from .symmetry import SpinSector, in_symmetry_block
 
-POLICIES = ("none", "particle", "spin")
+# a PostSelectionPolicy's kind; 'none' keeps every shot, the raw estimate
+KINDS = ("none", "particle", "spin")
+NONE, PARTICLE, SPIN = KINDS
+ALL = "all"  # a run's policy that post-selects by every kind but 'none'
+POLICIES = (*KINDS, ALL)  # the policies a run may ask for
+
+
+def selected_kinds(policy: str) -> tuple[str, ...]:
+    """The kinds but 'none' that a run's policy asks for, in report order."""
+    return tuple(k for k in KINDS[1:] if policy in (k, ALL))
 
 
 class MitigationError(ValueError):
@@ -30,17 +39,15 @@ class PostSelectionPolicy:
     sector: SpinSector
 
     def __post_init__(self):
-        if self.kind not in POLICIES:
-            raise MitigationError(f"unknown policy {self.kind!r}; expected one of {POLICIES}")
+        if self.kind not in KINDS:
+            raise MitigationError(f"unknown policy {self.kind!r}; expected one of {KINDS}")
 
-    def keeps(self, idx: np.ndarray, mapping: Optional[QubitMapping]) -> np.ndarray:
+    def keeps(self, idx: np.ndarray, mapping: QubitMapping) -> np.ndarray:
         """Which uint64 outcome indices (qubit 0 most significant) to keep."""
-        if self.kind == "particle":
+        if self.kind == PARTICLE:
             return np.bitwise_count(idx) == self.sector.n_electrons
-        if self.kind == "none":
+        if self.kind == NONE:
             return np.ones(len(idx), dtype=bool)
-        if mapping is None:
-            raise MitigationError("spin post-selection needs the qubit mapping")
         return in_symmetry_block(idx, mapping, self.sector)
 
     def discarded(self, group_id: int) -> MitigationError:
@@ -49,10 +56,9 @@ class PostSelectionPolicy:
                                f"({self.sector.n_alpha},{self.sector.n_beta}) sector")
 
 
-def postselect(hist: Histogram, policy: PostSelectionPolicy,
-               mapping: Optional[QubitMapping] = None) -> Histogram:
+def postselect(hist: Histogram, policy: PostSelectionPolicy, mapping: QubitMapping) -> Histogram:
     """Filter a computational-basis histogram by the policy's symmetry."""
-    if policy.kind == "spin" and mapping is not None and hist.n_qubits != mapping.n_qubits:
+    if policy.kind == SPIN and hist.n_qubits != mapping.n_qubits:
         raise MitigationError(f"group {hist.group_id}: bitstrings are not "
                               f"{mapping.n_qubits} bits long")
     keep = policy.keeps(hist.outcomes, mapping)
@@ -67,7 +73,7 @@ def mitigated_energy(
     groups: Sequence,
     histograms: Sequence[Histogram],
     policy: PostSelectionPolicy,
-    mapping: Optional[QubitMapping],
+    mapping: QubitMapping,
     h: QubitHamiltonian,
 ) -> tuple[float, float]:
     """Energy and standard error after post-selecting the Z-basis groups."""
@@ -100,7 +106,7 @@ def run_policies(
     sector: SpinSector,
     mapping: QubitMapping,
     h: QubitHamiltonian,
-    kinds: Sequence[str] = ("particle", "spin"),
+    kinds: Sequence[str],
 ) -> MitigationReport:
     """The raw estimate and each requested policy, with retained-shot
     accounting, over each group's ``group_outcomes``. A policy is a mask on
@@ -128,6 +134,6 @@ def run_policies(
             estimates[i] = group_estimate(values, weights, groups[i].index)
         return PolicyOutcome(*summed_estimate(estimates, h.offset), retained)
 
-    raw = outcome(PostSelectionPolicy("none", sector))
+    raw = outcome(PostSelectionPolicy(NONE, sector))
     return MitigationReport(raw.retained_shots, raw,
                             {kind: outcome(PostSelectionPolicy(kind, sector)) for kind in kinds})

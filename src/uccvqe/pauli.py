@@ -179,8 +179,8 @@ class PauliSum:
         out.prune()
         return out
 
-    def is_hermitian(self, tol: float = COEFF_EPS) -> bool:
-        return all(abs(c.imag) < tol for c in self._terms.values())
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) < COEFF_EPS for c in self._terms.values())
 
     def identity_part(self) -> complex:
         return self._terms.get((0, 0), 0.0 + 0j)
@@ -189,12 +189,6 @@ class PauliSum:
         out = PauliSum(self.n)
         out._terms = {k: c for k, c in self._terms.items() if k != (0, 0)}
         return out
-
-    def __str__(self) -> str:
-        return "\n".join(str(w) for w in self.words())
-
-    def __repr__(self) -> str:
-        return f"PauliSum(n={self.n}, terms={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -230,8 +224,7 @@ def jw_images(modes, daggers, coefficients, n: int):
     term's coefficient times one ladder's two words at a time, pruned after
     each ladder (``tests/oracles.py`` keeps it as
     ``jw_transform_by_products``). This is the one Jordan-Wigner engine:
-    ``jw_transform``, the Hamiltonian and the excitation generators all
-    call it.
+    the Hamiltonian and the excitation generators both call it.
 
     Closed form (Seeley, Richard & Love, J. Chem. Phys. 137, 224109
     (2012)): ladder j contributes its X word or, on path bit b_j = 1, its Y
@@ -286,15 +279,6 @@ def jw_images(modes, daggers, coefficients, n: int):
     return term, x[term], z[starts[keep]], coeff[keep]
 
 
-def jw_transform(term: FermionTerm, n: int) -> PauliSum:
-    """Jordan-Wigner image of an ordered ladder-operator product: one row of
-    ``jw_images``, each coefficient plus 0j as the chain starts from
-    0j + coefficient, so signed zeros match it too."""
-    _, x, z, c = jw_images([[p for p, _ in term.ops]], [dag for _, dag in term.ops],
-                           [term.coefficient], n)
-    return PauliSum.from_masks(n, dict(zip(zip(x.tolist(), z.tolist()), (c + 0j).tolist())))
-
-
 def excitation_generators(excs, mapping) -> list[PauliSum]:
     """Generators t - t^dag of cluster-operator excitations, unit amplitude,
     in the order of ``excs``.
@@ -306,7 +290,7 @@ def excitation_generators(excs, mapping) -> list[PauliSum]:
     ``jw_images`` call. The image of t^dag is the adjoint of t's, and every
     Pauli word is hermitian, so it has t's words with conjugated
     coefficients: each word of t - t^dag gets c + conj(c) * -1, the
-    coefficient of ``jw_transform(t) - jw_transform(t^dag)``. Coefficients
+    coefficient of t's image minus t^dag's. Coefficients
     are purely imaginary: 8 words for a double excitation, 2 for a single.
     """
     n = mapping.n_qubits

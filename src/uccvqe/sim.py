@@ -500,7 +500,7 @@ def group_estimate(values: np.ndarray, weights: np.ndarray, group_id: int) -> tu
     return mean, 0.0
 
 
-def summed_estimate(estimates, offset: float = 0.0) -> tuple[float, float]:
+def summed_estimate(estimates, offset: float) -> tuple[float, float]:
     """Energy and standard error from each group's ``group_estimate``, added
     in group order: groups are sampled independently, so their variances add."""
     energy = float(offset)
@@ -512,7 +512,7 @@ def summed_estimate(estimates, offset: float = 0.0) -> tuple[float, float]:
 
 
 def energy_from_histograms(groups: Sequence, histograms: Sequence[Histogram],
-                           offset: float = 0.0) -> tuple[float, float]:
+                           offset: float) -> tuple[float, float]:
     """Energy estimate and standard error from one histogram per group."""
     valued = group_outcomes(groups, histograms)
     return summed_estimate((group_estimate(values, weights, hist.group_id)

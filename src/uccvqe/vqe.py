@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,11 +49,12 @@ class VqeError(ValueError):
     pass
 
 
-@dataclass
-class OptimizeConfig:
-    energy_tol: float = 1e-9
-    grad_tol: float = 1e-6
-    max_iterations: int = 500
+ENERGY_TOL = 1e-9
+GRAD_TOL = 1e-6
+MAX_ITERATIONS = 500
+
+SHOT_MODES = ("per-group", "total")
+PER_GROUP, TOTAL = SHOT_MODES
 
 
 @dataclass
@@ -88,8 +89,8 @@ class SectorAnsatz:
         self.basis = sector_indices(h, SpinSector(n_occ, n_occ), spec.orbsym)
         self.reference = np.zeros(len(self.basis))
         self.reference[np.searchsorted(self.basis, int(h.hf_bitstring(), 2))] = 1.0
-        order = [k for k, e in enumerate(spec.excitations) if e.paired]
-        order += [k for k, e in enumerate(spec.excitations) if not e.paired]
+        paired, unpaired = spec.build_order()
+        order = paired + unpaired
         generators = excitation_generators(spec.excitations, h.mapping)
         *restricted, self.hamiltonian = sector_operators([*(generators[k] for k in order),
                                                           h.terms], self.basis)
@@ -136,22 +137,13 @@ def _check_registers(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMappin
                        f"{getattr(h.mapping, 'perm', None)}, not the mapping passed, {mapping.perm}")
 
 
-def optimize(
-    h: QubitHamiltonian,
-    spec: AnsatzSpec,
-    mapping: QubitMapping,
-    init: Optional[Sequence[float]] = None,
-    config: Optional[OptimizeConfig] = None,
-) -> VqeResult:
+def optimize(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping) -> VqeResult:
     """Minimize the ansatz energy from a Hartree-Fock start (all zeros)."""
     if not h.terms.is_hermitian():
         raise VqeError("Hamiltonian is not hermitian")
     _check_registers(h, spec, mapping)
-    cfg = config or OptimizeConfig()
     m = spec.parameter_count
-    x = np.zeros(m) if init is None else np.asarray(init, dtype=float).copy()
-    if x.shape != (m,):
-        raise VqeError(f"expected {m} parameters, got {x.shape}")
+    x = np.zeros(m)
 
     ansatz = SectorAnsatz(h, spec)
     f0, g = ansatz.energy_and_gradient(x)
@@ -162,8 +154,8 @@ def optimize(
 
     binv = np.eye(m)
     converged = False
-    for _ in range(cfg.max_iterations):
-        if np.max(np.abs(g)) < cfg.grad_tol:
+    for _ in range(MAX_ITERATIONS):
+        if np.max(np.abs(g)) < GRAD_TOL:
             converged = True
             break
         d = -binv @ g
@@ -193,7 +185,7 @@ def optimize(
         delta = f0 - f_new
         x, f0, g = x_new, f_new, g_new
         trace.append((x.copy(), f0))
-        if delta < cfg.energy_tol and np.max(np.abs(g)) < cfg.grad_tol:
+        if delta < ENERGY_TOL and np.max(np.abs(g)) < GRAD_TOL:
             converged = True
             break
     return VqeResult(x, f0, trace, evals, converged, ansatz)
@@ -230,14 +222,14 @@ def group_seed(base_seed: int, group_index: int) -> int:
 
 
 def shot_budget(shots: int, n_groups: int, shot_mode: str) -> list[int]:
-    """Shots per group: 'per-group' spends ``shots`` on each group; 'total'
+    """Shots per group: PER_GROUP spends ``shots`` on each group; TOTAL
     splits ``shots`` as evenly as possible, the first groups taking one more."""
     if n_groups <= 0:
         raise VqeError("the Hamiltonian has no measurement group: it holds no "
                        "non-identity Pauli word")
-    if shot_mode == "per-group":
+    if shot_mode == PER_GROUP:
         return [shots] * n_groups
-    if shot_mode != "total":
+    if shot_mode != TOTAL:
         raise VqeError(f"unknown shot mode {shot_mode!r}")
     base, extra = divmod(shots, n_groups)
     if base == 0:
@@ -252,7 +244,7 @@ def evaluate_sampled(
     params: Sequence[float],
     shots: int,
     seed: int,
-    shot_mode: str = "per-group",
+    shot_mode: str = PER_GROUP,
     *,
     circuit: Optional[Circuit] = None,
     groups: Optional[list[MeasurementGroup]] = None,
@@ -264,17 +256,27 @@ def evaluate_sampled(
     a caller that holds them already passes them in. Each histogram is
     valued once, into ``valued``, which post-selection filters.
     """
+    return next(_evaluate_shot_counts(h, spec, mapping, params, [shots], seed, shot_mode,
+                                      circuit, groups))
+
+
+def _evaluate_shot_counts(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping,
+                          params: Sequence[float], shot_list: Sequence[int], seed: int,
+                          shot_mode: str, circuit: Optional[Circuit],
+                          groups: Optional[list[MeasurementGroup]]
+                          ) -> Iterator[SampledEvaluation]:
+    """``evaluate_sampled`` at each shot count of ``shot_list`` in turn, all
+    sampled from one prepared state: the circuit runs once, after every
+    shot count has been checked."""
     _check_registers(h, spec, mapping)
     if groups is None:
         groups = qwc_group(h)
-    budget = shot_budget(shots, len(groups), shot_mode)
+    budgets = [shot_budget(shots, len(groups), shot_mode) for shots in shot_list]
     if circuit is None:
         circuit = build_ansatz_circuit(spec, mapping)
     binding = dict(zip(spec.parameter_names(), map(float, params)))
     state = apply_circuit(Statevector.zero(mapping.n_qubits), circuit, binding)
-
-    histograms = [
-        sample_group(state, grp, budget[i], group_seed(seed, i))
-        for i, grp in enumerate(groups)
-    ]
-    return SampledEvaluation(groups, histograms, group_outcomes(groups, histograms), h.offset)
+    for budget in budgets:
+        histograms = [sample_group(state, grp, budget[i], group_seed(seed, i))
+                      for i, grp in enumerate(groups)]
+        yield SampledEvaluation(groups, histograms, group_outcomes(groups, histograms), h.offset)

@@ -293,7 +293,8 @@ class TestPairedExcitation:
         exc = Excitation("double", "ab", (0, 0), (2, 2), 0)
         theta = float(rng.normal())
         prep = Circuit(6, [Gate("X", (mapping.alpha_qubit(0),))])
-        circ = prep + synth_paired_excitation(exc, mapping, "t") + synth_spatial_to_spin(mapping, space)
+        circ = Circuit(6, prep.gates + synth_paired_excitation(exc, mapping, "t").gates
+                       + synth_spatial_to_spin(mapping, space).gates)
         state = apply_circuit(Statevector.zero(6), circ, {"t": theta})
         hf = np.zeros(1 << 6, dtype=complex)
         hf[int("100100", 2)] = 1.0
@@ -314,7 +315,7 @@ class TestSpatialToSpin:
     def test_copies_alpha_register(self):
         mapping = QubitMapping.identity(4)
         prep = Circuit(8, [Gate("X", (0,)), Gate("X", (1,))])
-        circ = prep + synth_spatial_to_spin(mapping, ActiveSpace(4, 4))
+        circ = Circuit(8, prep.gates + synth_spatial_to_spin(mapping, ActiveSpace(4, 4)).gates)
         state = apply_circuit(Statevector.zero(8), circ)
         assert abs(state.amplitudes[int("11001100", 2)] - 1.0) < 1e-12
 
@@ -534,7 +535,7 @@ class TestOneCnotInterface:
             unpaired = [exc for exc in spec.excitations if not exc.paired]
             for exc, block in zip(unpaired, blocks, strict=True):
                 synth = synth_double_excitation if exc.kind == "double" else synth_single_excitation
-                assert synth(exc, mapping).gates == block.gates, exc
+                assert synth(exc, mapping, f"t{exc.param_id}").gates == block.gates, exc
             checked += len(blocks)
         assert checked > 500
 

@@ -589,6 +589,25 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "shots" in out and "600" in out
 
+    def test_prepares_the_state_once(self, h2_path, tmp_path, monkeypatch):
+        apply, calls = vqe.apply_circuit, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(vqe, "apply_circuit", counting)
+        code = run(["sweep", "--fcidump", h2_path, "--electrons", "2",
+                    "--shot-list", "100,200,400,800", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 1
+        pipe = Pipeline(RunConfig(h2_path, 2, ()))
+        params = vqe.optimize(pipe.hamiltonian, pipe.spec, pipe.mapping).params
+        for row in load_report(tmp_path / "report.json")["sweep"]:
+            ev = vqe.evaluate_sampled(pipe.hamiltonian, pipe.spec, pipe.mapping, params,
+                                      row["shots"], 0)
+            assert (row["energy"], row["standard_error"]) == (ev.energy, ev.standard_error)
+
     def test_empty_shot_list_is_usage_error(self, h2_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--fcidump", h2_path, "--electrons", "2",
@@ -964,6 +983,36 @@ class TestReportSchema:
         assert capsys.readouterr().err == (
             f"uccvqe: error: {path}: report config: {key} is {json.dumps(value)}, "
             f"which does not hold a {kind}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(energies_hartree=[]),
+         "report energies_hartree is [], not an object of numbers"),
+        (lambda d: d.update(retained_shots=[]),
+         "report retained_shots is [], not an object of numbers"),
+        (lambda d: d.update(standard_errors_hartree={"sampled_raw": "0.1"}),
+         'report standard_errors_hartree is {"sampled_raw": "0.1"}, not an object of numbers'),
+        (lambda d: d.update(retained_shots={"z_basis_total": 200, "spin": True}),
+         'report retained_shots is {"z_basis_total": 200, "spin": true}, not an object of numbers'),
+        (lambda d: d.pop("energies_hartree"),
+         "missing report fields: ['energies_hartree']"),
+        (lambda d: d["config"].update(variant="foo"),
+         "report config: variant is \"foo\", not one of ['upccd', 'uccdab', 'uccd', 'uccsd']"),
+        (lambda d: d["config"].update(shot_mode="foo"),
+         "report config: shot_mode is \"foo\", not one of ['per-group', 'total']"),
+        (lambda d: d["config"].update(policy="foo"),
+         "report config: policy is \"foo\", not one of ['none', 'particle', 'spin', 'all']"),
+    ], ids=["energies-list", "retained-list", "error-string", "retained-bool", "no-energies",
+            "variant", "shot-mode", "policy"])
+    def test_report_values_checked(self, edit, message, h2_path, tmp_path, capsys):
+        run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "200",
+             "--out", str(tmp_path)])
+        path = tmp_path / "report.json"
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        code = run(["mitigate", "--report", str(path), "--histograms", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"uccvqe: error: {path}: {message}\n"
 
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(CliError, match="schema"):

@@ -467,7 +467,7 @@ class TestClosedFormAssembly:
         ints = MolecularIntegrals(n, 2, 0, 0.0, np.eye(n), np.zeros((n, n, n, n)),
                                   OrbitalSymmetry.all_symmetric(n))
         with pytest.raises(HamiltonianError, match="66 qubits exceed the 64"):
-            build_qubit_hamiltonian(ints, ActiveSelection.full(ints))
+            build_qubit_hamiltonian(ints, ActiveSelection.full(ints), QubitMapping.identity(n))
 
 
 class TestSpinSectorIndices:

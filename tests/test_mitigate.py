@@ -26,6 +26,7 @@ from uccvqe.symmetry import SpinSector, in_symmetry_block
 from uccvqe.vqe import evaluate_sampled, optimize
 
 SECTOR = SpinSector(1, 1)
+H2_MAPPING = QubitMapping.identity(2)
 
 
 def contaminate(hist: Histogram, fraction: float, n: int, rng) -> Histogram:
@@ -48,12 +49,12 @@ def contaminate(hist: Histogram, fraction: float, n: int, rng) -> Histogram:
 class TestPostselect:
     def test_none_policy_is_identity(self):
         hist = Histogram({"0011": 50, "0111": 30}, 80, 0, 0)
-        out = postselect(hist, PostSelectionPolicy("none", SECTOR))
+        out = postselect(hist, PostSelectionPolicy("none", SECTOR), H2_MAPPING)
         assert out.counts == hist.counts
 
     def test_particle_filter_keeps_correct_totals(self):
         hist = Histogram({"0011": 50, "0111": 30, "1100": 20}, 100, 0, 0)
-        out = postselect(hist, PostSelectionPolicy("particle", SpinSector(1, 1)))
+        out = postselect(hist, PostSelectionPolicy("particle", SpinSector(1, 1)), H2_MAPPING)
         assert out.counts == {"0011": 50, "1100": 20}
         assert out.shots == 70
 
@@ -61,7 +62,7 @@ class TestPostselect:
         mapping = QubitMapping.identity(2)
         # "0011": zero alpha ones, two beta ones: right total, wrong spin split
         hist = Histogram({"0011": 40, "1010": 60}, 100, 0, 0)
-        particle = postselect(hist, PostSelectionPolicy("particle", SECTOR))
+        particle = postselect(hist, PostSelectionPolicy("particle", SECTOR), mapping)
         spin = postselect(hist, PostSelectionPolicy("spin", SECTOR), mapping)
         assert "0011" in particle.counts
         assert spin.counts == {"1010": 60}
@@ -82,7 +83,7 @@ class TestPostselect:
             b = format(int(s), "04b")
             counts[b] = counts.get(b, 0) + 1
         hist = Histogram(counts, 400, 0, 0)
-        particle = postselect(hist, PostSelectionPolicy("particle", SECTOR))
+        particle = postselect(hist, PostSelectionPolicy("particle", SECTOR), mapping)
         spin = postselect(hist, PostSelectionPolicy("spin", SECTOR), mapping)
         assert set(spin.counts) <= set(particle.counts)
         assert spin.shots <= particle.shots <= hist.shots
@@ -102,19 +103,14 @@ class TestPostselect:
 
     def test_kept_outcomes_keep_their_arrays(self):
         hist = Histogram({"0011": 40, "1010": 60, "1110": 5}, 105, 3, 8)
-        kept = postselect(hist, PostSelectionPolicy("particle", SECTOR))
+        kept = postselect(hist, PostSelectionPolicy("particle", SECTOR), H2_MAPPING)
         assert (kept.n_qubits, kept.shots, kept.group_id, kept.seed) == (4, 100, 3, 8)
         assert kept.outcomes.tolist() == [0b0011, 0b1010] and kept.tallies.tolist() == [40, 60]
-
-    def test_spin_without_mapping_rejected(self):
-        hist = Histogram({"0011": 1}, 1, 0, 0)
-        with pytest.raises(MitigationError, match="mapping"):
-            postselect(hist, PostSelectionPolicy("spin", SECTOR))
 
     def test_empty_retention_is_an_error(self):
         hist = Histogram({"1111": 10}, 10, 0, 0)
         with pytest.raises(MitigationError, match="discarded every shot"):
-            postselect(hist, PostSelectionPolicy("particle", SECTOR))
+            postselect(hist, PostSelectionPolicy("particle", SECTOR), H2_MAPPING)
 
     def test_unknown_policy(self):
         with pytest.raises(MitigationError):
@@ -188,8 +184,8 @@ class TestMitigatedEnergy:
 
     def test_run_policies_accounting(self, h2_hamiltonian, h2_sampled):
         _, ev = h2_sampled
-        report = run_policies(ev.groups, ev.valued, SECTOR,
-                              QubitMapping.identity(2), h2_hamiltonian)
+        report = run_policies(ev.groups, ev.valued, SECTOR, H2_MAPPING, h2_hamiltonian,
+                              ("particle", "spin"))
         assert report.raw.retained_shots == report.total_z_shots
         assert report.outcomes["spin"].retained_shots <= report.outcomes["particle"].retained_shots
         assert report.outcomes["particle"].retained_shots <= report.total_z_shots
@@ -201,7 +197,7 @@ class TestMitigatedEnergy:
         dirty = [contaminate(hist, 0.2, 4, rng) if grp.is_z_basis() else hist
                  for grp, hist in zip(ev.groups, ev.histograms)]
         report = run_policies(ev.groups, group_outcomes(ev.groups, dirty), SECTOR, mapping,
-                              h2_hamiltonian)
+                              h2_hamiltonian, ("particle", "spin"))
         for kind in ("particle", "spin"):
             policy = PostSelectionPolicy(kind, SECTOR)
             kept = sum(postselect(hist, policy, mapping).shots
@@ -244,7 +240,8 @@ def contaminated_case(n_orbitals: int, seed: int):
 def test_index_filters_match_the_bitstring_oracle(n_orbitals):
     for seed in range(2):
         groups, hists, sector, mapping, h = contaminated_case(n_orbitals, 100 * n_orbitals + seed)
-        report = run_policies(groups, group_outcomes(groups, hists), sector, mapping, h)
+        report = run_policies(groups, group_outcomes(groups, hists), sector, mapping, h,
+                              ("particle", "spin"))
         assert report == run_policies_over_all_groups(
             groups, [group_outcomes_per_word(g, hist) for g, hist in zip(groups, hists)],
             sector, mapping, h)

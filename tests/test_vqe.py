@@ -11,7 +11,8 @@ from uccvqe.mapping import QubitMapping, greedy_map
 from uccvqe.pauli import PauliSum, PauliWord, antihermitian_generator
 from uccvqe.sim import Statevector, apply_circuit, energy_from_histograms, expectation, group_outcomes
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
-from uccvqe.vqe import OptimizeConfig, VqeError, evaluate_sampled, optimize, shot_budget
+from uccvqe import vqe
+from uccvqe.vqe import VqeError, evaluate_sampled, optimize, shot_budget
 
 H2_FCI = -1.137265554375321
 
@@ -37,22 +38,18 @@ class TestOptimize:
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
         assert res.energy == pytest.approx(min(energies))
 
-    def test_never_above_initial_energy(self, h2_hamiltonian, h2_spec):
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            init = rng.normal(scale=0.5, size=h2_spec.parameter_count)
-            res = optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(2), init=init)
-            assert res.energy <= res.trace[0][1] + 1e-12
-
     def test_energy_at_zero_equals_hartree_fock(self, h2_hamiltonian, h2_spec):
-        res = optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(2),
-                       config=OptimizeConfig(max_iterations=0))
+        res = optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(2))
         state = basis_state(h2_hamiltonian.hf_bitstring())
+        assert np.array_equal(res.trace[0][0], np.zeros(h2_spec.parameter_count))
         assert res.trace[0][1] == pytest.approx(expectation(state, h2_hamiltonian), abs=1e-12)
 
-    def test_wrong_parameter_count(self, h2_hamiltonian, h2_spec):
-        with pytest.raises(VqeError):
-            optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(2), init=[0.0, 0.0])
+    def test_iteration_cap_reports_non_convergence(self, h2_hamiltonian, h2_spec, monkeypatch):
+        monkeypatch.setattr(vqe, "MAX_ITERATIONS", 0)
+        res = optimize(h2_hamiltonian, h2_spec, QubitMapping.identity(2))
+        assert not res.converged
+        assert res.evaluations == len(res.trace) == 1
+        assert res.energy == res.trace[0][1]
 
     def test_register_mismatch_rejected(self, h2_hamiltonian, h2_spec):
         with pytest.raises(VqeError, match="register sizes differ"):

@@ -49,8 +49,13 @@ _REPORT_KEYS = {
     "mapping_perm", "mapping_cost", "ansatz", "energies_hartree",
     "standard_errors_hartree", "retained_shots", "sweep", "timings_seconds",
 }
-_ENERGY_KEYS = {"hf", "variational", "exact_ground", "sampled_raw",
-                *(f"sampled_{kind}" for kind in selected_kinds(ALL))}
+_SAMPLED_KEYS = {"sampled_raw", *(f"sampled_{kind}" for kind in selected_kinds(ALL))}
+# each report block of numbers: its name in messages and the keys it may hold
+_NUMBER_BLOCKS = {
+    "energies_hartree": ("energy", {"hf", "variational", "exact_ground", *_SAMPLED_KEYS}),
+    "standard_errors_hartree": ("standard error", _SAMPLED_KEYS),
+    "retained_shots": ("retained-shot", {"z_basis_total", *selected_kinds(ALL)}),
+}
 # config values with the allowed values of the module that acts on them
 _CONFIG_CHOICES = {"variant": VARIANTS, "shot_mode": SHOT_MODES, "policy": POLICIES}
 
@@ -107,13 +112,13 @@ def validate_report(data: dict) -> dict:
         if config[key] not in allowed:
             raise CliError(f"report config: {key} is {json.dumps(config[key])}, "
                            f"not one of {list(allowed)}")
-    for block in ("energies_hartree", "standard_errors_hartree", "retained_shots"):
+    for block, (name, allowed) in _NUMBER_BLOCKS.items():
         values = data[block]
         if not (isinstance(values, dict) and all(type(v) in (int, float) for v in values.values())):
             raise CliError(f"report {block} is {json.dumps(values)}, not an object of numbers")
-    bad = set(data["energies_hartree"]) - _ENERGY_KEYS
-    if bad:
-        raise CliError(f"unknown energy fields: {sorted(bad)}")
+        bad = set(values) - allowed
+        if bad:
+            raise CliError(f"unknown {name} fields: {sorted(bad)}")
     return data
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from . import kernels
 from .ansatz import ActiveSpace
 from .mapping import QubitMapping
-from .pauli import (COEFF_EPS, MASK_QUBIT_LIMIT, _I_POWERS_ARRAY, PauliSum, PauliWord,
-                    jw_images, mask_bits, word_masks)
+from .pauli import (MASK_QUBIT_LIMIT, _I_POWERS_ARRAY, PauliSum, PauliWord, jw_images,
+                    mask_bits, word_masks)
 from .symmetry import OrbitalSymmetry, SpinSector, SymmetryError, in_symmetry_block, index_mask
 
 HERMITICITY_TOL = 1e-10
@@ -58,23 +58,24 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
         text = fh.read()
 
     m = re.search(r"(&END|/)", text)
-    if not m or "&FCI" not in text.upper():
+    start = text[: m.start()].upper().find("&FCI") if m else -1
+    if start < 0:
         raise FcidumpError(f"{path}: missing &FCI ... &END header")
-    header, body = text[: m.start()], text[m.end() :]
+    header, body = _namelist(path, text[start + 4 : m.start()]), text[m.end() :]
 
-    def header_int(key: str) -> int:
-        hm = re.search(rf"{key}\s*=\s*(-?\d+)", header, re.IGNORECASE)
-        if not hm:
+    def integers(key: str, single: bool) -> list[int]:
+        if key not in header:
             raise FcidumpError(f"{path}: header lacks {key}")
-        return int(hm.group(1))
+        tokens = header[key]
+        if (single and len(tokens) != 1) or not all(re.fullmatch("-?[0-9]+", t) for t in tokens):
+            what = "one integer" if single else "a list of integers"
+            raise FcidumpError(f"{path}: header key {key}: {','.join(tokens)!r} is not {what}")
+        return [int(t) for t in tokens]
 
-    norb = header_int("NORB")
-    nelec = header_int("NELEC")
-    ms2_match = re.search(r"MS2\s*=\s*(-?\d+)", header, re.IGNORECASE)
-    ms2 = int(ms2_match.group(1)) if ms2_match else 0
-    sym_match = re.search(r"ORBSYM\s*=\s*([0-9,\s]+)", header, re.IGNORECASE)
-    if sym_match:
-        labels = [int(tok) for tok in sym_match.group(1).replace(",", " ").split()]
+    (norb,), (nelec,) = integers("NORB", True), integers("NELEC", True)
+    ms2 = integers("MS2", True)[0] if "MS2" in header else 0
+    if "ORBSYM" in header:
+        labels = integers("ORBSYM", False)
         if len(labels) != norb:
             raise FcidumpError(f"{path}: ORBSYM lists {len(labels)} labels for NORB={norb}")
         try:
@@ -129,6 +130,21 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
                                f"{first[key][1]!r} set to a different value")
         first.setdefault(key, (val, line))
     return MolecularIntegrals(norb, nelec, ms2, core, h, g, orbsym)
+
+
+def _namelist(path: str, text: str) -> dict[str, list[str]]:
+    """The ``KEY=value`` entries of a namelist by upper-cased key, each value
+    as its comma- or space-separated tokens up to the next key. Text before
+    the first key and a key stated twice are refused by name."""
+    lead, *pairs = re.split(r"([A-Za-z]\w*)\s*=", text)
+    if lead.replace(",", " ").split():
+        raise FcidumpError(f"{path}: header text {lead.strip()!r} is not KEY=value")
+    entries: dict[str, list[str]] = {}
+    for key, value in zip(pairs[::2], pairs[1::2]):
+        if key.upper() in entries:
+            raise FcidumpError(f"{path}: header states {key.upper()} twice")
+        entries[key.upper()] = value.replace(",", " ").split()
+    return entries
 
 
 def write_fcidump(path: str, ints: MolecularIntegrals) -> None:
@@ -308,14 +324,10 @@ def build_qubit_hamiltonian(
         x, z, c = int(keys_x[bad[0]]), int(keys_z[bad[0]]), sums[bad[0]]
         raise HamiltonianError(f"non-hermitian assembly: term {PauliWord(n, x, z).axes} has "
                                f"imaginary part {c.imag:.3e}")
-    # the real parts, pruned; the identity key (0, 0) sorts first
-    keep = ~(np.abs(sums.real) < COEFF_EPS)
-    keys_x, keys_z, real = keys_x[keep], keys_z[keep], sums.real[keep]
-    start = int(len(real) > 0 and keys_x[0] == 0 and keys_z[0] == 0)
-    offset = core + (real[0] if start else 0.0)
-    terms = dict(zip(zip(keys_x[start:].tolist(), keys_z[start:].tolist()),
-                     real[start:].astype(complex).tolist()))
-    return QubitHamiltonian(n, PauliSum.from_masks(n, terms), float(offset), mapping, space)
+    # the real parts, pruned; the identity word is the offset
+    terms = PauliSum.from_arrays(n, keys_x, keys_z, sums.real)
+    offset = core + terms.identity_part().real
+    return QubitHamiltonian(n, terms.without_identity(), float(offset), mapping, space)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +339,7 @@ class MeasurementGroup:
     ('X', 'Y', 'Z', or '-' when unconstrained)."""
 
     index: int
-    words: tuple[PauliWord, ...]
+    words: PauliSum
     basis: tuple[str, ...]
 
     def is_z_basis(self) -> bool:
@@ -338,7 +350,8 @@ def qwc_group(h: QubitHamiltonian) -> list[MeasurementGroup]:
     """Greedy first-fit grouping, words in descending coefficient magnitude
     and then in axes order: the sorted-insertion rule of Crawford et al.,
     Quantum 5, 385 (2021). A word joins the first group that agrees with it
-    on every qubit both act on.
+    on every qubit both act on. Each group's ``words`` are rows of
+    ``h.terms`` in the order they joined it.
 
     The scan over groups is an OR of bitsets: ``clash[3q + a]`` holds bit k
     when group k fixes qubit q to an axis other than a (a = 0, 1, 2 for X,
@@ -346,45 +359,38 @@ def qwc_group(h: QubitHamiltonian) -> list[MeasurementGroup]:
     group; joining sets that bit in the other two axes' bitsets of each
     qubit the word acts on.
     """
-    n = h.n_qubits
-    words = list(h.terms.words())
-    xb = mask_bits([w.x_mask for w in words], n)
-    zb = mask_bits([w.z_mask for w in words], n)
+    n, terms = h.n_qubits, h.terms
+    xb, zb = mask_bits(terms.x, n), mask_bits(terms.z, n)
     digits = 2 * zb + (xb ^ zb)   # the axes order, I < X < Y < Z per qubit
-    order = np.lexsort((*digits.T[::-1], [-abs(w.coefficient) for w in words]))
+    order = np.lexsort((*digits.T[::-1], -np.abs(terms.c)))
     xb, zb = xb[order], zb[order]
     rows, qs = np.nonzero(xb | zb)
     axis = zb[rows, qs] * (2 - xb[rows, qs])   # X 0, Y 1, Z 2
     slots = (3 * qs + axis).tolist()
     others = (3 * qs + (axis + 1) % 3).tolist(), (3 * qs + (axis + 2) % 3).tolist()
-    bounds = np.searchsorted(rows, np.arange(len(words) + 1)).tolist()
+    bounds = np.searchsorted(rows, np.arange(len(terms) + 1)).tolist()
 
     clash = [0] * (3 * n)
-    members: list[list[PauliWord]] = []
-    group_x: list[int] = []
-    group_z: list[int] = []
+    members: list[list[int]] = []
     for i, lo, hi in zip(order.tolist(), bounds, bounds[1:]):
-        w = words[i]
         taken = 0
         for s in slots[lo:hi]:
             taken |= clash[s]
         bit = ~taken & (taken + 1)
         k = bit.bit_length() - 1
         if k == len(members):
-            members.append([w])
-            group_x.append(w.x_mask)
-            group_z.append(w.z_mask)
-        else:
-            members[k].append(w)
-            group_x[k] |= w.x_mask
-            group_z[k] |= w.z_mask
+            members.append([])
+        members[k].append(i)
         for s in others[0][lo:hi]:
             clash[s] |= bit
         for s in others[1][lo:hi]:
             clash[s] |= bit
-    bases = np.array(list("-XZY"))[mask_bits(group_x, n) + 2 * mask_bits(group_z, n)]
-    return [MeasurementGroup(k, tuple(ws), tuple(basis))
-            for k, (ws, basis) in enumerate(zip(members, bases.tolist()))]
+    # a group's axis digit on a qubit is the OR of its members': they agree or are 0 (I)
+    flat, starts = [i for rows in members for i in rows], np.cumsum([0, *map(len, members)])
+    bases = np.array(list("-XYZ"))[np.bitwise_or.reduceat(digits[flat], starts[:-1])]
+    joined, starts = terms.take(flat), starts.tolist()
+    return [MeasurementGroup(k, joined.take(slice(a, b)), tuple(basis))
+            for k, (a, b, basis) in enumerate(zip(starts, starts[1:], bases.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +470,16 @@ def sector_operators(sums: Sequence[PauliSum], basis: np.ndarray) -> list[Sector
     basis, from one table of all their words.
 
     The table holds each word's amplitude-index masks (``pauli.word_masks``,
-    one pass) and its coefficient times i**(number of Y). A sum's words come
-    in ``items`` order, sorted by x-mask, so each x-mask's words are one run
-    and the runs are in first-appearance order. A run's matrix elements are
-    one ``kernels.parity_sums`` over its words, in order.
+    one pass over all rows) and its coefficient times i**(number of Y). In a
+    sum with sorted rows, as H and the generators have, each x-mask's words
+    are one run, in first-appearance order. A run's matrix elements are one
+    ``kernels.parity_sums`` over its words, in order.
     """
     states = np.asarray(basis, dtype=np.uint64)
-    owner, xs, zs, cs = [], [], [], []
-    for k, terms in enumerate(sums):
-        for (x, z), c in terms.items():
-            owner.append(k)
-            xs.append(x)
-            zs.append(z)
-            cs.append(c)
-    xb, zb, ny = word_masks(sums[0].n, xs, zs)
-    coeffs = np.array(cs, dtype=complex) * _I_POWERS_ARRAY[ny & 3]
-    owner = np.array(owner, dtype=np.int64)
+    owner = np.repeat(np.arange(len(sums)), [len(terms) for terms in sums])
+    x, z, c = (np.concatenate([getattr(terms, key) for terms in sums]) for key in "xzc")
+    xb, zb, ny = word_masks(sums[0].n, x, z)
+    coeffs = c * _I_POWERS_ARRAY[ny & 3]
     starts = np.flatnonzero(np.r_[len(xb) > 0, (owner[1:] != owner[:-1]) | (xb[1:] != xb[:-1])])
     gathers: list[list] = [[] for _ in sums]
     for lo, hi in zip(starts.tolist(), np.r_[starts[1:], len(xb)].tolist()):

@@ -11,7 +11,7 @@ word reads left to right in qubit order ("XZIY" puts X on qubit 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,26 +38,23 @@ def axes_rank(x: int, z: int, n: int) -> int:
 
 
 def mask_bits(masks, n: int) -> np.ndarray:
-    """(len(masks), n) uint8 array holding bit q of each mask in column q.
-    Works for masks of any width, through their little-endian bytes."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    """(len(masks), n) uint8 array holding bit q of each uint64 mask in column q."""
+    raw = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
 
 
-def word_masks(n: int, x_masks: Sequence[int],
-               z_masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert the qubit-indexed Pauli masks of many words to amplitude-index
-    masks in one pass over their bit planes; returns uint64 (x_bits, z_bits)
-    and the int64 Y count of each word. Qubit q is bit q of a word mask and
-    bit n - 1 - q of an index mask."""
+def word_masks(n: int, x_masks: np.ndarray,
+               z_masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convert the qubit-indexed uint64 Pauli masks of many words to
+    amplitude-index masks in one pass over their bit planes; returns uint64
+    (x_bits, z_bits) and the int64 Y count of each word. Qubit q is bit q of
+    a word mask and bit n - 1 - q of an index mask."""
     weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
     xs, zs = mask_bits(x_masks, n), mask_bits(z_masks, n)
     return xs @ weights, zs @ weights, (xs & zs).sum(axis=1, dtype=np.int64)
 
 
-def _pruned(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if not abs(c) < COEFF_EPS}
+MASK_QUBIT_LIMIT = 64  # the width of the uint64 masks of ``PauliSum`` and ``jw_images``
 
 
 class PauliError(ValueError):
@@ -118,77 +115,82 @@ class PauliWord:
 
 
 class PauliSum:
-    """Canonicalized linear combination of Pauli words on a fixed register.
+    """Pauli words on at most ``MASK_QUBIT_LIMIT`` qubits as rows: uint64
+    masks ``x`` and ``z`` and complex coefficients ``c``, none below
+    ``COEFF_EPS`` in magnitude. ``PauliSum(n, words)`` and ``from_masks``
+    merge duplicate words and sort the rows by (x, z); ``from_arrays`` keeps
+    the order given. A sum iterates as its ``PauliWord``s."""
 
-    Duplicate axes merge by coefficient addition; terms with magnitude below
-    ``COEFF_EPS`` are dropped.
-    """
-
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "x", "z", "c")
 
     def __init__(self, n: int, terms: Iterable[PauliWord] = ()):
-        self.n = n
-        self._terms: dict[tuple[int, int], complex] = {}
+        merged: dict[tuple[int, int], complex] = {}
         for w in terms:
-            self.add_word(w)
-        self.prune()
+            if w.n != n:
+                raise PauliError("qubit counts differ")
+            key = (w.x_mask, w.z_mask)
+            merged[key] = merged.get(key, 0.0 + 0j) + complex(w.coefficient)
+        rows = PauliSum.from_masks(n, merged)
+        self.n, self.x, self.z, self.c = rows.n, rows.x, rows.z, rows.c
 
     @classmethod
     def from_masks(cls, n: int, terms: dict[tuple[int, int], complex]) -> "PauliSum":
         """Sum over a ``(x_mask, z_mask) -> coefficient`` dict, pruned."""
-        out = cls(n)
-        out._terms = _pruned(terms)
+        keys = sorted(terms)
+        return cls.from_arrays(n, [x for x, _ in keys], [z for _, z in keys],
+                               [terms[k] for k in keys])
+
+    @classmethod
+    def from_arrays(cls, n: int, x, z, c) -> "PauliSum":
+        """The rows (x[i], z[i], c[i]) in the order given, pruned."""
+        if n > MASK_QUBIT_LIMIT:
+            raise PauliError(f"a Pauli sum over {n} qubits exceeds the "
+                             f"{MASK_QUBIT_LIMIT}-bit Pauli masks")
+        rows = cls.__new__(cls)
+        rows.n, rows.c = n, np.asarray(c, dtype=complex)
+        rows.x, rows.z = (np.asarray(masks, dtype=np.uint64) for masks in (x, z))
+        return rows.take(~(np.abs(rows.c) < COEFF_EPS))
+
+    def take(self, rows) -> "PauliSum":
+        """The rows that ``rows`` (indices, a mask or a slice) selects, in order."""
+        out = PauliSum.__new__(PauliSum)
+        out.n, out.x, out.z, out.c = self.n, self.x[rows], self.z[rows], self.c[rows]
         return out
 
-    def add_word(self, w: PauliWord) -> None:
-        if w.n != self.n:
-            raise PauliError("qubit counts differ")
-        key = (w.x_mask, w.z_mask)
-        self._terms[key] = self._terms.get(key, 0.0 + 0j) + complex(w.coefficient)
-
-    def prune(self) -> None:
-        self._terms = _pruned(self._terms)
-
     def words(self) -> Iterator[PauliWord]:
-        for (x, z), c in sorted(self._terms.items()):
-            yield PauliWord(self.n, x, z, c)
+        return (PauliWord(self.n, x, z, c) for (x, z), c in self.items())
+
+    __iter__ = words
 
     def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
-        """``((x_mask, z_mask), coefficient)`` pairs in ``words`` order."""
-        return iter(sorted(self._terms.items()))
+        """``((x_mask, z_mask), coefficient)`` pairs in row order."""
+        return zip(zip(self.x.tolist(), self.z.tolist()), self.c.tolist())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.c)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
             raise PauliError("qubit counts differ")
-        out = PauliSum(self.n)
-        out._terms = dict(self._terms)
-        for (x, z), c in other._terms.items():
-            out._terms[(x, z)] = out._terms.get((x, z), 0.0 + 0j) + c
-        out.prune()
-        return out
+        merged = dict(self.items())
+        for key, c in other.items():
+            merged[key] = merged.get(key, 0.0 + 0j) + c
+        return PauliSum.from_masks(self.n, merged)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (other * -1.0)
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        out = PauliSum(self.n)
-        out._terms = {k: c * scalar for k, c in self._terms.items()}
-        out.prune()
-        return out
+        return PauliSum.from_arrays(self.n, self.x, self.z, self.c * scalar)
 
     def is_hermitian(self) -> bool:
-        return all(abs(c.imag) < COEFF_EPS for c in self._terms.values())
+        return bool((np.abs(self.c.imag) < COEFF_EPS).all())
 
     def identity_part(self) -> complex:
-        return self._terms.get((0, 0), 0.0 + 0j)
+        return complex(self.c[(self.x | self.z) == 0].sum())
 
     def without_identity(self) -> "PauliSum":
-        out = PauliSum(self.n)
-        out._terms = {k: c for k, c in self._terms.items() if k != (0, 0)}
-        return out
+        return self.take((self.x | self.z) != 0)
 
 
 @dataclass(frozen=True)
@@ -208,9 +210,6 @@ class FermionTerm:
             tuple((p, not dag) for p, dag in reversed(self.ops)),
             self.coefficient.conjugate(),
         )
-
-
-MASK_QUBIT_LIMIT = 64  # the width of the uint64 masks of ``jw_images``
 
 
 def jw_images(modes, daggers, coefficients, n: int):
@@ -294,9 +293,6 @@ def excitation_generators(excs, mapping) -> list[PauliSum]:
     are purely imaginary: 8 words for a double excitation, 2 for a single.
     """
     n = mapping.n_qubits
-    if n > MASK_QUBIT_LIMIT:
-        raise PauliError(f"{n} qubits exceed the {MASK_QUBIT_LIMIT}-bit Pauli masks "
-                         "of the batched excitation generators")
     qubit = mapping.perm
     by_length: dict[int, list[int]] = {}
     rows: list[list[int]] = []
@@ -310,11 +306,9 @@ def excitation_generators(excs, mapping) -> list[PauliSum]:
         term, x, z, c = jw_images([rows[k] for k in ks], (True, False) * (length // 2),
                                   np.ones(len(ks)), n)
         bounds = np.searchsorted(term, np.arange(len(ks) + 1)).tolist()
-        keys = list(zip(x.tolist(), z.tolist()))
-        cs = (c + c.conjugate() * -1.0).tolist()
-        for i, k in enumerate(ks):
-            lo, hi = bounds[i], bounds[i + 1]
-            out[k] = PauliSum.from_masks(n, dict(zip(keys[lo:hi], cs[lo:hi])))
+        c = c + c.conjugate() * -1.0
+        for k, lo, hi in zip(ks, bounds, bounds[1:]):
+            out[k] = PauliSum.from_arrays(n, x[lo:hi], z[lo:hi], c[lo:hi])
     return out
 
 

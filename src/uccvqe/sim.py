@@ -87,12 +87,11 @@ def expectation(state: Statevector, hamiltonian) -> float:
     """<psi| H |psi> for a QubitHamiltonian-like object (offset + PauliSum)."""
     if hamiltonian.n_qubits != state.n_qubits:
         raise SimulationError("register sizes differ")
-    n = state.n_qubits
+    terms = hamiltonian.terms
     acc = complex(hamiltonian.offset)
-    words = list(hamiltonian.terms.words())
-    xbs, zbs, nys = word_masks(n, [w.x_mask for w in words], [w.z_mask for w in words])
-    for w, xb, zb, ny in zip(words, xbs.tolist(), zbs.tolist(), nys.tolist()):
-        acc += w.coefficient * (1j**ny) * kernels.pauli_expectation(state.amplitudes, xb, zb)
+    xbs, zbs, nys = word_masks(state.n_qubits, terms.x, terms.z)
+    for c, xb, zb, ny in zip(terms.c.tolist(), xbs.tolist(), zbs.tolist(), nys.tolist()):
+        acc += c * (1j**ny) * kernels.pauli_expectation(state.amplitudes, xb, zb)
     if abs(acc.imag) > 1e-10:
         raise SimulationError(f"expectation has imaginary residue {acc.imag:.3e}")
     return float(acc.real)
@@ -460,8 +459,8 @@ def group_outcomes(groups: Sequence, histograms: Sequence[Histogram]) -> list[
     After the basis change every member word is diagonal, so its value on
     an outcome is the parity of the outcome's bits on the word's support.
     The supports of the words of all groups come from one ``word_masks``
-    pass; each group's values are one ``kernels.parity_sums`` over its
-    words, in ``group.words`` order.
+    pass over their concatenated rows; each group's values are one
+    ``kernels.parity_sums`` over its words, in ``group.words`` order.
     """
     if len(groups) != len(histograms):
         raise SimulationError(f"{len(groups)} groups but {len(histograms)} histograms")
@@ -470,10 +469,9 @@ def group_outcomes(groups: Sequence, histograms: Sequence[Histogram]) -> list[
     n = len(groups[0].basis)
     if any(len(g.basis) != n for g in groups):
         raise SimulationError("groups of different widths cannot share one word table")
-    words = [w for g in groups for w in g.words]
-    xb, zb, _ = word_masks(n, [w.x_mask for w in words], [w.z_mask for w in words])
-    support = xb | zb
-    coeffs = np.array([w.coefficient.real for w in words], dtype=np.float64)
+    x, z, c = (np.concatenate([getattr(g.words, key) for g in groups]) for key in "xzc")
+    xb, zb, _ = word_masks(n, x, z)
+    support, coeffs = xb | zb, c.real
     out, lo = [], 0
     for group, hist in zip(groups, histograms):
         if hist.n_qubits != n:

@@ -96,6 +96,11 @@ def coefficient(terms: PauliSum, axes: str) -> complex:
     return dict(terms.items()).get((w.x_mask, w.z_mask), 0j)
 
 
+def word_sum(axes: str, coefficient: complex = 1.0) -> PauliSum:
+    """The one-word sum ``coefficient`` times ``axes``."""
+    return PauliSum(len(axes), [PauliWord.from_axes(axes, coefficient)])
+
+
 def basis_state(bits: str) -> Statevector:
     """The computational basis state |bits> (qubit 0 leftmost)."""
     amps = np.zeros(1 << len(bits), dtype=np.complex128)

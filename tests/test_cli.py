@@ -21,6 +21,7 @@ from uccvqe.hamio import (
     rhf_energy,
     write_fcidump,
 )
+from uccvqe.pauli import PauliWord
 from uccvqe.sim import MAX_QUBITS, prepared_basis_state
 from uccvqe.symmetry import OrbitalSymmetry
 
@@ -485,6 +486,22 @@ class TestBuildsOnce:
         assert run(["mitigate", "--report", str(tmp_path / "report.json"),
                     "--histograms", str(tmp_path), "--policy", "spin"]) == 0
         assert "sampled_spin" in load_report(tmp_path / "report.json")["energies_hartree"]
+
+    def test_vqe_then_mitigate_build_no_pauli_word(self, h2_path, tmp_path, monkeypatch):
+        # grouping, the sector operators and valuation read the Pauli sum's arrays
+        built = []
+        check = PauliWord.__post_init__
+
+        def counted(word):
+            built.append(word)
+            check(word)
+
+        monkeypatch.setattr(PauliWord, "__post_init__", counted)
+        assert run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "500",
+                    "--out", str(tmp_path)]) == 0
+        assert run(["mitigate", "--report", str(tmp_path / "report.json"),
+                    "--histograms", str(tmp_path)]) == 0
+        assert built == []
 
 
 class TestOutputsReplaced:
@@ -993,6 +1010,10 @@ class TestReportSchema:
          'report standard_errors_hartree is {"sampled_raw": "0.1"}, not an object of numbers'),
         (lambda d: d.update(retained_shots={"z_basis_total": 200, "spin": True}),
          'report retained_shots is {"z_basis_total": 200, "spin": true}, not an object of numbers'),
+        (lambda d: d["standard_errors_hartree"].update(sampled_irrep=0.1),
+         "unknown standard error fields: ['sampled_irrep']"),
+        (lambda d: d["retained_shots"].update(total=200),
+         "unknown retained-shot fields: ['total']"),
         (lambda d: d.pop("energies_hartree"),
          "missing report fields: ['energies_hartree']"),
         (lambda d: d["config"].update(variant="foo"),
@@ -1001,8 +1022,8 @@ class TestReportSchema:
          "report config: shot_mode is \"foo\", not one of ['per-group', 'total']"),
         (lambda d: d["config"].update(policy="foo"),
          "report config: policy is \"foo\", not one of ['none', 'particle', 'spin', 'all']"),
-    ], ids=["energies-list", "retained-list", "error-string", "retained-bool", "no-energies",
-            "variant", "shot-mode", "policy"])
+    ], ids=["energies-list", "retained-list", "error-string", "retained-bool", "error-key",
+            "retained-key", "no-energies", "variant", "shot-mode", "policy"])
     def test_report_values_checked(self, edit, message, h2_path, tmp_path, capsys):
         run(["vqe", "--fcidump", h2_path, "--electrons", "2", "--shots", "200",
              "--out", str(tmp_path)])

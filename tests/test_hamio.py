@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import tempfile
 
 import numpy as np
@@ -95,6 +96,29 @@ class TestParse:
         with pytest.raises(FcidumpError, match=rf"sym\.fcidump: ORBSYM: irrep label {label} "
                                                r"outside 1\.\.8"):
             parse_fcidump(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("NORB=2,NELEC=2,MS2=0,\n NELEC=4,", "header states NELEC twice"),
+        ("NORB=3,NELEC=2,MS2=0,\n norb=2,", "header states NORB twice"),
+        ("NORB=2 abc,NELEC=2,MS2=0,", "header key NORB: '2,abc' is not one integer"),
+        ("NORB=2,NELEC=2,nan,MS2=0,", "header key NELEC: '2,nan' is not one integer"),
+        ("NORB=2,NELEC=2,MS2=0 1e400,", "header key MS2: '0,1e400' is not one integer"),
+        ("NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,abc,", "header key ORBSYM: '1,1,abc' is not a "
+                                                    "list of integers"),
+        ("abc NORB=2,NELEC=2,MS2=0,", "header text 'abc' is not KEY=value"),
+    ], ids=["nelec-twice", "norb-twice", "norb-token", "nelec-nan", "ms2-float",
+            "orbsym-token", "stray-token"])
+    def test_header_read_once_and_refused_by_key(self, tmp_path, header, message):
+        path = write(tmp_path, f" &FCI {header}\n &END\n 0.0 0 0 0 0\n", name="head.fcidump")
+        with pytest.raises(FcidumpError, match=rf"^{re.escape(path)}: {re.escape(message)}$"):
+            parse_fcidump(path)
+
+    def test_header_keys_the_pipeline_does_not_read_pass(self, tmp_path):
+        path = write(tmp_path, " &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM=1,5,\n  ISYM=abc,"
+                               "UHF=.FALSE.,\n &END\n 0.0 0 0 0 0\n")
+        ints = parse_fcidump(path)
+        assert (ints.n_orbitals, ints.n_electrons, ints.ms2) == (2, 2, 0)
+        assert ints.orbsym.labels() == (1, 5)
 
     def test_missing_header(self, tmp_path):
         with pytest.raises(FcidumpError, match="header"):
@@ -519,6 +543,27 @@ class TestQwcGrouping:
             assert all(a.qubitwise_commutes_with(b) for a in g.words for b in g.words)
         assert len(seen) == h2_hamiltonian.term_count
 
+    def test_group_words_are_rows_of_h_in_join_order(self, h2_hamiltonian):
+        rng = np.random.default_rng(89)
+        ints = random_integrals(4, 4, rng)
+        molecular = build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
+                                            random_block_mapping(4, rng))
+        for h in (h2_hamiltonian, molecular):
+            words = list(h.terms.words())
+            row_of = {(w.x_mask, w.z_mask): i for i, w in enumerate(words)}
+            # the sorted-insertion order in which words join their groups
+            order = sorted(range(len(words)),
+                           key=lambda i: (-abs(words[i].coefficient), words[i].axes))
+            joined_at = {row: k for k, row in enumerate(order)}
+            seen = []
+            for g in qwc_group(h):
+                rows = [row_of[key] for key, _ in g.words.items()]
+                for got, want in zip("xzc", (h.terms.x, h.terms.z, h.terms.c)):
+                    assert getattr(g.words, got).tobytes() == want[rows].tobytes()
+                assert [joined_at[r] for r in rows] == sorted(joined_at[r] for r in rows)
+                seen += rows
+            assert sorted(seen) == list(range(len(words)))
+
     def test_random_hamiltonians_group_validity(self):
         rng = np.random.default_rng(71)
         for _ in range(25):
@@ -552,7 +597,7 @@ class TestQwcGrouping:
             cases.append(build_qubit_hamiltonian(ints, ActiveSelection.full(ints),
                                                  random_block_mapping(n_orb, rng)))
         for h in cases:
-            assert qwc_group(h) == qwc_group_by_axes(h)
+            assert group_rows(qwc_group(h)) == group_rows(qwc_group_by_axes(h))
 
     @staticmethod
     def _random_sum(rng, n, count, coefficients, weights=(0.4, 0.2, 0.2, 0.2)):
@@ -567,7 +612,7 @@ class TestQwcGrouping:
         ties = (0.25, -0.25, 0.5, -0.5, 1.0, -1.0)
         for _ in range(40):
             h = self._random_sum(rng, int(rng.integers(1, 11)), int(rng.integers(1, 90)), ties)
-            assert qwc_group(h) == qwc_group_by_axes(h)
+            assert group_rows(qwc_group(h)) == group_rows(qwc_group_by_axes(h))
 
     def test_wide_words_match_reference(self):
         rng = np.random.default_rng(83)
@@ -575,7 +620,7 @@ class TestQwcGrouping:
             for weights in ((0.9, 0.03, 0.03, 0.04), (0.4, 0.2, 0.2, 0.2)):
                 h = self._random_sum(rng, n, 120, (0.25, -0.5, 1.0, 0.125), weights)
                 groups = qwc_group(h)
-                assert groups == qwc_group_by_axes(h)
+                assert group_rows(groups) == group_rows(qwc_group_by_axes(h))
                 assert sum(len(g.words) for g in groups) == h.term_count
 
     def test_empty_and_one_qubit_sums(self):
@@ -584,8 +629,15 @@ class TestQwcGrouping:
         one = _wrap(PauliSum(1, [PauliWord.from_axes(a, c) for a, c in
                                  (("X", 0.5), ("Y", -0.5), ("Z", 0.25))]))
         groups = qwc_group(one)
-        assert groups == qwc_group_by_axes(one)
+        assert group_rows(groups) == group_rows(qwc_group_by_axes(one))
         assert [g.basis for g in groups] == [("X",), ("Y",), ("Z",)]
+
+
+def group_rows(groups) -> list:
+    """Each group's index, words and basis, with the words as a tuple of
+    ``PauliWord``s, so that groups compare by value."""
+    return [(g.index, tuple(g.words), g.basis) for g in groups]
+
 
 def _wrap(terms: PauliSum):
     from uccvqe.hamio import QubitHamiltonian
@@ -624,9 +676,8 @@ class TestExactGroundEnergy:
         from uccvqe.hamio import QubitHamiltonian
 
         n = 12
-        padded_terms = PauliSum(n)
-        for w in h2_hamiltonian.terms.words():
-            padded_terms.add_word(PauliWord(n, w.x_mask, w.z_mask, w.coefficient))
+        padded_terms = PauliSum(n, [PauliWord(n, w.x_mask, w.z_mask, w.coefficient)
+                                    for w in h2_hamiltonian.terms.words()])
         padded = QubitHamiltonian(n, padded_terms, h2_hamiltonian.offset,
                                   QubitMapping.identity(6), ActiveSpace(2, 6))
         assert exact_ground_energy(padded, SpinSector(2, 0)) == pytest.approx(H2_FCI, abs=1e-7)

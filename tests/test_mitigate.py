@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_block_mapping, random_integrals
+from conftest import random_block_mapping, random_integrals, word_sum
 from oracles import group_outcomes_per_word, postselect_by_string, run_policies_over_all_groups
 from uccvqe.hamio import (
     ActiveSelection,
@@ -21,7 +21,7 @@ from uccvqe.mitigate import (
     run_policies,
 )
 from uccvqe.pauli import PauliSum, PauliWord
-from uccvqe.sim import Histogram, energy_from_histograms, group_outcomes
+from uccvqe.sim import Histogram, SimulationError, energy_from_histograms, group_outcomes
 from uccvqe.symmetry import SpinSector, in_symmetry_block
 from uccvqe.vqe import evaluate_sampled, optimize
 
@@ -176,11 +176,22 @@ class TestMitigatedEnergy:
         assert np.mean(spin_se) <= np.mean(raw_se)
 
     def test_no_z_basis_group_is_an_error(self, h2_hamiltonian):
-        group = MeasurementGroup(0, (PauliWord.from_axes("XIII", 1.0),), ("X", "-", "-", "-"))
+        group = MeasurementGroup(0, word_sum("XIII"), ("X", "-", "-", "-"))
         hist = Histogram({"0000": 5}, 5, 0, 0)
         with pytest.raises(MitigationError, match="computational-basis"):
             mitigated_energy([group], [hist], PostSelectionPolicy("particle", SECTOR),
                              QubitMapping.identity(2), h2_hamiltonian)
+
+    def test_count_mismatch_is_one_error(self, h2_hamiltonian, h2_sampled):
+        _, ev = h2_sampled
+        n = len(ev.groups)
+        short = ev.histograms[:-1]
+        for estimate in (
+                lambda: mitigated_energy(ev.groups, short, PostSelectionPolicy("spin", SECTOR),
+                                         H2_MAPPING, h2_hamiltonian),
+                lambda: energy_from_histograms(ev.groups, short, h2_hamiltonian.offset)):
+            with pytest.raises(SimulationError, match=rf"^{n} groups but {n - 1} histograms$"):
+                estimate()
 
     def test_run_policies_accounting(self, h2_hamiltonian, h2_sampled):
         _, ev = h2_sampled
@@ -218,7 +229,7 @@ def contaminated_case(n_orbitals: int, seed: int):
     mapping = random_block_mapping(n_orbitals, rng)
     h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
     n = 2 * n_orbitals
-    diagonal = tuple(w for w in h.terms.words() if w.x_mask == 0)
+    diagonal = PauliSum(n, [w for w in h.terms.words() if w.x_mask == 0])
     rest = PauliSum(n, [w for w in h.terms.words() if w.x_mask != 0])
     groups = [MeasurementGroup(0, diagonal, ("Z",) * n)] + [
         MeasurementGroup(1 + g.index, g.words, g.basis)

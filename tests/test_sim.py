@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis_state, random_block_mapping, random_integrals
+from conftest import basis_state, random_block_mapping, random_integrals, word_sum
 from oracles import (
     apply_1q_dense,
     apply_cnot_dense,
@@ -124,7 +124,7 @@ class TestWordMasks:
 
 
 def z_group(n):
-    return MeasurementGroup(0, (PauliWord.from_axes("Z" * n, 1.0),), ("Z",) * n)
+    return MeasurementGroup(0, word_sum("Z" * n), ("Z",) * n)
 
 
 def basis_rotation(group, n) -> Circuit:
@@ -157,7 +157,7 @@ class TestSampling:
 
     def test_rotated_basis_measurement(self):
         # X on qubit 0 measured via H rotation: |+> gives all zeros
-        group = MeasurementGroup(0, (PauliWord.from_axes("X", 1.0),), ("X",))
+        group = MeasurementGroup(0, word_sum("X"), ("X",))
         state = apply_circuit(Statevector.zero(1), Circuit(1, [Gate("H", (0,))]))
         hist = sample_group(state, group, 500, seed=0)
         assert hist.counts == {"0": 500}
@@ -188,8 +188,7 @@ class TestSampling:
         for k in range(12):
             # qubit 0 cycles through every axis; the rest are drawn
             basis = ("XYZ-"[k % 4], *rng.choice(list("XYZ-"), size=n - 1).tolist())
-            word = PauliWord.from_axes("".join(basis).replace("-", "I"), 1.0)
-            group = MeasurementGroup(k, (word,), basis)
+            group = MeasurementGroup(k, word_sum("".join(basis).replace("-", "I")), basis)
             rotated.clear()
             got = sample_group(state, group, 3000, seed=k)
             mine = rotated[:]  # apply_circuit below calls the spy too
@@ -214,8 +213,7 @@ class TestSampling:
 
         monkeypatch.setattr(kernels, "apply_1q", no_rotation)
         monkeypatch.setattr(kernels, "apply_phase", no_rotation)
-        word = PauliWord.from_axes("".join(basis), 1.0)
-        group = MeasurementGroup(5, (word,), basis)
+        group = MeasurementGroup(5, word_sum("".join(basis)), basis)
         with pytest.raises(SimulationError,
                            match=rf"^group 5: basis of {len(basis)} qubits on a 2-qubit state$"):
             sample_group(Statevector.zero(2), group, 100, seed=0)
@@ -331,8 +329,7 @@ class TestHistogram:
         assert hist.outcomes.tolist() == [0, top, 2 * top - 1]
         again = Histogram.from_text(hist.to_text())
         assert again.counts == hist.counts and again.n_qubits == 64
-        group = MeasurementGroup(4, (PauliWord.from_axes("Z" + "I" * 63, 1.0),),
-                                 ("Z",) + ("-",) * 63)
+        group = MeasurementGroup(4, word_sum("Z" + "I" * 63), ("Z",) + ("-",) * 63)
         [(_, values, weights)] = group_outcomes([group], [again])
         assert values.tolist() == [1.0, -1.0, -1.0] and weights.tolist() == [1.0, 2.0, 3.0]
 
@@ -406,7 +403,7 @@ class TestGroupShotValues:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, per_word))
 
     def test_register_width_mismatch_rejected(self):
-        group = MeasurementGroup(3, (PauliWord.from_axes("ZZI", 1.0),), ("Z", "Z", "-"))
+        group = MeasurementGroup(3, word_sum("ZZI"), ("Z", "Z", "-"))
         with pytest.raises(SimulationError, match="group 3: bitstrings are not 3 bits long"):
             group_outcomes([group], [Histogram({"0110": 4}, 4, 3, 0)])
 

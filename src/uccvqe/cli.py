@@ -346,7 +346,7 @@ def cmd_vqe(cfg: RunConfig) -> dict:
     sampled = evaluate_sampled(
         pipe.hamiltonian, pipe.spec, pipe.mapping, result.params,
         cfg.shots, cfg.sample_seed, cfg.shot_mode,
-        circuit=pipe.circuit, groups=pipe.groups,
+        ansatz=result.ansatz, groups=pipe.groups,
     )
     report["timings_seconds"]["sample"] = time.perf_counter() - t_sample
     pipe.post_select(report, sampled.valued, cfg.policy)
@@ -370,7 +370,7 @@ def cmd_sweep(cfg: RunConfig, shot_list: Sequence[int]) -> dict:
     rows = []
     for shots, sampled in zip(shot_list, _evaluate_shot_counts(
             pipe.hamiltonian, pipe.spec, pipe.mapping, result.params, shot_list,
-            cfg.sample_seed, cfg.shot_mode, pipe.circuit, pipe.groups)):
+            cfg.sample_seed, cfg.shot_mode, result.ansatz, pipe.groups)):
         rows.append({"shots": shots, "energy": sampled.energy,
                      "standard_error": sampled.standard_error})
     report = pipe.counts_report("sweep")
@@ -395,13 +395,17 @@ def cmd_mitigate(report_path: str, hist_dir: str, policy: str) -> dict:
                        "policy": policy, "out_dir": str(Path(report_path).parent)})
     saved = read_histograms(hist_dir)
     line, digest = saved.header["FCIDUMP_SHA256"]
-    actual = _sha256(cfg.fcidump)
+    try:
+        actual = _sha256(cfg.fcidump)
+    except OSError as exc:
+        raise CliError(f"{report_path}: config.fcidump {cfg.fcidump}: {exc.strerror}") from None
     if digest != actual:
         raise CliError(f"{saved.path}: line {line}: FCIDUMP_SHA256 {digest}, but "
                        f"{cfg.fcidump} has the SHA-256 {actual}")
     pipe = Pipeline(cfg)
     if list(pipe.mapping.perm) != report["mapping_perm"]:
-        raise CliError("reconstructed mapping differs from the report; config mismatch")
+        raise CliError(f"{report_path}: mapping_perm {report['mapping_perm']}, but its config "
+                       f"rebuilds the mapping {list(pipe.mapping.perm)}")
     pipe.post_select(report, _saved_outcomes(pipe, saved), policy)
     write_report(Path(report_path), report)
     return report

@@ -73,6 +73,9 @@ def parse_fcidump(path: str) -> MolecularIntegrals:
         return [int(t) for t in tokens]
 
     (norb,), (nelec,) = integers("NORB", True), integers("NELEC", True)
+    for key, value in (("NORB", norb), ("NELEC", nelec)):
+        if value < 0:
+            raise FcidumpError(f"{path}: header key {key}: {value} is negative")
     ms2 = integers("MS2", True)[0] if "MS2" in header else 0
     if "ORBSYM" in header:
         labels = integers("ORBSYM", False)

@@ -430,24 +430,107 @@ def _line_int(line: int, token: str) -> int:
         raise SimulationError(f"line {line}: {token!r} is not an integer") from None
 
 
+# Outcome probabilities below this are dropped before a draw. It lies far
+# below 1/shots for any shot count an int64 holds, and far above the rounding
+# residue (at most about 6e-33) that a state computed two ways leaves on
+# outcomes it cannot reach, so that residue never decides which random
+# numbers a draw uses.
+PROBABILITY_FLOOR = 1e-20
+
+
 def sample_group(state: Statevector, group, shots: int, seed: int) -> Histogram:
-    """Rotate a copy of the amplitudes into the group's eigenbasis and draw multinomial shots."""
-    if shots <= 0:
-        raise SimulationError("shots must be positive")
+    """Rotate a copy of the amplitudes into the group's eigenbasis and draw
+    multinomial shots: ``sample_groups`` of this one group."""
+    return sample_groups(state, [group], [shots], [seed])[0]
+
+
+def sample_groups(state: Statevector, groups: Sequence, shots: Sequence[int],
+                  seeds: Sequence[int]) -> list[Histogram]:
+    """One histogram per group, ``shots[k]`` draws seeded with ``seeds[k]``.
+
+    Group k's basis change is a list of per-qubit actions in qubit order: H
+    on an X axis, Sdg then H on a Y axis, nothing on a Z or '-' axis. The
+    groups' action lists form a prefix tree; each edge runs once, on the
+    amplitudes every group below it shares, so each group's amplitudes are
+    bitwise those of rotating a fresh copy qubit by qubit. A node's last
+    child rotates its parent's array in place and every other child rotates
+    a copy; the child needing the most arrays goes last, which keeps the
+    arrays held at once at the tree's Strahler number. ``state`` is not
+    changed.
+
+    Each draw keeps the outcomes whose probability |amplitude|**2 is at least
+    ``PROBABILITY_FLOOR``, in ascending index order, rounds their
+    probabilities to float32, normalizes them and runs one multinomial over
+    them alone.
+    """
     n = state.n_qubits
-    if len(group.basis) != n:
-        raise SimulationError(f"group {getattr(group, 'index', 0)}: basis of "
-                              f"{len(group.basis)} qubits on a {n}-qubit state")
-    amps = state.amplitudes.copy()
-    for q, axis in enumerate(group.basis):
-        if axis == "Y":
-            kernels.apply_phase(amps, q, 1.0, -1.0j)  # Sdg
-        if axis in ("X", "Y"):
-            kernels.apply_1q(amps, q, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)  # H
-    probs = np.abs(amps) ** 2
-    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
-    return Histogram.from_outcomes(n, np.flatnonzero(draws), draws[draws > 0],
-                                   shots, getattr(group, "index", 0), seed)
+    root = _Node()
+    for k, (group, count) in enumerate(zip(groups, shots)):
+        if count <= 0:
+            raise SimulationError("shots must be positive")
+        if len(group.basis) != n:
+            raise SimulationError(f"group {getattr(group, 'index', 0)}: basis of "
+                                  f"{len(group.basis)} qubits on a {n}-qubit state")
+        node = root
+        for q, axis in enumerate(group.basis):
+            if axis in ("X", "Y"):
+                node = node.children.setdefault((q, axis), _Node())
+        node.groups.append(k)
+    root.arrays()
+    out = [None] * len(groups)
+
+    def visit(amps: np.ndarray, node: _Node, owned: bool) -> None:
+        for k in node.groups:
+            out[k] = _draw(amps, n, shots[k], getattr(groups[k], "index", 0), seeds[k])
+        last = len(node.children) - 1
+        for i, ((q, axis), child) in enumerate(node.children.items()):
+            work = amps if owned and i == last else amps.copy()
+            if axis == "Y":
+                kernels.apply_phase(work, q, 1.0, -1.0j)  # Sdg
+            kernels.apply_1q(work, q, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)  # H
+            visit(work, child, True)
+
+    visit(state.amplitudes, root, False)
+    return out
+
+
+class _Node:
+    """A node of the basis-change prefix tree: the groups whose actions end
+    here, and the child below each next action (qubit, axis)."""
+
+    __slots__ = ("groups", "children")
+
+    def __init__(self):
+        self.groups: list[int] = []
+        self.children: dict[tuple[int, str], _Node] = {}
+
+    def arrays(self) -> int:
+        """The amplitude arrays the walk below this node holds at once, its
+        own included; reorders the children so the one needing most is last."""
+        if len(self.children) < 2:
+            return next(iter(self.children.values())).arrays() if self.children else 1
+        need = {key: child.arrays() for key, child in self.children.items()}
+        order = sorted(need, key=need.get)
+        self.children = {key: self.children[key] for key in order}
+        return max(need[order[-1]], 1 + need[order[-2]])
+
+
+def _draw(amps: np.ndarray, n: int, shots: int, group_id: int, seed: int) -> Histogram:
+    """Multinomial shots over the outcomes at or above ``PROBABILITY_FLOOR``.
+
+    numpy's binomial takes another branch above p = 1/2, and outcomes a
+    symmetry makes equally likely put the last of a pair exactly there, where
+    float64 rounding alone picks the branch. Rounded to float32's 24 bits, a
+    state that differs only at float64 rounding gives the same probabilities,
+    so the same draws; the rounding is 3e-8 relative, far below shot noise.
+    """
+    probs = np.square(amps.real) + np.square(amps.imag)
+    kept = (probs >= PROBABILITY_FLOOR).nonzero()[0]
+    p = probs[kept].astype(np.float32).astype(np.float64)
+    p /= p.sum()
+    draws = np.random.default_rng(seed).multinomial(shots, p)
+    hit = draws > 0
+    return Histogram.from_outcomes(n, kept[hit], draws[hit], shots, group_id, seed)
 
 
 def group_outcomes(groups: Sequence, histograms: Sequence[Histogram]) -> list[

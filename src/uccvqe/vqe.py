@@ -16,7 +16,14 @@ the state lives on the amplitudes of that symmetry block only
 (``symmetry.in_symmetry_block``), and <psi|H|psi> needs only H's block,
 which also gives the exact reference energy. Each evaluation returns the
 energy and its exact gradient from one reverse (adjoint) sweep (Jones and
-Gacon, arXiv:2009.02823). Sampling still runs the compiled circuit.
+Gacon, arXiv:2009.02823).
+
+Sampling draws from the same block state. ``evaluate_sampled`` scatters
+``SectorAnsatz.state`` onto the block's amplitude indices in a zero
+register: the compiled circuit's output state up to a global phase, which
+no probability sees (``tests/test_sector.py`` pins the two to 1e-10). So
+the circuit is compiled, counted and written, but never walked gate by gate
+on this path.
 """
 from __future__ import annotations
 
@@ -28,7 +35,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .ansatz import AnsatzSpec
-from .circuit import Circuit, build_ansatz_circuit
 from .hamio import (
     MeasurementGroup,
     QubitHamiltonian,
@@ -40,8 +46,8 @@ from .hamio import (
 )
 from .mapping import QubitMapping
 from .pauli import excitation_generators
-from .sim import (Histogram, Statevector, apply_circuit, group_estimate, group_outcomes,
-                  sample_group, summed_estimate)
+from .sim import (Histogram, Statevector, group_estimate, group_outcomes, sample_groups,
+                  summed_estimate)
 from .symmetry import SpinSector
 
 
@@ -246,37 +252,39 @@ def evaluate_sampled(
     seed: int,
     shot_mode: str = PER_GROUP,
     *,
-    circuit: Optional[Circuit] = None,
+    ansatz: Optional[SectorAnsatz] = None,
     groups: Optional[list[MeasurementGroup]] = None,
 ) -> SampledEvaluation:
     """Sample every QWC group of H at fixed parameters.
 
-    ``shot_mode`` is read by ``shot_budget``. ``circuit`` and ``groups``
-    default to ``build_ansatz_circuit(spec, mapping)`` and ``qwc_group(h)``;
-    a caller that holds them already passes them in. Each histogram is
-    valued once, into ``valued``, which post-selection filters.
+    ``shot_mode`` is read by ``shot_budget``. ``ansatz`` and ``groups``
+    default to ``SectorAnsatz(h, spec)`` and ``qwc_group(h)``; a caller that
+    holds them already (``optimize`` returns its ansatz) passes them in. Each
+    histogram is valued once, into ``valued``, which post-selection filters.
     """
     return next(_evaluate_shot_counts(h, spec, mapping, params, [shots], seed, shot_mode,
-                                      circuit, groups))
+                                      ansatz, groups))
 
 
 def _evaluate_shot_counts(h: QubitHamiltonian, spec: AnsatzSpec, mapping: QubitMapping,
                           params: Sequence[float], shot_list: Sequence[int], seed: int,
-                          shot_mode: str, circuit: Optional[Circuit],
+                          shot_mode: str, ansatz: Optional[SectorAnsatz],
                           groups: Optional[list[MeasurementGroup]]
                           ) -> Iterator[SampledEvaluation]:
     """``evaluate_sampled`` at each shot count of ``shot_list`` in turn, all
-    sampled from one prepared state: the circuit runs once, after every
+    sampled from one prepared state: the block state ``ansatz.state(params)``
+    scattered onto its ``basis`` in a zero register, made once, after every
     shot count has been checked."""
     _check_registers(h, spec, mapping)
     if groups is None:
         groups = qwc_group(h)
     budgets = [shot_budget(shots, len(groups), shot_mode) for shots in shot_list]
-    if circuit is None:
-        circuit = build_ansatz_circuit(spec, mapping)
-    binding = dict(zip(spec.parameter_names(), map(float, params)))
-    state = apply_circuit(Statevector.zero(mapping.n_qubits), circuit, binding)
+    if ansatz is None:
+        ansatz = SectorAnsatz(h, spec)
+    amps = np.zeros(1 << mapping.n_qubits, dtype=np.complex128)
+    amps[ansatz.basis] = ansatz.state(params)
+    state = Statevector(mapping.n_qubits, amps)
+    seeds = [group_seed(seed, i) for i in range(len(groups))]
     for budget in budgets:
-        histograms = [sample_group(state, grp, budget[i], group_seed(seed, i))
-                      for i, grp in enumerate(groups)]
+        histograms = sample_groups(state, groups, budget, seeds)
         yield SampledEvaluation(groups, histograms, group_outcomes(groups, histograms), h.offset)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_block_mapping, random_integrals
 from oracles import hf_check_by_statevector
 from uccvqe.circuit import Circuit, Gate, build_ansatz_circuit
-from uccvqe import cli, hamio, sim, vqe
+from uccvqe import cli, hamio, kernels, sim, vqe
 from uccvqe.cli import CliError, Pipeline, RunConfig, load_report, main, validate_report
 from uccvqe.hamio import (
     ActiveSelection,
@@ -442,10 +442,17 @@ class TestBuildsOnce:
                                                              tmp_path, monkeypatch):
         import uccvqe.vqe as vqe_module
 
-        def rebuilt(*args, **kwargs):
-            raise AssertionError("sampling rebuilt what the pipeline holds")
+        optimize = vqe_module.optimize
 
-        monkeypatch.setattr(vqe_module, "build_ansatz_circuit", rebuilt)
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("sampling rebuilt what the pipeline or optimize holds")
+
+        def optimized(*args):
+            result = optimize(*args)
+            monkeypatch.setattr(vqe_module, "SectorAnsatz", rebuilt)
+            return result
+
+        monkeypatch.setattr(cli, "optimize", optimized)
         monkeypatch.setattr(vqe_module, "qwc_group", rebuilt)
         code = run(command[:1] + ["--fcidump", h2_path, "--electrons", "2",
                                   "--out", str(tmp_path)] + command[1:])
@@ -607,17 +614,29 @@ class TestSweep:
         assert "shots" in out and "600" in out
 
     def test_prepares_the_state_once(self, h2_path, tmp_path, monkeypatch):
-        apply, calls = vqe.apply_circuit, []
+        # after optimize, the block state is made once and no gate is walked
+        state, optimize, calls = vqe.SectorAnsatz.state, vqe.optimize, []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return apply(*args, **kwargs)
+            return state(*args, **kwargs)
 
-        monkeypatch.setattr(vqe, "apply_circuit", counting)
+        def optimized(*args):
+            result = optimize(*args)
+            monkeypatch.setattr(vqe.SectorAnsatz, "state", counting)
+            return result
+
+        def walked(*args, **kwargs):
+            raise AssertionError("sweep ran the gate-level circuit")
+
+        monkeypatch.setattr(cli, "optimize", optimized)
+        monkeypatch.setattr(sim, "apply_circuit", walked)
+        monkeypatch.setattr(kernels, "apply_cnot", walked)
         code = run(["sweep", "--fcidump", h2_path, "--electrons", "2",
                     "--shot-list", "100,200,400,800", "--out", str(tmp_path)])
         assert code == 0
         assert len(calls) == 1
+        monkeypatch.undo()
         pipe = Pipeline(RunConfig(h2_path, 2, ()))
         params = vqe.optimize(pipe.hamiltonian, pipe.spec, pipe.mapping).params
         for row in load_report(tmp_path / "report.json")["sweep"]:
@@ -757,6 +776,29 @@ class TestMitigateCommand:
         assert saved != digest
         assert capsys.readouterr().err == (f"uccvqe: error: {path}: line 5: FCIDUMP_SHA256 "
                                            f"{saved}, but {fcidump} has the SHA-256 {digest}\n")
+
+    def _edit_report(self, tmp_path, edit):
+        path = tmp_path / "report.json"
+        report = json.loads(path.read_text())
+        edit(report)
+        path.write_text(json.dumps(report))
+        return path
+
+    def test_mapping_perm_other_than_the_rebuilt_one_named(self, h2_path, tmp_path, capsys):
+        rebuilt = self._vqe_run(h2_path, tmp_path)["mapping_perm"]
+        edited = rebuilt[::-1]
+        path = self._edit_report(tmp_path, lambda report: report.update(mapping_perm=edited))
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err == (f"uccvqe: error: {path}: mapping_perm {edited}, but "
+                                           f"its config rebuilds the mapping {rebuilt}\n")
+
+    def test_missing_fcidump_named_with_the_report(self, h2_path, tmp_path, capsys):
+        self._vqe_run(h2_path, tmp_path)
+        missing = str(tmp_path / "moved.fcidump")
+        path = self._edit_report(tmp_path, lambda report: report["config"].update(fcidump=missing))
+        assert self._mitigate(tmp_path) == 1
+        assert capsys.readouterr().err == (f"uccvqe: error: {path}: config.fcidump {missing}: "
+                                           "No such file or directory\n")
 
     @pytest.mark.parametrize("line, edited, message", [
         (1, "HISTOGRAMS 2", "line 1: histogram format 2, but this version reads format 1"),

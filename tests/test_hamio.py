@@ -106,8 +106,10 @@ class TestParse:
         ("NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,abc,", "header key ORBSYM: '1,1,abc' is not a "
                                                     "list of integers"),
         ("abc NORB=2,NELEC=2,MS2=0,", "header text 'abc' is not KEY=value"),
+        ("NORB=-1,NELEC=2,MS2=0,", "header key NORB: -1 is negative"),
+        ("NORB=2,NELEC=-2,MS2=0,", "header key NELEC: -2 is negative"),
     ], ids=["nelec-twice", "norb-twice", "norb-token", "nelec-nan", "ms2-float",
-            "orbsym-token", "stray-token"])
+            "orbsym-token", "stray-token", "norb-negative", "nelec-negative"])
     def test_header_read_once_and_refused_by_key(self, tmp_path, header, message):
         path = write(tmp_path, f" &FCI {header}\n &END\n 0.0 0 0 0 0\n", name="head.fcidump")
         with pytest.raises(FcidumpError, match=rf"^{re.escape(path)}: {re.escape(message)}$"):

@@ -16,7 +16,7 @@ from oracles import (
     sum_matrix,
     word_masks_by_format,
 )
-from uccvqe import kernels
+from uccvqe import kernels, sim
 from uccvqe.ansatz import ActiveSpace
 from uccvqe.circuit import Circuit, Gate
 from uccvqe.hamio import ActiveSelection, MeasurementGroup, QubitHamiltonian, build_qubit_hamiltonian, qwc_group
@@ -35,6 +35,7 @@ from uccvqe.sim import (
     parse_sections,
     prepared_basis_state,
     sample_group,
+    sample_groups,
 )
 from uccvqe.symmetry import index_mask
 
@@ -201,6 +202,51 @@ class TestSampling:
             assert got.tallies.tolist() == draws[draws > 0].tolist()
             assert (got.shots, got.group_id, got.seed) == (3000, k, k)
         assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_all_groups_walk_matches_group_by_group(self, n, monkeypatch):
+        # axes drawn from a few shared prefixes, so the groups' basis changes
+        # share edges of the walk's tree; '-' and Z axes rotate nothing
+        rng = np.random.default_rng(800 + n)
+        state = Statevector(n, random_amplitudes(n, rng))
+        before = state.amplitudes.copy()
+        prefixes = [rng.choice(list("XYZ-"), size=n).tolist() for _ in range(3)]
+        groups = []
+        for k in range(20):
+            basis = list(prefixes[k % 3])
+            for q in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+                basis[q] = str(rng.choice(list("XYZ-")))
+            groups.append(MeasurementGroup(k, word_sum("".join(basis).replace("-", "I")),
+                                           tuple(basis)))
+        shots = rng.integers(1, 5000, size=len(groups)).tolist()
+        seeds = rng.integers(0, 1 << 31, size=len(groups)).tolist()
+        rotated = {}
+        draw = sim._draw
+
+        def spy(amps, n_qubits, count, group_id, seed):
+            rotated[group_id] = amps.copy()
+            return draw(amps, n_qubits, count, group_id, seed)
+
+        monkeypatch.setattr(sim, "_draw", spy)
+        together = sample_groups(state, groups, shots, seeds)
+        for group in groups:
+            gates = apply_circuit(state, basis_rotation(group, n)).amplitudes
+            assert np.array_equal(rotated[group.index], gates)
+        one_by_one = [sample_group(state, g, s, seed) for g, s, seed in zip(groups, shots, seeds)]
+        assert [h.to_text() for h in together] == [h.to_text() for h in one_by_one]
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_draw_skips_outcomes_below_the_floor(self):
+        # residue below the floor takes no random number: the kept outcomes
+        # draw as a multinomial over them alone
+        amps = np.zeros(8, dtype=np.complex128)
+        amps[[1, 4, 6]] = [0.6, 0.48j, 0.64]
+        amps[[0, 7]] = 1e-16
+        hist = sample_group(Statevector(3, amps), z_group(3), 4000, seed=2)
+        p = (np.abs(amps[[1, 4, 6]]) ** 2).astype(np.float32).astype(np.float64)
+        draws = np.random.default_rng(2).multinomial(4000, p / p.sum())
+        assert hist.outcomes.tolist() == [i for i, c in zip([1, 4, 6], draws) if c]
+        assert hist.tallies.tolist() == draws[draws > 0].tolist()
 
     def test_shots_must_be_positive(self):
         with pytest.raises(SimulationError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import basis_state, closed_shell_reference, make_closed_shell_2o
+from conftest import (basis_state, closed_shell_reference, make_closed_shell_2o,
+                      random_block_mapping, random_integrals)
 from oracles import exp_generator
 from uccvqe.ansatz import ActiveSpace, enumerate_excitations
 from uccvqe.circuit import build_ansatz_circuit
@@ -9,10 +10,12 @@ from uccvqe.hamio import qwc_group
 from uccvqe.hamio import ActiveSelection, QubitHamiltonian, build_qubit_hamiltonian, exact_ground_energy
 from uccvqe.mapping import QubitMapping, greedy_map
 from uccvqe.pauli import PauliSum, PauliWord, antihermitian_generator
-from uccvqe.sim import Statevector, apply_circuit, energy_from_histograms, expectation, group_outcomes
+from uccvqe import sim
+from uccvqe.sim import (Statevector, apply_circuit, energy_from_histograms, expectation,
+                        group_outcomes, sample_groups)
 from uccvqe.symmetry import OrbitalSymmetry, SpinSector
 from uccvqe import vqe
-from uccvqe.vqe import VqeError, evaluate_sampled, optimize, shot_budget
+from uccvqe.vqe import SectorAnsatz, VqeError, evaluate_sampled, group_seed, optimize, shot_budget
 
 H2_FCI = -1.137265554375321
 
@@ -179,7 +182,7 @@ class TestEvaluateSampled:
         params = np.array([0.3])
         built = evaluate_sampled(h2_hamiltonian, h2_spec, mapping, params, 700, seed=9)
         given = evaluate_sampled(h2_hamiltonian, h2_spec, mapping, params, 700, seed=9,
-                                 circuit=build_ansatz_circuit(h2_spec, mapping),
+                                 ansatz=SectorAnsatz(h2_hamiltonian, h2_spec),
                                  groups=qwc_group(h2_hamiltonian))
         assert [h.to_text() for h in given.histograms] == [h.to_text() for h in built.histograms]
         assert (given.energy, given.standard_error) == (built.energy, built.standard_error)
@@ -194,3 +197,56 @@ class TestEvaluateSampled:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert (ev.energy, ev.standard_error) == energy_from_histograms(
             ev.groups, ev.histograms, h2_hamiltonian.offset)
+
+
+def seeded_case(n_orbitals: int, variant: str, seed: int):
+    """Random closed-shell CAS(n, n) integrals under a random block mapping."""
+    rng = np.random.default_rng(seed)
+    ints = random_integrals(n_orbitals, n_orbitals, rng)
+    mapping = random_block_mapping(n_orbitals, rng)
+    h = build_qubit_hamiltonian(ints, ActiveSelection.full(ints), mapping)
+    return h, enumerate_excitations(variant, ActiveSpace(n_orbitals, n_orbitals)), mapping
+
+
+class TestBlockStateSampling:
+    """``evaluate_sampled`` draws from the optimizer's block state after the
+    probability floor."""
+
+    @pytest.mark.parametrize("n_orbitals, variant", [(4, "uccdab"), (6, "upccd")])
+    def test_rounding_level_parameter_change_moves_no_histogram(self, n_orbitals, variant):
+        h, spec, mapping = seeded_case(n_orbitals, variant, seed=3)
+        res = optimize(h, spec, mapping)
+        signs = np.random.default_rng(1).choice([-1.0, 1.0], size=len(res.params))
+        nudged = res.params + 1e-15 * signs
+
+        def texts(params):
+            ev = evaluate_sampled(h, spec, mapping, params, 6000, seed=7, ansatz=res.ansatz)
+            return [hist.to_text() for hist in ev.histograms]
+
+        assert texts(nudged) == texts(res.params)
+
+    @pytest.mark.parametrize("case", ["h2", "cas44"])
+    def test_block_state_samples_as_the_gate_walk(self, case, h2_hamiltonian, h2_spec,
+                                                  monkeypatch):
+        if case == "h2":
+            h, spec, mapping = h2_hamiltonian, h2_spec, QubitMapping.identity(2)
+        else:
+            h, spec, mapping = seeded_case(4, "uccdab", seed=5)
+        res = optimize(h, spec, mapping)
+        ev = evaluate_sampled(h, spec, mapping, res.params, 6000, seed=11, ansatz=res.ansatz)
+        binding = dict(zip(spec.parameter_names(), map(float, res.params)))
+        walked = apply_circuit(Statevector.zero(mapping.n_qubits),
+                               build_ansatz_circuit(spec, mapping), binding)
+        seeds = [group_seed(11, i) for i in range(len(ev.groups))]
+
+        def texts(state):
+            return [x.to_text() for x in sample_groups(state, ev.groups,
+                                                       [6000] * len(ev.groups), seeds)]
+
+        assert texts(walked) == [x.to_text() for x in ev.histograms]
+        if case == "cas44":
+            # the floor is what holds them: the gate walk leaves rounding
+            # residue where the block state holds exact zeros, and without
+            # the floor every residue takes a random number
+            monkeypatch.setattr(sim, "PROBABILITY_FLOOR", 0.0)
+            assert texts(walked) != [x.to_text() for x in ev.histograms]
